@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=20260810,
-            help="seed recorded for randomized suites (commands here are deterministic)",
+            help="accepted for symmetry with the test suites; unused, the commands are deterministic",
         )
 
     p = sub.add_parser("check", help="validate [pi,pi] = 0 and report the jacobiator")
@@ -399,6 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tjurina", help="global or translated-local Tjurina number")
     p.add_argument("file_or_poly", help="structure file, polynomial file, or literal expression")
     p.add_argument("--point", default=None, help='translate this point to the origin: "a,b,..."')
+    # By default argparse reads "-1,0" as an unknown option, so "--point -1,0"
+    # would fail; any token that starts like a negative number is a value here.
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     common(p)
     p.set_defaults(func=cmd_tjurina)
 

@@ -1,11 +1,21 @@
-"""Weight-graded Lichnerowicz cohomology via exact matrix ranks.
+"""Weight-graded Lichnerowicz cohomology via exact sparse matrix ranks.
 
 For a weight-homogeneous Poisson structure the differential d_pi = [pi, -]
 maps the finite-dimensional graded piece of degree k and weight w to the
 piece of degree k+1 and weight w+m, where m is the structure's homogeneity
 weight.  Assembling d_pi as an exact rational matrix on each piece reduces
-every cohomology dimension to a rank computation, done fraction-free by
-Bareiss elimination.
+every cohomology dimension to a rank computation.
+
+The matrices are assembled and ranked sparsely.  Each column, the image of
+one monomial basis element x^e d_I, is computed straight from the monomial
+key (I, e) and a table of pi's derivatives by the odd frame symbols and by
+the chart variables, built once per structure; no polyvector is built and
+no Schouten bracket is evaluated per basis element.  The rank is the sum of
+the ranks of the blocks, the connected components of the bipartite graph
+joining a row to a column wherever their entry is nonzero; each block is
+densified and ranked fraction-free by Bareiss elimination in
+:func:`rank_exact`.  The pieces are very sparse, so the blocks stay small
+even when a basis holds thousands of elements.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -27,14 +37,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import BasisSizeExceededError, PreconditionError
 from .multivec import MultiIndex, Polyvector
-from .poisson import PoissonStructure, lichnerowicz
+from .poisson import PoissonStructure
 from .polyalg import Chart, Exponent, Poly
 
 DEFAULT_BASIS_CAP = 20000
+
+Key = tuple[MultiIndex, Exponent]
 
 
 class _NotHomogeneous:
@@ -76,20 +89,28 @@ def homogeneity_weight(P: PoissonStructure):
 class GradedBasis:
     """Ordered monomial basis of the degree-k, weight-w graded piece.
 
-    Elements are ordered by multi-index (lex ascending), then by monomial
-    (grevlex descending), so two runs enumerate identically.
+    Keys ``(multi-index, exponent)`` are ordered by multi-index (lex
+    ascending), then by monomial (grevlex descending), so two runs enumerate
+    identically.
     """
 
     chart: Chart
     k: int
     w: int
-    elements: tuple[Polyvector, ...]
-    keys: tuple[tuple[MultiIndex, Exponent], ...]
+    keys: tuple[Key, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
-    def index_map(self) -> dict[tuple[MultiIndex, Exponent], int]:
+    @cached_property
+    def elements(self) -> tuple[Polyvector, ...]:
+        """The basis as monomial polyvectors, built from ``keys`` on first use."""
+        return tuple(
+            Polyvector.term(self.chart, index, Poly.monomial(self.chart, exponent, 1))
+            for index, exponent in self.keys
+        )
+
+    def index_map(self) -> dict[Key, int]:
         return {key: pos for pos, key in enumerate(self.keys)}
 
 
@@ -118,21 +139,17 @@ def _monomials_of_weighted_degree(chart: Chart, degree: int) -> list[Exponent]:
 def graded_basis(chart: Chart, k: int, w: int, cap: int = DEFAULT_BASIS_CAP) -> GradedBasis:
     """Enumerate the monomial polyvectors of degree k and weight w."""
     if not 0 <= k <= chart.n:
-        return GradedBasis(chart, k, w, (), ())
-    elements: list[Polyvector] = []
-    keys: list[tuple[MultiIndex, Exponent]] = []
+        return GradedBasis(chart, k, w, ())
+    keys: list[Key] = []
     for index in itertools.combinations(range(chart.n), k):
         target = w + sum(chart.weights[i] for i in index)
         for exponent in _monomials_of_weighted_degree(chart, target):
             keys.append((index, exponent))
-            elements.append(
-                Polyvector.term(chart, index, Poly.monomial(chart, exponent, 1))
-            )
-            if len(elements) > cap:
+            if len(keys) > cap:
                 raise BasisSizeExceededError(
                     f"graded piece (k={k}, w={w}) exceeds the basis cap {cap}"
                 )
-    return GradedBasis(chart, k, w, tuple(elements), tuple(keys))
+    return GradedBasis(chart, k, w, tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -148,6 +165,85 @@ class RationalMatrix:
             raise ValueError("matrix shape does not match entries")
 
 
+class _DerivativeTable:
+    """d_pi on monomial keys, from pi's partial derivatives tabulated once.
+
+    In the odd-coordinate model of :mod:`poissonkit.multivec`, for a
+    bivector pi and b = x^e d_I,
+
+        [pi, b] = - sum_i (dpi/dtheta_i) ^ (db/dx_i)
+                  - sum_i (db/dtheta_i) ^ (dpi/dx_i),
+
+    with d/dtheta_i the left derivative by the frame symbol d_i.  This is
+    :func:`poissonkit.multivec.schouten` with its signs for |pi| = 2.
+    ``by_theta[i]`` lists the terms ``(j, exponent, c)`` of dpi/dtheta_i
+    = sum_j pi_ij d_j, and ``by_x[i]`` the terms ``((a, b), exponent, c)``
+    of dpi/dx_i.
+    """
+
+    __slots__ = ("by_theta", "by_x")
+
+    def __init__(self, P: PoissonStructure):
+        n = P.chart.n
+        self.by_theta: list[list[tuple[int, Exponent, Fraction]]] = [[] for _ in range(n)]
+        self.by_x: list[list[tuple[MultiIndex, Exponent, Fraction]]] = [[] for _ in range(n)]
+        for (a, b), coeff in P.pi.terms.items():
+            for exponent, value in coeff.terms.items():
+                self.by_theta[a].append((b, exponent, value))
+                self.by_theta[b].append((a, exponent, -value))
+            for i in range(n):
+                for exponent, value in coeff.diff(i).terms.items():
+                    self.by_x[i].append(((a, b), exponent, value))
+
+    def image(self, index: MultiIndex, exponent: Exponent) -> dict[Key, Fraction]:
+        """The nonzero terms of [pi, x^exponent d_index], by monomial key."""
+        out: dict[Key, Fraction] = {}
+        for i, power in enumerate(exponent):
+            if not power:
+                continue
+            # -(dpi/dtheta_i) ^ (power x^(e - delta_i) d_I)
+            for j, shift, value in self.by_theta[i]:
+                if j in index:
+                    continue
+                below = sum(1 for r in index if r < j)
+                monomial = [p + q for p, q in zip(exponent, shift)]
+                monomial[i] -= 1
+                key = (tuple(sorted(index + (j,))), tuple(monomial))
+                term = power * value if below % 2 else -power * value
+                out[key] = out.get(key, 0) + term
+        for pos, i in enumerate(index):
+            rest = index[:pos] + index[pos + 1 :]
+            # -((-1)^pos x^e d_rest) ^ (dpi/dx_i)
+            for pair, shift, value in self.by_x[i]:
+                if pair[0] in rest or pair[1] in rest:
+                    continue
+                inversions = sum(1 for r in rest for q in pair if r > q)
+                monomial = tuple(p + q for p, q in zip(exponent, shift))
+                key = (tuple(sorted(rest + pair)), monomial)
+                term = value if (pos + inversions) % 2 else -value
+                out[key] = out.get(key, 0) + term
+        return {key: value for key, value in out.items() if value}
+
+
+def _dpi_columns(
+    table: _DerivativeTable, source: GradedBasis, target: GradedBasis
+) -> list[dict[int, Fraction]]:
+    """Sparse columns {row: value} of d_pi from ``source`` into ``target``."""
+    lookup = target.index_map()
+    columns: list[dict[int, Fraction]] = []
+    for index, exponent in source.keys:
+        column: dict[int, Fraction] = {}
+        for key, value in table.image(index, exponent).items():
+            row = lookup.get(key)
+            if row is None:
+                raise AssertionError(
+                    "image leaves the expected graded piece; homogeneity is broken"
+                )
+            column[row] = value
+        columns.append(column)
+    return columns
+
+
 def dpi_matrix(P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP) -> RationalMatrix:
     """Matrix of d_pi from the (k, w) piece to the (k+1, w+m) piece.
 
@@ -159,29 +255,49 @@ def dpi_matrix(P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP
         raise PreconditionError("the Poisson structure is not weight-homogeneous")
     source = graded_basis(P.chart, k, w, cap)
     target = graded_basis(P.chart, k + 1, w + m, cap)
-    return _matrix_from_bases(P, source, target)
-
-
-def _matrix_from_bases(P: PoissonStructure, source: GradedBasis, target: GradedBasis) -> RationalMatrix:
-    lookup = target.index_map()
+    columns = _dpi_columns(_DerivativeTable(P), source, target)
     zero = Fraction(0)
-    columns: list[list[Fraction]] = []
-    for element in source.elements:
-        image = lichnerowicz(P, element)
-        column = [zero] * len(target)
-        for index, coeff in image.terms.items():
-            for exponent, value in coeff.terms.items():
-                row = lookup.get((index, exponent))
-                if row is None:
-                    raise AssertionError(
-                        "image leaves the expected graded piece; homogeneity is broken"
-                    )
-                column[row] += value
-        columns.append(column)
     entries = tuple(
-        tuple(columns[j][i] for j in range(len(source))) for i in range(len(target))
+        tuple(column.get(row, zero) for column in columns) for row in range(len(target))
     )
     return RationalMatrix(len(target), len(source), entries)
+
+
+def _block_rank(columns: list[dict[int, Fraction]], nrows: int) -> int:
+    """Rank of a sparse matrix given by its columns {row: value}.
+
+    Rows joined by a column fall in one block (union-find over the rows), so
+    the blocks are the connected components of the bipartite row/column
+    nonzero graph, and the rank is the sum of the block ranks.  Each block
+    is densified and ranked by :func:`rank_exact`.
+    """
+    parent = list(range(nrows))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    for column in columns:
+        rows = iter(column)
+        first = next(rows, None)
+        if first is None:
+            continue
+        root = find(first)
+        for r in rows:
+            other = find(r)
+            if other != root:
+                parent[other] = root
+    blocks: dict[int, list[dict[int, Fraction]]] = {}
+    for column in columns:
+        if column:
+            blocks.setdefault(find(next(iter(column))), []).append(column)
+    rank = 0
+    for block in blocks.values():
+        rows = sorted({r for column in block for r in column})
+        rank += rank_exact([[column.get(r, 0) for column in block] for r in rows])
+    return rank
 
 
 def rank_exact(M) -> int:
@@ -304,12 +420,13 @@ def cohomology_table(
     if w_min is None:
         w_min = -sum(chart.weights)
 
+    table = _DerivativeTable(P)
     bases: dict[tuple[int, int], GradedBasis] = {}
     ranks: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def basis(k: int, w: int) -> GradedBasis:
         if not 0 <= k <= n:
-            return GradedBasis(chart, max(k, 0), w, (), ())
+            return GradedBasis(chart, max(k, 0), w, ())
         key = (k, w)
         if key not in bases:
             bases[key] = graded_basis(chart, k, w, cap)
@@ -323,8 +440,8 @@ def cohomology_table(
         if key not in ranks:
             source = basis(k, w)
             target = basis(k + 1, w + m)
-            matrix = _matrix_from_bases(P, source, target)
-            ranks[key] = (matrix.nrows, matrix.ncols, rank_exact(matrix))
+            columns = _dpi_columns(table, source, target)
+            ranks[key] = (len(target), len(source), _block_rank(columns, len(target)))
         return ranks[key]
 
     def dim_h(k: int, w: int) -> int:

@@ -99,6 +99,12 @@ class TestJsonConformance:
         assert envelope["result"]["tjurina"] == 1
         assert envelope["result"]["point"] == ["1", "2"]
 
+    def test_tjurina_negative_point_spellings_agree(self, capsys):
+        spaced = run_json(capsys, "tjurina", "(w + 1)*w*z", "--point", "-1,0")
+        joined = run_json(capsys, "tjurina", "(w + 1)*w*z", "--point=-1,0")
+        assert spaced["result"] == joined["result"]
+        assert spaced["result"]["point"] == ["-1", "0"]
+
 
 class TestVerdictsThroughCli:
     def test_node_is_surface_holonomic(self, capsys):

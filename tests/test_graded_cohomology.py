@@ -17,11 +17,14 @@ from poissonkit import (
     graded_basis,
     homogeneity_weight,
     jacobian_poisson_3,
+    lichnerowicz,
     new_poisson,
     parse_poly,
+    parse_structure_file,
     rank_exact,
 )
-from conftest import CHART2, CHART3, random_poly
+from poissonkit.graded_cohomology import _block_rank, _DerivativeTable
+from conftest import CHART2, CHART3, FIXTURES, random_diagonal_structure, random_poly
 from oracles import bruteforce_dimension_table, gaussian_rank
 
 
@@ -227,3 +230,150 @@ class TestCohomologyTable:
             oracle = bruteforce_dimension_table(P, 2, 4)
             for (k, w), dim in oracle.items():
                 assert table.dim_h(k, w) == dim
+
+
+def homogeneous_fixture_structures():
+    out = []
+    for path in sorted(FIXTURES.glob("*.poisson")):
+        P = parse_structure_file(path.read_text()).build()
+        if homogeneity_weight(P) is not NOT_HOMOGENEOUS:
+            out.append((path.stem, P))
+    return out
+
+
+def fixture_structure(name):
+    return parse_structure_file((FIXTURES / f"{name}.poisson").read_text()).build()
+
+
+class TestDirectAssembly:
+    """The monomial-key image against lichnerowicz on built polyvectors."""
+
+    def assert_images_match(self, P, weights):
+        table = _DerivativeTable(P)
+        for k in range(P.chart.n + 1):
+            for w in weights:
+                basis = graded_basis(P.chart, k, w)
+                for key, element in zip(basis.keys, basis.elements):
+                    image = lichnerowicz(P, element)
+                    expected = {
+                        (index, exponent): value
+                        for index, coeff in image.terms.items()
+                        for exponent, value in coeff.terms.items()
+                    }
+                    assert table.image(*key) == expected, (key, str(image))
+
+    def test_homogeneous_fixtures(self):
+        structures = homogeneous_fixture_structures()
+        assert len(structures) == 8
+        for _, P in structures:
+            w_min = -sum(P.chart.weights)
+            self.assert_images_match(P, range(w_min, w_min + 6))
+
+    def test_seeded_diagonal_charts(self, rng):
+        for _ in range(3):
+            self.assert_images_match(random_diagonal_structure(rng), range(-4, 1))
+
+    def test_dpi_matrix_columns_are_the_images(self):
+        P, _ = hesse_structure()
+        matrix = dpi_matrix(P, 1, 1)
+        source = graded_basis(P.chart, 1, 1)
+        target = graded_basis(P.chart, 2, 1)
+        for j, element in enumerate(source.elements):
+            image = lichnerowicz(P, element)
+            column = [Fraction(0)] * len(target)
+            for row, (index, exponent) in enumerate(target.keys):
+                if index in image.terms:
+                    column[row] = image.terms[index].terms.get(exponent, Fraction(0))
+            assert [matrix.entries[i][j] for i in range(matrix.nrows)] == column
+
+
+class TestBlockRank:
+    def random_block_sparse(self, rng):
+        """A block-diagonal rational matrix with zero lines, rows and columns permuted."""
+        blocks = []
+        for _ in range(rng.randint(0, 4)):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            block = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+                 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            if nrows >= 3 and rng.random() < 0.5:
+                block[2] = [a + b for a, b in zip(block[0], block[1])]
+            blocks.append(block)
+        nrows = sum(len(b) for b in blocks) + rng.randint(0, 2)
+        ncols = sum(len(b[0]) for b in blocks) + rng.randint(0, 2)
+        dense = [[Fraction(0)] * ncols for _ in range(nrows)]
+        r0 = c0 = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                dense[r0 + i][c0 : c0 + len(row)] = row
+            r0 += len(block)
+            c0 += len(block[0])
+        row_order = list(range(nrows))
+        col_order = list(range(ncols))
+        rng.shuffle(row_order)
+        rng.shuffle(col_order)
+        return [[dense[r][c] for c in col_order] for r in row_order], nrows, ncols
+
+    @staticmethod
+    def columns_of(dense, nrows, ncols):
+        return [{r: dense[r][c] for r in range(nrows) if dense[r][c]} for c in range(ncols)]
+
+    def test_agrees_with_gaussian_oracle(self, rng):
+        for _ in range(60):
+            dense, nrows, ncols = self.random_block_sparse(rng)
+            columns = self.columns_of(dense, nrows, ncols)
+            assert _block_rank(columns, nrows) == gaussian_rank(dense)
+
+    def test_empty_shapes(self):
+        assert _block_rank([], 0) == 0
+        assert _block_rank([], 3) == 0
+        assert _block_rank([{}, {}], 0) == 0
+        assert _block_rank([{}, {}], 2) == 0
+
+    def test_blocks_sum(self):
+        # Two 2x2 blocks, one singular, interleaved by the row/column order.
+        dense = [
+            [Fraction(1), 0, Fraction(2), 0],
+            [0, Fraction(1, 2), 0, Fraction(1, 3)],
+            [Fraction(2), 0, Fraction(4), 0],
+            [0, Fraction(3, 2), 0, Fraction(1)],
+        ]
+        assert _block_rank(self.columns_of(dense, 4, 4), 4) == 2 == gaussian_rank(dense)
+
+
+class TestOracleOnLargerCharts:
+    def assert_matches_bruteforce(self, P, k_max, w_max):
+        table = cohomology_table(P, k_max, w_max)
+        oracle = bruteforce_dimension_table(P, k_max, w_max)
+        for (k, w), dim in oracle.items():
+            assert table.dim_h(k, w) == dim, (k, w)
+
+    def test_hesse_cubic(self):
+        self.assert_matches_bruteforce(fixture_structure("hesse_cubic"), 3, 2)
+
+    def test_so3_linear(self):
+        self.assert_matches_bruteforce(fixture_structure("so3_linear"), 3, 2)
+
+    def test_seeded_diagonal_chart(self, rng):
+        self.assert_matches_bruteforce(random_diagonal_structure(rng), 4, 1)
+
+
+class TestClosedForms:
+    """Tables at --wmax 7, out of reach of the dense assembly and rank."""
+
+    def test_symplectic4_only_constants(self):
+        table = cohomology_table(fixture_structure("symplectic4"), 4, 7)
+        for (k, w), entry in table.entries.items():
+            assert entry.dim_h == (1 if (k, w) == (0, 0) else 0), (k, w)
+        assert table.euler_consistent()
+
+    def test_so3_casimirs_in_even_weights(self):
+        table = cohomology_table(fixture_structure("so3_linear"), 3, 7)
+        for w in range(table.w_min, 8):
+            expected = 1 if w >= 0 and w % 2 == 0 else 0
+            assert table.dim_h(0, w) == expected, w
+
+    def test_torus4_euler_consistent(self):
+        assert cohomology_table(fixture_structure("torus4"), 4, 7).euler_consistent()
