@@ -63,6 +63,7 @@ from .groebner import (
 )
 from .diagnostics import (
     HolonomyVerdict,
+    StructureAnalysis,
     SurfaceH2Report,
     SurfaceLeafReport,
     Verdict,

@@ -23,33 +23,18 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .diagnostics import (
-    Verdict,
-    degeneracy_divisor,
-    holonomy_verdict,
-    surface_h2_report,
-    surface_leaf_report,
-    zero_leaf_locus,
-)
+from .diagnostics import StructureAnalysis, Verdict
 from .errors import (
     BudgetExceededError,
-    JacobiFailure,
     ParseError,
     PreconditionError,
 )
 from .graded_cohomology import cohomology_table
 from .groebner import DEFAULT_BUDGET, GREVLEX, INFINITE, jacobian_ideal_basis, quotient_dimension
-from .multivec import SIGN_CONVENTIONS, lie_derivative
-from .poisson import (
-    PoissonStructure,
-    dmodule_generators,
-    modular_field,
-    pfaffian,
-)
-from .polyalg import Chart, Poly, parse_poly
+from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
+from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
+from .polyalg import Chart, Poly, _tokenize, parse_poly
 from .structfile import StructureSpec, parse_structure_file
-
-_IDENT_SCAN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def _digest(data: bytes) -> str:
@@ -67,11 +52,11 @@ def _envelope(command: str, digest: str, result: dict, started: float) -> dict:
     }
 
 
-def _structure_payload(P: PoissonStructure) -> dict:
-    chart = P.chart
+def _structure_payload(pi: Polyvector) -> dict:
+    chart = pi.chart
     brackets = {
         f"{{{chart.names[i]},{chart.names[j]}}}": str(coeff)
-        for (i, j), coeff in sorted(P.pi.terms.items())
+        for (i, j), coeff in sorted(pi.terms.items())
     }
     return {
         "chart": list(chart.names),
@@ -80,9 +65,28 @@ def _structure_payload(P: PoissonStructure) -> dict:
     }
 
 
+def _read_input(path: Path) -> tuple[str, str]:
+    """Text and digest of an input file; bytes that are not UTF-8 are a parse error."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8"), _digest(data)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{path} is not UTF-8 text", line=line, column=column) from None
+
+
+def _is_file(path: Path) -> bool:
+    """Path.is_file, except that a name the OS cannot even look up is not a file."""
+    try:
+        return path.is_file()
+    except OSError:  # e.g. a literal expression longer than the file-name limit
+        return False
+
+
 def _load_spec(path: str) -> tuple[StructureSpec, str]:
-    data = Path(path).read_bytes()
-    return parse_structure_file(data.decode("utf-8")), _digest(data)
+    text, digest = _read_input(Path(path))
+    return parse_structure_file(text), digest
 
 
 def _finite_or_marker(value):
@@ -97,31 +101,14 @@ def _finite_or_marker(value):
 def cmd_check(args) -> dict:
     started = time.perf_counter()
     spec, digest = _load_spec(args.file)
-    try:
-        P = spec.build()
-        result = {
-            "jacobi_ok": True,
-            "jacobiator": "0",
-            "structure": _structure_payload(P),
-        }
-    except JacobiFailure as failure:
-        tri = failure.trivector
-        pi = _unvalidated_structure(spec)
-        result = {
-            "jacobi_ok": False,
-            "jacobiator": str(tri),
-            "structure": _structure_payload(pi),
-        }
+    pi = spec.bivector()
+    obstruction = jacobiator(pi)
+    result = {
+        "jacobi_ok": obstruction.is_zero,
+        "jacobiator": str(obstruction),
+        "structure": _structure_payload(pi),
+    }
     return _envelope("check", digest, result, started)
-
-
-def _unvalidated_structure(spec: StructureSpec) -> PoissonStructure:
-    """Wrap the raw bivector without the Jacobi certificate (check command only)."""
-    from .multivec import Polyvector
-
-    terms = {(i, j): p for i, j, p in spec.brackets if not p.is_zero}
-    pi = Polyvector(spec.chart, 2, terms)
-    return PoissonStructure(spec.chart, pi, jacobiator_checked=False)
 
 
 def cmd_modular(args) -> dict:
@@ -133,7 +120,7 @@ def cmd_modular(args) -> dict:
     result = {
         "modular_field": str(zeta),
         "lie_zeta_pi_is_zero": symmetry.is_zero,
-        "structure": _structure_payload(P),
+        "structure": _structure_payload(P.pi),
     }
     return _envelope("modular", digest, result, started)
 
@@ -142,24 +129,21 @@ def cmd_report(args) -> dict:
     started = time.perf_counter()
     spec, digest = _load_spec(args.file)
     P = spec.build()
-    budget = args.budget
-    f, reduced = degeneracy_divisor(P, budget)
-    verdict = holonomy_verdict(P, budget)
+    analysis = StructureAnalysis(P, args.budget)
+    f, reduced = analysis.pfaffian, analysis.reduced
+    verdict = analysis.verdict
+    locus = None
+    if P.chart.n >= 4:
+        basis, dimension = analysis.zero_leaf_locus
+        locus = {"ideal": [str(g) for g in basis.gens], "dimension": dimension}
     witness = None
     if verdict.nonreduced_factor is not None:
         witness = {"nonreduced_factor": str(verdict.nonreduced_factor)}
     elif verdict.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES:
-        witness = {
-            "ideal": [str(g) for g in verdict.witness_ideal.gens],
-            "dimension": verdict.witness_dimension,
-        }
-    locus = None
-    if P.chart.n >= 4:
-        basis, dimension = zero_leaf_locus(P, budget)
-        locus = {"ideal": [str(g) for g in basis.gens], "dimension": dimension}
+        witness = locus  # the obstruction is the locus itself
     surface = None
     if P.chart.n == 2:
-        leaf = surface_leaf_report(P, budget)
+        leaf = analysis.leaf_report
         surface = {
             "singular_ideal": [str(g) for g in leaf.singular_ideal.gens],
             "singular_dimension": leaf.singular_dimension,
@@ -168,7 +152,7 @@ def cmd_report(args) -> dict:
             "open_leaf": leaf.open_leaf,
         }
         if reduced:
-            h2 = surface_h2_report(P, budget=budget)
+            h2 = analysis.h2_report()
             surface["h2"] = {
                 "formula": h2.formula,
                 "tjurina_total": h2.tjurina_total,
@@ -187,7 +171,7 @@ def cmd_report(args) -> dict:
         for g in dmodule_generators(P)
     ]
     result = {
-        "structure": _structure_payload(P),
+        "structure": _structure_payload(P.pi),
         "pfaffian": str(f),
         "pfaffian_squarefree": reduced,
         "log_symplectic": reduced,
@@ -195,7 +179,7 @@ def cmd_report(args) -> dict:
         "witness": witness,
         "zero_leaf_locus": locus,
         "surface": surface,
-        "modular_field": str(modular_field(P)),
+        "modular_field": str(analysis.modular_field),
         "dmodule_generators": generators,
     }
     return _envelope("report", digest, result, started)
@@ -233,7 +217,7 @@ def cmd_cohomology(args) -> dict:
         for c in table.euler_checks
     ]
     result = {
-        "structure": _structure_payload(P),
+        "structure": _structure_payload(P.pi),
         "weight_shift": table.weight_shift,
         "k_max": table.k_max,
         "w_min": table.w_min,
@@ -250,10 +234,8 @@ def cmd_tjurina(args) -> dict:
     started = time.perf_counter()
     source = args.file_or_poly
     path = Path(source)
-    if path.is_file():
-        data = path.read_bytes()
-        digest = _digest(data)
-        text = data.decode("utf-8")
+    if _is_file(path):
+        text, digest = _read_input(path)
         if re.search(r"^\s*chart:", text, re.MULTILINE):
             spec = parse_structure_file(text)
             P = spec.build()
@@ -293,7 +275,7 @@ def cmd_tjurina(args) -> dict:
 
 def _poly_from_text(text: str) -> tuple[Poly, Chart]:
     """Parse a bare polynomial; the chart is its identifiers sorted by name."""
-    names = sorted(set(_IDENT_SCAN_RE.findall(text)))
+    names = sorted({value for kind, value, _ in _tokenize(text) if kind == "ident"})
     if not names:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
     chart = Chart(tuple(names))
@@ -367,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_BUDGET,
             help="Groebner reduction-step budget (default 10^6)",
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=20260810,
-            help="accepted for symmetry with the test suites; unused, the commands are deterministic",
-        )
 
     p = sub.add_parser("check", help="validate [pi,pi] = 0 and report the jacobiator")
     p.add_argument("file")
@@ -422,7 +398,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateEverywhereError, NonReducedCurveError, PreconditionError
 from .groebner import (
@@ -33,7 +34,7 @@ from .groebner import (
 )
 from .multivec import Polyvector
 from .poisson import PoissonStructure, hamiltonian, modular_field, pfaffian
-from .polyalg import Poly, gcd_multi, is_squarefree
+from .polyalg import Poly, gcd_multi
 
 
 class Verdict(enum.Enum):
@@ -100,6 +101,134 @@ class SurfaceH2Report:
     dim_h2: int | None = None
 
 
+class StructureAnalysis:
+    """Every report invariant of one structure, each computed at most once.
+
+    Each invariant is a cached property, computed on first read.  Reading one
+    raises what the matching public function below raises, in the same
+    order: odd chart, then zero Pfaffian, then non-reduced curve.
+    """
+
+    def __init__(self, P: PoissonStructure, budget: int = DEFAULT_BUDGET):
+        self.P = P
+        self.budget = budget
+
+    @cached_property
+    def pfaffian(self) -> Poly:
+        """The Pfaffian f, possibly zero; odd charts raise PreconditionError."""
+        return pfaffian(self.P)
+
+    def _nonzero_pfaffian(self, message: str) -> Poly:
+        f = self.pfaffian
+        if f.is_zero:
+            raise DegenerateEverywhereError(message)
+        return f
+
+    def _require_surface(self) -> None:
+        if self.P.chart.n != 2:
+            raise PreconditionError("surface reports need a 2-dimensional chart")
+
+    @cached_property
+    def nonreduced_factor(self) -> Poly:
+        """gcd(f, df/dx_1, ..., df/dx_n): constant exactly when f is reduced (or constant)."""
+        f = self._nonzero_pfaffian(
+            "the Pfaffian vanishes identically: no open dense symplectic leaf"
+        )
+        return gcd_multi([f, *(f.diff(i) for i in range(f.chart.n))])
+
+    @property
+    def reduced(self) -> bool:
+        """Squarefreeness of the Pfaffian, i.e. log-symplecticity."""
+        return self.nonreduced_factor.is_constant
+
+    @cached_property
+    def jacobian_basis(self) -> GroebnerBasis:
+        """GREVLEX Groebner basis of (f, df/dx_1, ..., df/dx_n)."""
+        return jacobian_ideal_basis(self.pfaffian, include_f=True, order=GREVLEX, budget=self.budget)
+
+    @cached_property
+    def tjurina_total(self):
+        """dim O/(f, df): 0 for an empty curve, INFINITE for a non-isolated singular locus."""
+        return quotient_dimension(self.jacobian_basis)
+
+    @cached_property
+    def partials_basis(self) -> GroebnerBasis:
+        """GREVLEX Groebner basis of the partials of f alone (quasi-homogeneity test)."""
+        return jacobian_ideal_basis(self.pfaffian, include_f=False, order=GREVLEX, budget=self.budget)
+
+    @cached_property
+    def modular_field(self) -> Polyvector:
+        return modular_field(self.P)
+
+    @cached_property
+    def zero_leaf_locus(self) -> tuple[GroebnerBasis, int]:
+        """The locus of ``zero_leaf_locus``: its Groebner basis and dimension."""
+        gens = [*self.P.pi.terms.values(), *self.modular_field.terms.values()]
+        basis = buchberger(gens or [Poly.zero(self.P.chart)], GREVLEX, self.budget)
+        return basis, ideal_dimension(basis)
+
+    @cached_property
+    def verdict(self) -> HolonomyVerdict:
+        """The decision of ``holonomy_verdict``."""
+        n = self.P.chart.n
+        if n % 2:
+            raise PreconditionError("holonomy verdicts need an even-dimensional chart")
+        if not self.reduced:
+            return HolonomyVerdict(Verdict.NOT_LOG_SYMPLECTIC, nonreduced_factor=self.nonreduced_factor)
+        if n == 2:
+            return HolonomyVerdict(Verdict.SURFACE_HOLONOMIC)
+        basis, dimension = self.zero_leaf_locus
+        if dimension >= 1:
+            verdict = Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
+        else:
+            verdict = Verdict.NO_OBSTRUCTION_FOUND
+        return HolonomyVerdict(verdict, witness_ideal=basis, witness_dimension=dimension)
+
+    @cached_property
+    def leaf_report(self) -> SurfaceLeafReport:
+        """The report of ``surface_leaf_report``."""
+        self._require_surface()
+        f = self._nonzero_pfaffian("the zero Poisson surface has no leaf taxonomy")
+        if f.is_constant:
+            open_leaf = "the whole chart (empty degeneracy curve)"
+        else:
+            open_leaf = f"complement of the curve ({f}) = 0"
+        return SurfaceLeafReport(
+            f=f,
+            open_leaf=open_leaf,
+            singular_ideal=self.jacobian_basis,
+            singular_dimension=ideal_dimension(self.jacobian_basis),
+            tjurina_total=self.tjurina_total,
+            contains_multiple_components=not self.reduced,
+        )
+
+    def h2_report(self, betti_u: tuple[int, ...] | None = None) -> SurfaceH2Report:
+        """The report of ``surface_h2_report``."""
+        self._require_surface()
+        f = self._nonzero_pfaffian("the zero Poisson surface is not log symplectic")
+        if not self.reduced:
+            raise NonReducedCurveError(
+                "the degeneracy curve is non-reduced; the surface is not log symplectic"
+            )
+        tau = self.tjurina_total
+        assert tau is not INFINITE  # squarefree curves have isolated singularities
+        quasi_homogeneous = f.is_constant or normal_form(f, self.partials_basis).is_zero
+        value = None
+        if betti_u is not None:
+            betti_u = tuple(int(b) for b in betti_u)
+            if len(betti_u) != 3:
+                raise ValueError("betti_u must list (b0, b1, b2) of the complement")
+            value = betti_u[2] + tau
+        return SurfaceH2Report(
+            tjurina_total=tau,
+            formula=f"b2(U) + {tau}",
+            quasi_homogeneous=quasi_homogeneous,
+            formula_asserted=quasi_homogeneous,
+            betti_u=betti_u,
+            dim_h2=value,
+        )
+
+
 def degeneracy_divisor(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> tuple[Poly, bool]:
     """The Pfaffian together with its squarefreeness.
 
@@ -107,20 +236,13 @@ def degeneracy_divisor(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> tup
     vacuously reduced.  An identically zero Pfaffian means there is no open
     dense symplectic leaf and raises DegenerateEverywhereError.
     """
-    f = pfaffian(P)
-    if f.is_zero:
-        raise DegenerateEverywhereError(
-            "the Pfaffian vanishes identically: no open dense symplectic leaf"
-        )
-    if f.is_constant:
-        return f, True
-    return f, is_squarefree(f)
+    analysis = StructureAnalysis(P, budget)
+    return analysis.pfaffian, analysis.reduced
 
 
 def is_log_symplectic(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the degeneracy divisor exists and is reduced (or empty)."""
-    _, reduced = degeneracy_divisor(P, budget)
-    return reduced
+    return StructureAnalysis(P, budget).reduced
 
 
 def zero_leaf_locus(
@@ -132,15 +254,7 @@ def zero_leaf_locus(
     coefficient of pi together with every component of the modular field,
     and the Krull dimension of its variety.
     """
-    gens = list(P.pi.terms.values())
-    zeta = modular_field(P)
-    gens.extend(zeta.terms.values())
-    if not gens:
-        gens = [Poly.zero(P.chart)]
-        basis = GroebnerBasis(P.chart, GREVLEX, ())
-    else:
-        basis = buchberger(gens, GREVLEX, budget)
-    return basis, ideal_dimension(basis)
+    return StructureAnalysis(P, budget).zero_leaf_locus
 
 
 def holonomy_verdict(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> HolonomyVerdict:
@@ -156,54 +270,12 @@ def holonomy_verdict(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> Holon
         Lagrangian);
     (d) otherwise NO_OBSTRUCTION_FOUND, which certifies nothing.
     """
-    n = P.chart.n
-    if n % 2:
-        raise PreconditionError("holonomy verdicts need an even-dimensional chart")
-    f, reduced = degeneracy_divisor(P, budget)
-    if not reduced:
-        partials = [f.diff(i) for i in range(n)]
-        factor = gcd_multi([f, *partials])
-        return HolonomyVerdict(Verdict.NOT_LOG_SYMPLECTIC, nonreduced_factor=factor)
-    if n == 2:
-        return HolonomyVerdict(Verdict.SURFACE_HOLONOMIC)
-    basis, dimension = zero_leaf_locus(P, budget)
-    if dimension >= 1:
-        return HolonomyVerdict(
-            Verdict.OBSTRUCTED_BY_MODULAR_LEAVES,
-            witness_ideal=basis,
-            witness_dimension=dimension,
-        )
-    return HolonomyVerdict(
-        Verdict.NO_OBSTRUCTION_FOUND, witness_ideal=basis, witness_dimension=dimension
-    )
+    return StructureAnalysis(P, budget).verdict
 
 
 def surface_leaf_report(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> SurfaceLeafReport:
     """Modular-leaf taxonomy of a Poisson surface; needs a nonzero Pfaffian."""
-    if P.chart.n != 2:
-        raise PreconditionError("surface reports need a 2-dimensional chart")
-    f = pfaffian(P)
-    if f.is_zero:
-        raise DegenerateEverywhereError("the zero Poisson surface has no leaf taxonomy")
-    if f.is_constant:
-        basis = buchberger([f], GREVLEX, budget)
-        return SurfaceLeafReport(
-            f=f,
-            open_leaf="the whole chart (empty degeneracy curve)",
-            singular_ideal=basis,
-            singular_dimension=-1,
-            tjurina_total=0,
-            contains_multiple_components=False,
-        )
-    basis = jacobian_ideal_basis(f, include_f=True, order=GREVLEX, budget=budget)
-    return SurfaceLeafReport(
-        f=f,
-        open_leaf=f"complement of the curve ({f}) = 0",
-        singular_ideal=basis,
-        singular_dimension=ideal_dimension(basis),
-        tjurina_total=quotient_dimension(basis),
-        contains_multiple_components=not is_squarefree(f),
-    )
+    return StructureAnalysis(P, budget).leaf_report
 
 
 def surface_h2_report(
@@ -217,37 +289,7 @@ def surface_h2_report(
     log-symplectic hypothesis fails).  ``betti_u``, when supplied, lists
     (b_0, b_1, b_2) of the complement U and turns the formula into a number.
     """
-    if P.chart.n != 2:
-        raise PreconditionError("surface reports need a 2-dimensional chart")
-    f = pfaffian(P)
-    if f.is_zero:
-        raise DegenerateEverywhereError("the zero Poisson surface is not log symplectic")
-    if f.is_constant:
-        tau = 0
-        quasi_homogeneous = True
-    else:
-        if not is_squarefree(f):
-            raise NonReducedCurveError(
-                "the degeneracy curve is non-reduced; the surface is not log symplectic"
-            )
-        tau = quotient_dimension(jacobian_ideal_basis(f, include_f=True, budget=budget))
-        assert tau is not INFINITE  # squarefree curves have isolated singularities
-        jac = jacobian_ideal_basis(f, include_f=False, budget=budget)
-        quasi_homogeneous = normal_form(f, jac).is_zero
-    value = None
-    if betti_u is not None:
-        betti_u = tuple(int(b) for b in betti_u)
-        if len(betti_u) != 3:
-            raise ValueError("betti_u must list (b0, b1, b2) of the complement")
-        value = betti_u[2] + tau
-    return SurfaceH2Report(
-        tjurina_total=tau,
-        formula=f"b2(U) + {tau}",
-        quasi_homogeneous=quasi_homogeneous,
-        formula_asserted=quasi_homogeneous,
-        betti_u=betti_u,
-        dim_h2=value,
-    )
+    return StructureAnalysis(P, budget).h2_report(betti_u)
 
 
 def modular_foliation_generators(P: PoissonStructure) -> list[Polyvector]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, ParseError
-from .polyalg import Chart, Poly, _TOKEN_RE, parse_poly
+from .polyalg import Chart, Poly, _tokenize, parse_poly
 
 MultiIndex = tuple[int, ...]
 
@@ -90,11 +90,6 @@ class Polyvector:
     def frame(cls, chart: Chart, i: int) -> Polyvector:
         """The coordinate vector field d_i."""
         return cls(chart, 1, {(i,): Poly.constant(chart, 1)})
-
-    @classmethod
-    def vector_field(cls, components: list[Poly]) -> Polyvector:
-        chart = components[0].chart
-        return cls(chart, 1, {(i,): c for i, c in enumerate(components)})
 
     @classmethod
     def term(cls, chart: Chart, index: MultiIndex, coeff: Poly) -> Polyvector:
@@ -399,19 +394,7 @@ def format_polyvector(a: Polyvector) -> str:
 def parse_polyvector(text: str, chart: Chart) -> Polyvector:
     """Parse the polyvector syntax; all terms must share one degree."""
     frame_tokens = {f"d{name}": i for i, name in enumerate(chart.names)}
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if not text[pos:].strip():
-                break
-            bad = text[pos:].strip()[0]
-            raise ParseError(f"unexpected character {bad!r}", column=pos + 1)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens = _tokenize(text)
 
     def is_frame(tok):
         return tok[0] == "ident" and tok[1] in frame_tokens

@@ -115,12 +115,17 @@ def jacobian_poisson_3(F: Poly) -> PoissonStructure:
     """The Jacobian structure on a 3-chart: {x,y} = dF/dz cyclically.
 
     F is automatically a Casimir (``lichnerowicz(P, F) = 0``); the Jacobi
-    identity holds for every F and is still checked as an internal assertion.
+    identity holds for every F and is still checked by ``new_poisson``.
     """
+    return new_poisson(jacobian_bivector_3(F))
+
+
+def jacobian_bivector_3(F: Poly) -> Polyvector:
+    """The bivector of ``jacobian_poisson_3``, before the Jacobi check."""
     chart = F.chart
     if chart.n != 3:
         raise PreconditionError(f"jacobian_poisson_3 needs a 3-chart, got n={chart.n}")
-    pi = Polyvector(
+    return Polyvector(
         chart,
         2,
         {
@@ -129,17 +134,19 @@ def jacobian_poisson_3(F: Poly) -> PoissonStructure:
             (0, 2): -F.diff(1),
         },
     )
-    obstruction = jacobiator(pi)
-    assert obstruction.is_zero, "jacobian builder produced a non-Poisson bivector"
-    return PoissonStructure(chart, pi, jacobiator_checked=True)
 
 
 def diagonal_quadratic_poisson(lam, chart: Chart | None = None) -> PoissonStructure:
     """pi = sum_{i<j} lam[i][j] (x_i d_i)^(x_j d_j) for a skew rational matrix.
 
     Jacobi holds automatically for this family; the construction still runs
-    the check as an assertion.
+    the check through ``new_poisson``.
     """
+    return new_poisson(diagonal_quadratic_bivector(lam, chart))
+
+
+def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:
+    """The bivector of ``diagonal_quadratic_poisson``, before the Jacobi check."""
     rows = [list(row) for row in lam]
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -159,10 +166,7 @@ def diagonal_quadratic_poisson(lam, chart: Chart | None = None) -> PoissonStruct
             if matrix[i][j]:
                 xixj = Poly.variable(chart, i) * Poly.variable(chart, j)
                 terms[(i, j)] = xixj * matrix[i][j]
-    pi = Polyvector(chart, 2, terms)
-    obstruction = jacobiator(pi)
-    assert obstruction.is_zero, "diagonal quadratic bivector failed Jacobi"
-    return PoissonStructure(chart, pi, jacobiator_checked=True)
+    return Polyvector(chart, 2, terms)
 
 
 def dmodule_generators(P: PoissonStructure) -> list[DIdealGenerator]:

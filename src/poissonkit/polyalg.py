@@ -168,13 +168,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
-
     def weighted_degree(self):
         """Total weighted degree; MINUS_INFINITY for the zero polynomial."""
         if not self.terms:
@@ -307,20 +300,6 @@ class Poly:
             result = result + term
         return result
 
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point."""
-        values = [_as_fraction(v) for v in point]
-        if len(values) != self.chart.n:
-            raise ValueError("evaluation point must supply one value per variable")
-        total = Fraction(0)
-        for exponent, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exponent):
-                if e:
-                    term *= v**e
-            total += term
-        return total
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -404,7 +383,11 @@ def format_poly(p: Poly) -> str:
 #
 # Whitespace is insignificant.  Identifiers: ASCII letter followed by
 # letters/digits/underscore.  A single unary minus may prefix any term.
+# Parentheses nest at most MAX_NESTING deep, so that the recursive descent
+# stays well inside the interpreter's recursion limit.
 # ---------------------------------------------------------------------------
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -435,6 +418,7 @@ class _PolyParser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -524,9 +508,13 @@ class _PolyParser:
                 raise UnknownIdentifierError(f"unknown identifier {value!r}", column=pos + 1)
             return Poly.variable(self.chart, value)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", column=pos + 1)
             self.advance()
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         self.fail("expected a rational, identifier, or parenthesized expression")
 

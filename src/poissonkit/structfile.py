@@ -28,8 +28,8 @@ from fractions import Fraction
 from .errors import ParseError
 from .poisson import (
     PoissonStructure,
-    diagonal_quadratic_poisson,
-    jacobian_poisson_3,
+    diagonal_quadratic_bivector,
+    jacobian_bivector_3,
     new_poisson,
 )
 from .multivec import Polyvector
@@ -50,17 +50,21 @@ class StructureSpec:
     brackets: tuple[tuple[int, int, Poly], ...]
     builder: tuple[str, object] | None = None
 
-    def build(self) -> PoissonStructure:
-        """Construct and validate the Poisson structure this file describes."""
+    def bivector(self) -> Polyvector:
+        """The bivector this file describes, not yet checked for Jacobi."""
         if self.builder is not None:
             kind, payload = self.builder
             if kind == "jacobian3":
-                return jacobian_poisson_3(payload)
+                return jacobian_bivector_3(payload)
             if kind == "diagonal":
-                return diagonal_quadratic_poisson(payload, chart=self.chart)
+                return diagonal_quadratic_bivector(payload, chart=self.chart)
             raise AssertionError(f"unknown builder {kind!r}")
         terms = {(i, j): p for i, j, p in self.brackets if not p.is_zero}
-        return new_poisson(Polyvector(self.chart, 2, terms))
+        return Polyvector(self.chart, 2, terms)
+
+    def build(self) -> PoissonStructure:
+        """Construct and validate the Poisson structure this file describes."""
+        return new_poisson(self.bivector())
 
 
 def parse_structure_file(text: str) -> StructureSpec:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
+import sys
+from collections import Counter
 from importlib.resources import files
 
 import jsonschema
@@ -210,3 +213,86 @@ class TestStructureFileParsing:
         spec = parse_structure_file(text)
         P = spec.build()
         assert str(P.pi.terms[(0, 1)]) == "w"
+
+
+class TestCheckPayload:
+    def test_jacobi_failure_reports_the_raw_bivector(self, capsys, tmp_path):
+        bad = tmp_path / "bad.poisson"
+        bad.write_text("chart: x y z\npoisson:\n{x,y} = y\n{x,z} = x\n")
+        structure = run_json(capsys, "check", str(bad))["result"]["structure"]
+        assert structure == {
+            "chart": ["x", "y", "z"],
+            "weights": [1, 1, 1],
+            "brackets": {"{x,y}": "y", "{x,z}": "x"},
+        }
+
+
+class TestReportComputesEachInvariantOnce:
+    """``report`` reads every invariant from one analysis of the structure."""
+
+    COUNTED = {"poisson": "pfaffian", "polyalg": "gcd_multi", "groebner": "buchberger"}
+
+    def count_calls(self, monkeypatch):
+        # Wrap each function in every module that binds it, and count only
+        # outermost calls (gcd_multi recurses through the content of its inputs).
+        counts = Counter()
+        active = set()
+        for home, name in self.COUNTED.items():
+            original = getattr(importlib.import_module(f"poissonkit.{home}"), name)
+
+            def counted(*args, _fn=original, _name=name, **kwargs):
+                if _name in active:
+                    return _fn(*args, **kwargs)
+                counts[_name] += 1
+                active.add(_name)
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    active.discard(_name)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("poissonkit") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "fixture,expected",
+        [
+            ("surface_cusp.poisson", {"pfaffian": 1, "gcd_multi": 1, "buchberger": 2}),
+            ("surface_nonreduced.poisson", {"pfaffian": 1, "gcd_multi": 1, "buchberger": 1}),
+            ("torus4.poisson", {"pfaffian": 1, "gcd_multi": 1, "buchberger": 1}),
+        ],
+    )
+    def test_counts(self, capsys, monkeypatch, fixture, expected):
+        counts = self.count_calls(monkeypatch)
+        run_json(capsys, "report", str(FIXTURES / fixture))
+        assert dict(counts) == expected
+
+
+class TestExitCodeContract:
+    """Malformed input ends in a documented exit code, never a traceback."""
+
+    def test_non_utf8_structure_file_is_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.poisson"
+        bad.write_bytes(b"chart: w z\npoisson:\n{w,z} = w \xe9\n")
+        for command in ("report", "tjurina"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "not UTF-8" in err and "line 3, column 11" in err
+
+    def test_directory_argument_is_2(self, capsys, tmp_path):
+        assert main(["report", str(tmp_path)]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_tjurina_literal_longer_than_a_file_name(self, capsys):
+        literal = "w^2 + z^2" + " + 0*w" * 1000
+        assert run_json(capsys, "tjurina", literal)["result"]["tjurina"] == 1
+
+    def test_deep_nesting_is_2(self, capsys, tmp_path):
+        nested = "(" * 3000 + "w" + ")" * 3000
+        deep = tmp_path / "deep.poisson"
+        deep.write_text("chart: w z\npoisson:\n{w,z} = " + nested + "\n")
+        assert main(["report", str(deep)]) == 2
+        assert "line 3, column" in capsys.readouterr().err
+        assert main(["tjurina", nested + "*z"]) == 2
+        assert "column" in capsys.readouterr().err

@@ -220,6 +220,11 @@ class TestPolyvectorText:
         with pytest.raises(ParseError):
             parse_polyvector("dw^dw", CHART2)
 
+    def test_bad_character_column_is_its_own(self):
+        with pytest.raises(ParseError) as info:
+            parse_polyvector("w dw   $", CHART2)
+        assert info.value.column == 8
+
     def test_roundtrip(self, rng):
         for chart in (CHART2, CHART3, CHART4):
             for _ in range(40):

@@ -18,6 +18,7 @@ from poissonkit import (
     poly_arith,
 )
 from poissonkit.groebner import LEX, division
+from poissonkit.polyalg import MAX_NESTING
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import univariate_gcd_degree
 
@@ -66,6 +67,13 @@ class TestParser:
     def test_stray_character(self):
         with pytest.raises(ParseError):
             P("w @ z")
+
+    def test_nesting_limit(self):
+        depth = MAX_NESTING
+        assert P("(" * depth + "w" + ")" * depth) == P("w")
+        with pytest.raises(ParseError) as info:
+            P("(" * (depth + 1) + "w" + ")" * (depth + 1))
+        assert info.value.column == depth + 1
 
     def test_roundtrip_on_random_normal_forms(self, rng):
         for chart in (CHART2, CHART3, CHART4, Chart(("a", "b_1"), (2, 5))):
