@@ -5,15 +5,18 @@ quotient ring (standard monomial counts), Krull dimension of the variety via
 the combinatorial independent-set criterion on the leading-term ideal, and
 Tjurina numbers of affine hypersurface singularities.
 
-The pair-selection strategy is the normal one (smallest lcm of leading
-terms under the active order, ties by generator index), so output is
-deterministic for a fixed input sequence.  A step budget guards against
+Critical pairs wait in a heap under the normal selection strategy (smallest
+lcm of leading terms under the active order, ties by generator index), so
+output is deterministic for a fixed input sequence.  The Gebauer--Moeller
+criteria discard pairs whose S-polynomials are known to reduce to zero
+before any is formed.  A step budget (one step per reduction) guards against
 blowup: exceeding it raises :class:`BudgetExceededError`; nothing is ever
 silently truncated.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -115,25 +118,39 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def division(p: Poly, divisors: list[Poly], order: MonomialOrder, counter: _StepCounter | None = None):
+def _is_coprime(a: Exponent, b: Exponent, lcm: Exponent) -> bool:
+    return all(x + y == m for x, y, m in zip(a, b, lcm))
+
+
+def division(
+    p: Poly,
+    divisors: list[Poly],
+    order: MonomialOrder,
+    counter: _StepCounter | None = None,
+    leads: list[Exponent] | None = None,
+):
     """Multivariate division: p = sum quotients[i] * divisors[i] + remainder.
 
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
+    ``leads`` are the divisors' leading exponents under ``order``, for a
+    caller that already holds them.
     """
     chart = p.chart
     key = order.key(chart)
-    leads = [d.leading(key) for d in divisors]
+    if leads is None:
+        leads = [d.leading(key)[0] for d in divisors]
+    lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
     quotients = [Poly.zero(chart) for _ in divisors]
     remainder = Poly.zero(chart)
     work = p
     while not work.is_zero:
         exp, coeff = work.leading(key)
-        for i, (lead_exp, lead_coeff) in enumerate(leads):
+        for i, lead_exp in enumerate(leads):
             if _divides(lead_exp, exp):
                 if counter is not None:
                     counter.spend()
-                q = Poly.monomial(chart, _monomial_quotient(exp, lead_exp), coeff / lead_coeff)
+                q = Poly.monomial(chart, _monomial_quotient(exp, lead_exp), coeff / lead_coeffs[i])
                 quotients[i] = quotients[i] + q
                 work = work - q * divisors[i]
                 break
@@ -149,8 +166,17 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Deterministic for a fixed input sequence: normal pair selection with
-    index tiebreak, plus the coprime-leading-term criterion.
+    Critical pairs wait in a heap keyed ``(key(lcm), (i, j))``: normal
+    selection with index tiebreak, so the run is deterministic for a fixed
+    input sequence.  Each new element goes through the Gebauer--Moeller
+    update (*On an installation of Buchberger's algorithm*, J. Symb. Comp.
+    1988): of its new pairs, those whose lcm another new lcm properly
+    divides are dropped (M), one pair per lcm is kept (F), and an lcm class
+    holding a pair with coprime leading terms is dropped whole (B); an old
+    pair (i, j) is dropped when the new leading term divides its lcm and
+    neither lcm(i, new) nor lcm(j, new) equals it (B_k); and elements whose
+    leading term the new one divides form no further pairs.  Leading
+    exponents are computed once per element.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -165,46 +191,64 @@ def buchberger(
     key = order.key(chart)
     counter = _StepCounter(budget)
 
-    basis = [g * (1 / g.leading(key)[1]) for g in nonzero]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    basis: list[Poly] = []
+    leads: list[Exponent] = []
+    live: list[int] = []  # elements that still form pairs, ascending
+    pairs: list = []  # heap of (key(lcm), (i, j), lcm)
 
-    def lead(i: int) -> Exponent:
-        return basis[i].leading(key)[0]
+    def add(g: Poly):
+        lead, coeff = g.leading(key)
+        h = len(basis)
+        basis.append(g * (1 / coeff))
+        leads.append(lead)
+        # B_k on the old pairs.
+        kept = [
+            entry
+            for entry in pairs
+            if not _divides(lead, entry[2])
+            or _lcm(leads[entry[1][0]], lead) == entry[2]
+            or _lcm(leads[entry[1][1]], lead) == entry[2]
+        ]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        # New pairs, grouped by lcm (F keeps the smallest index of a class).
+        classes: dict[Exponent, list[int]] = {}
+        for i in live:
+            classes.setdefault(_lcm(leads[i], lead), []).append(i)
+        for lcm, members in classes.items():
+            if any(other != lcm and _divides(other, lcm) for other in classes):
+                continue  # M
+            if any(_is_coprime(leads[i], lead, lcm) for i in members):
+                continue  # B
+            heapq.heappush(pairs, (key(lcm), (members[0], h), lcm))
+        live[:] = [i for i in live if not _divides(lead, leads[i])]
+        live.append(h)
 
+    for g in nonzero:
+        add(g)
     while pairs:
-        pairs.sort(key=lambda ij: (key(_lcm(lead(ij[0]), lead(ij[1]))), ij))
-        i, j = pairs.pop(0)
-        li, lj = lead(i), lead(j)
-        lcm = _lcm(li, lj)
-        if lcm == tuple(a + b for a, b in zip(li, lj)):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        s = Poly.monomial(chart, _monomial_quotient(lcm, li), 1) * basis[i] - Poly.monomial(
-            chart, _monomial_quotient(lcm, lj), 1
+        _, (i, j), lcm = heapq.heappop(pairs)
+        s = Poly.monomial(chart, _monomial_quotient(lcm, leads[i]), 1) * basis[i] - Poly.monomial(
+            chart, _monomial_quotient(lcm, leads[j]), 1
         ) * basis[j]
-        _, remainder = division(s, basis, order, counter)
-        if remainder.is_zero:
-            continue
-        remainder = remainder * (1 / remainder.leading(key)[1])
-        basis.append(remainder)
-        new = len(basis) - 1
-        pairs.extend((i2, new) for i2 in range(new))
+        _, remainder = division(s, [basis[k] for k in live], order, counter, [leads[k] for k in live])
+        if not remainder.is_zero:
+            add(remainder)
 
     # Minimalize: drop generators whose leading term another one divides.
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
-    minimal: list[Poly] = []
-    for g in basis:
-        e = g.leading(key)[0]
-        if not any(_divides(h.leading(key)[0], e) for h in minimal):
-            minimal.append(g)
-    # Reduce every generator modulo the others until stable.
-    reduced = list(minimal)
+    minimal: list[int] = []
+    for i in sorted(live, key=lambda i: key(leads[i])):
+        if not any(_divides(leads[k], leads[i]) for k in minimal):
+            minimal.append(i)
+    # Reduce every generator modulo the others; the leading terms stay put.
+    reduced = [basis[i] for i in minimal]
+    minimal_leads = [leads[i] for i in minimal]
     for idx, g in enumerate(reduced):
         others = reduced[:idx] + reduced[idx + 1 :]
         if not others:
             continue
-        _, r = division(g, others, order, counter)
-        reduced[idx] = r * (1 / r.leading(key)[1])
-    reduced.sort(key=lambda g: key(g.leading(key)[0]))
+        _, reduced[idx] = division(g, others, order, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
     return GroebnerBasis(chart, order, tuple(reduced))
 
 
@@ -222,22 +266,34 @@ def quotient_dimension(G: GroebnerBasis):
     """Number of standard monomials, or INFINITE when the staircase is unbounded.
 
     The quotient is finite-dimensional iff the leading-term ideal contains a
-    pure power of every variable.
+    pure power of every variable.  The count never lists the monomials: its
+    cost grows with the number of leading terms, not with the staircase.
     """
     n = G.chart.n
     leads = G.leading_exponents()
-    if any(sum(e) == 0 for e in leads):
-        return 0  # unit ideal: the quotient ring is zero
-    bounds = []
     for i in range(n):
-        pure = [e[i] for e in leads if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
+        if not any(all(e[j] == 0 for j in range(n) if j != i) for e in leads):
             return INFINITE
-        bounds.append(min(pure))
+    return _staircase_size(leads, n)
+
+
+def _staircase_size(leads, n: int) -> int:
+    """Exponents in N^n that no element of ``leads`` divides.
+
+    ``leads`` must hold a pure power of every variable.  The staircase is
+    sliced along the last variable: the slice at height t is the staircase
+    of ``e[:-1]`` over the leads with ``e[-1] <= t``, so it changes only at
+    those heights, and each run of equal slices counts once, times its width.
+    """
+    if any(not any(e) for e in leads):
+        return 0  # the unit ideal, or a slice above the pure power
+    if n == 0:
+        return 1
+    heights = sorted({0, *(e[-1] for e in leads)})
     count = 0
-    for exponent in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(e, exponent) for e in leads):
-            count += 1
+    for low, high in zip(heights, heights[1:]):
+        below = {e[:-1] for e in leads if e[-1] <= low}
+        count += (high - low) * _staircase_size(below, n - 1)
     return count
 
 

@@ -8,12 +8,13 @@ anywhere in the engine.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, a multivariate gcd (primitive-part recursion with
-subresultant pseudo-remainder sequences), and the squarefreeness test that
-backs the reducedness diagnostics.
+primitive pseudo-remainder sequences over Z), and the squarefreeness test
+that backs the reducedness diagnostics.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -639,8 +640,22 @@ def _normalize_monic(p: Poly) -> Poly:
     return p * (1 / lead_coeff)
 
 
+def _primitive_over_z(p: Poly) -> Poly:
+    """p scaled by a positive rational to integer coefficients with gcd 1."""
+    denominators = math.lcm(*(c.denominator for c in p.terms.values()))
+    numerators = math.gcd(*(c.numerator for c in p.terms.values()))
+    return p * Fraction(denominators, numerators)
+
+
 def _gcd_pair(a: Poly, b: Poly) -> Poly:
-    """Gcd by primitive-part recursion with a subresultant-style PRS."""
+    """Gcd by primitive-part recursion with a primitive PRS over Z.
+
+    Every pseudo-remainder is made primitive: its content in the lower
+    variables is divided out and its coefficients are scaled to coprime
+    integers, so coefficients do not grow from one remainder to the next
+    (Brown and Traub, *On Euclid's algorithm and the theory of
+    subresultants*, J. ACM 1971).
+    """
     if a.is_zero:
         return _normalize_monic(b)
     if b.is_zero:
@@ -653,17 +668,16 @@ def _gcd_pair(a: Poly, b: Poly) -> Poly:
         # One operand does not involve the main variable: recurse on contents.
         return _gcd_pair(_content(a, var), _content(b, var))
     cont_a, cont_b = _content(a, var), _content(b, var)
-    pa = _to_univariate(exact_divide(a, cont_a), var)
-    pb = _to_univariate(exact_divide(b, cont_b), var)
+    pa = _to_univariate(_primitive_over_z(exact_divide(a, cont_a)), var)
+    pb = _to_univariate(_primitive_over_z(exact_divide(b, cont_b)), var)
     if _uni_degree(pa) < _uni_degree(pb):
         pa, pb = pb, pa
-    # Primitive PRS: repeatedly take pseudo-remainders and strip contents.
     while True:
         rem = _pseudo_remainder(pa, pb, var)
         if not rem:
             break
         rem_poly = _from_univariate(a.chart, var, rem)
-        rem_poly = exact_divide(rem_poly, _content(rem_poly, var))
+        rem_poly = _primitive_over_z(exact_divide(rem_poly, _content(rem_poly, var)))
         pa, pb = pb, _to_univariate(rem_poly, var)
     gcd_pp = _from_univariate(a.chart, var, pb)
     gcd_pp = exact_divide(gcd_pp, _content(gcd_pp, var))

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it certifies: ranks are
 plain rational Gaussian elimination instead of Bareiss, Tjurina numbers come
-from truncated-jet linear algebra instead of Groebner bases, and the
+from truncated-jet linear algebra instead of Groebner bases, standard
+monomials are counted one by one instead of slice by slice, and the
 cohomology table is rebuilt densely with fresh matrices and no caching.
 """
 
@@ -122,6 +123,27 @@ def tjurina_jet_oracle(f: Poly, jet_order: int | None = None):
         columns.append(column)
     augmented = gaussian_rank([[c[r] for c in columns] for r in range(len(monomials))])
     return augmented - base
+
+
+def standard_monomial_count(leads, n: int):
+    """Standard monomials of a monomial ideal by walking its bounding box.
+
+    ``leads`` generate the ideal; returns None when some variable has no
+    pure power among them (an unbounded staircase).
+    """
+    if any(not any(e) for e in leads):
+        return 0
+    bounds = []
+    for i in range(n):
+        pure = [e[i] for e in leads if all(e[j] == 0 for j in range(n) if j != i)]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return sum(
+        1
+        for exponent in itertools.product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(e, exponent)) for e in leads)
+    )
 
 
 def diagonal_modular_coefficients(lam) -> list[Fraction]:

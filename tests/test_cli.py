@@ -80,6 +80,11 @@ class TestJsonConformance:
         envelope = run_json(capsys, "tjurina", "w^3 - z^3")
         assert envelope["result"]["tjurina"] == 4
 
+    def test_tjurina_of_a_huge_staircase_is_fast(self, capsys):
+        envelope = run_json(capsys, "tjurina", "w^100000000 + z^2")
+        assert envelope["result"]["tjurina"] == 99999999
+        assert envelope["timing_ms"] < 1000
+
     def test_tjurina_structure_file(self, capsys):
         envelope = run_json(capsys, "tjurina", str(FIXTURES / "surface_cusp.poisson"))
         assert envelope["result"]["tjurina"] == 2

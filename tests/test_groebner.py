@@ -21,9 +21,9 @@ from poissonkit import (
     tjurina_at_point,
     tjurina_global,
 )
-from poissonkit.groebner import MonomialOrder, division
+from poissonkit.groebner import GroebnerBasis, MonomialOrder, division
 from conftest import CHART2, CHART3, CHART4, random_poly
-from oracles import tjurina_jet_oracle
+from oracles import standard_monomial_count, tjurina_jet_oracle
 
 
 def P(text, chart=CHART2):
@@ -113,8 +113,11 @@ class TestBuchberger:
         assert buchberger(gens) == buchberger(gens)
 
     def test_budget_error(self):
+        # This ideal needs more than one reduction step under the pair criteria.
+        gens = [P("w^2*z - z^2 + 1"), P("w*z^2 - w - 1")]
         with pytest.raises(BudgetExceededError):
-            buchberger([P("w^2*z - 1"), P("w*z^2 - w")], budget=1)
+            buchberger(gens, budget=1)
+        assert buchberger(gens, budget=10**6).gens
 
     def test_zero_ideal(self):
         G = buchberger([Poly.zero(CHART2)])
@@ -173,6 +176,21 @@ class TestQuotientDimension:
 
     def test_unit_ideal(self):
         assert quotient_dimension(buchberger([P("2")])) == 0
+
+    def test_agrees_with_box_walk_on_random_staircases(self, rng):
+        for chart in (Chart(("x",)), CHART2, CHART3):
+            n = chart.n
+            for _ in range(40):
+                leads = set()
+                for i in range(n):
+                    if rng.random() < 0.9:  # sometimes leave the staircase unbounded
+                        leads.add(tuple(rng.randint(1, 6) if j == i else 0 for j in range(n)))
+                for _ in range(rng.randint(0, 5)):
+                    leads.add(tuple(rng.randint(0, 5) for _ in range(n)))
+                G = GroebnerBasis(chart, GREVLEX, tuple(Poly.monomial(chart, e) for e in sorted(leads)))
+                expected = standard_monomial_count(sorted(leads), n)
+                got = quotient_dimension(G)
+                assert (got is INFINITE) if expected is None else (got == expected), sorted(leads)
 
     def test_order_independent_on_zero_dimensional_ideals(self, rng):
         checked = 0
