@@ -168,7 +168,7 @@ def cmd_report(args) -> dict:
             "scalar": str(g.scalar_part),
             "vector": str(g.vector_part),
         }
-        for g in dmodule_generators(P)
+        for g in dmodule_generators(P, analysis.modular_field)
     ]
     result = {
         "structure": _structure_payload(P.pi),

@@ -3,19 +3,25 @@
 For a weight-homogeneous Poisson structure the differential d_pi = [pi, -]
 maps the finite-dimensional graded piece of degree k and weight w to the
 piece of degree k+1 and weight w+m, where m is the structure's homogeneity
-weight.  Assembling d_pi as an exact rational matrix on each piece reduces
-every cohomology dimension to a rank computation.
+weight.  Every cohomology dimension is a rank of d_pi on one piece.
 
-The matrices are assembled and ranked sparsely.  Each column, the image of
-one monomial basis element x^e d_I, is computed straight from the monomial
-key (I, e) and a table of pi's derivatives by the odd frame symbols and by
-the chart variables, built once per structure; no polyvector is built and
-no Schouten bracket is evaluated per basis element.  The rank is the sum of
-the ranks of the blocks, the connected components of the bipartite graph
-joining a row to a column wherever their entry is nonzero; each block is
-densified and ranked fraction-free by Bareiss elimination in
-:func:`rank_exact`.  The pieces are very sparse, so the blocks stay small
-even when a basis holds thousands of elements.
+The matrices are assembled and ranked sparsely, in integers.  pi is scaled
+once by the lcm s of its coefficient denominators; d_{s pi} = s d_pi has
+the same ranks, and its columns are ``{row: int}``.  Each column, the image
+of one monomial basis element x^e d_I, is computed straight from the
+monomial key (I, e) and a table of s pi's derivatives by the odd frame
+symbols and by the chart variables, built once per structure.  The signs
+and target multi-indices depend on I alone, so they are tabulated once per
+multi-index; a key then costs only exponent additions and int products.  No
+polyvector is built and no Schouten bracket is evaluated per basis element.
+The rank is the sum of the ranks of the blocks, the connected components of
+the bipartite graph joining a row to a column wherever their entry is
+nonzero; each block is densified and ranked by fraction-free Bareiss
+elimination in :func:`rank_exact`, which takes a one-row or one-column
+block's rank without eliminating.  The pieces are very sparse, so the
+blocks stay small even when a basis holds thousands of elements.
+:func:`dpi_matrix` divides by s again and returns the exact rational matrix
+of d_pi on one piece.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -39,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 
 from .errors import BasisSizeExceededError, PreconditionError
 from .multivec import MultiIndex, Polyvector
@@ -141,9 +148,12 @@ def graded_basis(chart: Chart, k: int, w: int, cap: int = DEFAULT_BASIS_CAP) -> 
     if not 0 <= k <= chart.n:
         return GradedBasis(chart, k, w, ())
     keys: list[Key] = []
+    monomials: dict[int, list[Exponent]] = {}
     for index in itertools.combinations(range(chart.n), k):
         target = w + sum(chart.weights[i] for i in index)
-        for exponent in _monomials_of_weighted_degree(chart, target):
+        if target not in monomials:
+            monomials[target] = _monomials_of_weighted_degree(chart, target)
+        for exponent in monomials[target]:
             keys.append((index, exponent))
             if len(keys) > cap:
                 raise BasisSizeExceededError(
@@ -176,41 +186,63 @@ class _DerivativeTable:
 
     with d/dtheta_i the left derivative by the frame symbol d_i.  This is
     :func:`poissonkit.multivec.schouten` with its signs for |pi| = 2.
+
+    The table holds ``scale`` * pi, where ``scale`` is the lcm of the
+    denominators of pi's coefficients, so every entry is an int; since
+    d_{s pi} = s d_pi with s != 0, every rank is that of d_pi.
     ``by_theta[i]`` lists the terms ``(j, exponent, c)`` of dpi/dtheta_i
     = sum_j pi_ij d_j, and ``by_x[i]`` the terms ``((a, b), exponent, c)``
     of dpi/dx_i.
+
+    The signs and target multi-indices of [pi, x^e d_I] depend on I alone,
+    not on e, so they are worked out once per multi-index (:meth:`moves`)
+    and every key with that index only adds exponents and multiplies ints.
     """
 
-    __slots__ = ("by_theta", "by_x")
+    __slots__ = ("scale", "by_theta", "by_x", "_moves")
 
     def __init__(self, P: PoissonStructure):
         n = P.chart.n
-        self.by_theta: list[list[tuple[int, Exponent, Fraction]]] = [[] for _ in range(n)]
-        self.by_x: list[list[tuple[MultiIndex, Exponent, Fraction]]] = [[] for _ in range(n)]
+        self.scale = lcm(
+            *(value.denominator for coeff in P.pi.terms.values() for value in coeff.terms.values())
+        )
+        self.by_theta: list[list[tuple[int, Exponent, int]]] = [[] for _ in range(n)]
+        self.by_x: list[list[tuple[MultiIndex, Exponent, int]]] = [[] for _ in range(n)]
         for (a, b), coeff in P.pi.terms.items():
             for exponent, value in coeff.terms.items():
-                self.by_theta[a].append((b, exponent, value))
-                self.by_theta[b].append((a, exponent, -value))
-            for i in range(n):
-                for exponent, value in coeff.diff(i).terms.items():
-                    self.by_x[i].append(((a, b), exponent, value))
+                c = value.numerator * (self.scale // value.denominator)
+                self.by_theta[a].append((b, exponent, c))
+                self.by_theta[b].append((a, exponent, -c))
+                for i, power in enumerate(exponent):
+                    if power:
+                        shift = exponent[:i] + (power - 1,) + exponent[i + 1 :]
+                        self.by_x[i].append(((a, b), shift, power * c))
+        self._moves: dict[MultiIndex, tuple[list, list]] = {}
 
-    def image(self, index: MultiIndex, exponent: Exponent) -> dict[Key, Fraction]:
-        """The nonzero terms of [pi, x^exponent d_index], by monomial key."""
-        out: dict[Key, Fraction] = {}
-        for i, power in enumerate(exponent):
-            if not power:
-                continue
-            # -(dpi/dtheta_i) ^ (power x^(e - delta_i) d_I)
-            for j, shift, value in self.by_theta[i]:
+    def moves(self, index: MultiIndex) -> tuple[list, list]:
+        """The signed moves of [pi, x^e d_index], computed once per index.
+
+        ``by_var[i]`` lists ``(target, shift, c)`` for the terms that
+        differentiate x^e by x_i: each adds ``c * e_i`` at
+        ``(target, e + shift)``, with the -1 of the derivative already in
+        ``shift``.  ``fixed`` lists ``(target, shift, c)`` for the terms
+        that differentiate pi: each adds ``c`` at ``(target, e + shift)``.
+        """
+        cached = self._moves.get(index)
+        if cached is not None:
+            return cached
+        by_var: list[list[tuple[MultiIndex, Exponent, int]]] = []
+        for i, terms in enumerate(self.by_theta):
+            # -(dpi/dtheta_i) ^ (e_i x^(e - delta_i) d_I)
+            out = []
+            for j, shift, value in terms:
                 if j in index:
                     continue
                 below = sum(1 for r in index if r < j)
-                monomial = [p + q for p, q in zip(exponent, shift)]
-                monomial[i] -= 1
-                key = (tuple(sorted(index + (j,))), tuple(monomial))
-                term = power * value if below % 2 else -power * value
-                out[key] = out.get(key, 0) + term
+                shift = shift[:i] + (shift[i] - 1,) + shift[i + 1 :]
+                out.append((tuple(sorted(index + (j,))), shift, value if below % 2 else -value))
+            by_var.append(out)
+        fixed: list[tuple[MultiIndex, Exponent, int]] = []
         for pos, i in enumerate(index):
             rest = index[:pos] + index[pos + 1 :]
             # -((-1)^pos x^e d_rest) ^ (dpi/dx_i)
@@ -218,21 +250,36 @@ class _DerivativeTable:
                 if pair[0] in rest or pair[1] in rest:
                     continue
                 inversions = sum(1 for r in rest for q in pair if r > q)
-                monomial = tuple(p + q for p, q in zip(exponent, shift))
-                key = (tuple(sorted(rest + pair)), monomial)
-                term = value if (pos + inversions) % 2 else -value
-                out[key] = out.get(key, 0) + term
+                fixed.append(
+                    (tuple(sorted(rest + pair)), shift, value if (pos + inversions) % 2 else -value)
+                )
+        self._moves[index] = (by_var, fixed)
+        return by_var, fixed
+
+    def image(self, index: MultiIndex, exponent: Exponent) -> dict[Key, int]:
+        """The nonzero terms of [scale * pi, x^exponent d_index], by monomial key."""
+        by_var, fixed = self.moves(index)
+        out: dict[Key, int] = {}
+        for i, power in enumerate(exponent):
+            if not power:
+                continue
+            for target, shift, value in by_var[i]:
+                key = (target, tuple(map(add, exponent, shift)))
+                out[key] = out.get(key, 0) + power * value
+        for target, shift, value in fixed:
+            key = (target, tuple(map(add, exponent, shift)))
+            out[key] = out.get(key, 0) + value
         return {key: value for key, value in out.items() if value}
 
 
 def _dpi_columns(
     table: _DerivativeTable, source: GradedBasis, target: GradedBasis
-) -> list[dict[int, Fraction]]:
-    """Sparse columns {row: value} of d_pi from ``source`` into ``target``."""
+) -> list[dict[int, int]]:
+    """Sparse int columns {row: value} of ``table.scale`` * d_pi from ``source`` into ``target``."""
     lookup = target.index_map()
-    columns: list[dict[int, Fraction]] = []
+    columns: list[dict[int, int]] = []
     for index, exponent in source.keys:
-        column: dict[int, Fraction] = {}
+        column: dict[int, int] = {}
         for key, value in table.image(index, exponent).items():
             row = lookup.get(key)
             if row is None:
@@ -245,31 +292,35 @@ def _dpi_columns(
 
 
 def dpi_matrix(P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP) -> RationalMatrix:
-    """Matrix of d_pi from the (k, w) piece to the (k+1, w+m) piece.
+    """Exact rational matrix of d_pi from the (k, w) piece to the (k+1, w+m) piece.
 
     Column j holds the coordinates of d_pi applied to the j-th source basis
-    element, expanded in the target basis.
+    element, expanded in the target basis.  The integer columns of the
+    derivative table are divided by its ``scale`` here, so the entries are
+    those of d_pi itself, not of a multiple.
     """
     m = homogeneity_weight(P)
     if m is NOT_HOMOGENEOUS:
         raise PreconditionError("the Poisson structure is not weight-homogeneous")
     source = graded_basis(P.chart, k, w, cap)
     target = graded_basis(P.chart, k + 1, w + m, cap)
-    columns = _dpi_columns(_DerivativeTable(P), source, target)
-    zero = Fraction(0)
+    table = _DerivativeTable(P)
+    columns = _dpi_columns(table, source, target)
     entries = tuple(
-        tuple(column.get(row, zero) for column in columns) for row in range(len(target))
+        tuple(Fraction(column.get(row, 0), table.scale) for column in columns)
+        for row in range(len(target))
     )
     return RationalMatrix(len(target), len(source), entries)
 
 
-def _block_rank(columns: list[dict[int, Fraction]], nrows: int) -> int:
-    """Rank of a sparse matrix given by its columns {row: value}.
+def _block_rank(columns: list[dict[int, int]], nrows: int) -> int:
+    """Rank of a sparse matrix given by its integer columns {row: value}.
 
     Rows joined by a column fall in one block (union-find over the rows), so
     the blocks are the connected components of the bipartite row/column
     nonzero graph, and the rank is the sum of the block ranks.  Each block
-    is densified and ranked by :func:`rank_exact`.
+    is densified and ranked by one call of :func:`rank_exact`; its cells
+    are ints, so no ``Fraction`` enters the rank.
     """
     parent = list(range(nrows))
 
@@ -289,7 +340,7 @@ def _block_rank(columns: list[dict[int, Fraction]], nrows: int) -> int:
             other = find(r)
             if other != root:
                 parent[other] = root
-    blocks: dict[int, list[dict[int, Fraction]]] = {}
+    blocks: dict[int, list[dict[int, int]]] = {}
     for column in columns:
         if column:
             blocks.setdefault(find(next(iter(column))), []).append(column)
@@ -301,19 +352,27 @@ def _block_rank(columns: list[dict[int, Fraction]], nrows: int) -> int:
 
 
 def rank_exact(M) -> int:
-    """Rank over the rationals by fraction-free Bareiss elimination."""
-    if isinstance(M, RationalMatrix):
-        rows = [list(r) for r in M.entries]
-    else:
-        rows = [list(r) for r in M]
+    """Rank over the rationals by fraction-free Bareiss elimination.
+
+    ``M`` is a :class:`RationalMatrix` or a sequence of rows.  A row whose
+    cells are all ints is eliminated as it is; only a row with another
+    cell (a ``Fraction``, say) is converted, and its denominators cleared,
+    which does not change the rank.  A matrix with one row or one column
+    has rank 1 if any cell is nonzero and 0 otherwise, with no elimination.
+    """
+    rows = list(M.entries if isinstance(M, RationalMatrix) else M)
     if not rows or not rows[0]:
         return 0
-    # Clear denominators row by row; scaling a row does not change the rank.
+    if len(rows) == 1 or len(rows[0]) == 1:
+        return 1 if any(x for row in rows for x in row) else 0
     work: list[list[int]] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        work.append([int(f * scale) for f in fracs])
+        if all(type(x) is int for x in row):
+            work.append(list(row))
+        else:
+            fracs = [Fraction(x) for x in row]
+            scale = lcm(*(f.denominator for f in fracs))
+            work.append([f.numerator * (scale // f.denominator) for f in fracs])
     nrows, ncols = len(work), len(work[0])
     rank = 0
     prev = 1

@@ -25,7 +25,6 @@ class PoissonStructure:
 
     chart: Chart
     pi: Polyvector
-    jacobiator_checked: bool = True
 
     def __str__(self) -> str:
         return str(self.pi)
@@ -57,7 +56,7 @@ def new_poisson(pi: Polyvector) -> PoissonStructure:
     obstruction = jacobiator(pi)
     if not obstruction.is_zero:
         raise JacobiFailure(obstruction)
-    return PoissonStructure(pi.chart, pi, jacobiator_checked=True)
+    return PoissonStructure(pi.chart, pi)
 
 
 def hamiltonian(P: PoissonStructure, f: Poly) -> Polyvector:
@@ -169,14 +168,18 @@ def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:
     return Polyvector(chart, 2, terms)
 
 
-def dmodule_generators(P: PoissonStructure) -> list[DIdealGenerator]:
+def dmodule_generators(
+    P: PoissonStructure, zeta: Polyvector | None = None
+) -> list[DIdealGenerator]:
     """One symbolic generator zeta(x_i) + H_{x_i} per chart coordinate.
 
     Coordinate functions generate the same right ideal over the operator
     algebra as arbitrary f, so this finite emission presents the whole ideal;
     that reduction is a documented remark, not something the tool proves.
+    ``zeta`` is P's modular field; pass it when it is already computed.
     """
-    zeta = modular_field(P)
+    if zeta is None:
+        zeta = modular_field(P)
     out = []
     for i in range(P.chart.n):
         xi = Poly.variable(P.chart, i)

@@ -597,7 +597,7 @@ def _uni_degree(coeffs: dict[int, Poly]) -> int:
 
 
 def _uni_scale(coeffs: dict[int, Poly], factor: Poly) -> dict[int, Poly]:
-    return {k: c * factor for k, c in coeffs.items() if not (c * factor).is_zero}
+    return {k: product for k, c in coeffs.items() if not (product := c * factor).is_zero}
 
 
 def _uni_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:

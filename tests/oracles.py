@@ -91,10 +91,12 @@ def tjurina_jet_oracle(f: Poly, jet_order: int | None = None):
     Counts the classes of jets of order M = 2*deg f (the ``jet_order``)
     inside the space of jets of order N = M + 2*deg f modulo multiples of
     the generators: rank of [generator multiples | low-order monomials]
-    minus the rank of the generator multiples alone.  The headroom N - M
-    leaves room for the membership certificates of low-degree elements of
-    the ideal; a single shared cap would strand monomials near the
-    truncation frontier and overcount.
+    minus the rank of the generator multiples alone.  Both ranks come from
+    one incremental echelon pass (:class:`_SparseEchelon`): the generator
+    multiples go in first, then each low-order monomial counts if it raises
+    the rank.  The headroom N - M leaves room for the membership
+    certificates of low-degree elements of the ideal; a single shared cap
+    would strand monomials near the truncation frontier and overcount.
 
     Valid for isolated singular points at desk scale; the caller is
     responsible for the isolatedness hypothesis.
@@ -105,24 +107,46 @@ def tjurina_jet_oracle(f: Poly, jet_order: int | None = None):
     high = low + 2 * degree
     gens = [f] + [f.diff(i) for i in range(chart.n)]
     gens = [g for g in gens if not g.is_zero]
-    monomials = _monomials_up_to(chart, high)
-    index = {m: i for i, m in enumerate(monomials)}
-    columns = []
+    index = {m: i for i, m in enumerate(_monomials_up_to(chart, high))}
+    echelon = _SparseEchelon()
     for g in gens:
         gdeg = g.total_degree()
         for m in _monomials_up_to(chart, high - gdeg):
             product = g * Poly.monomial(chart, m, 1)
-            column = [Fraction(0)] * len(monomials)
-            for exponent, coeff in product.terms.items():
-                column[index[exponent]] += coeff
-            columns.append(column)
-    base = gaussian_rank([[c[r] for c in columns] for r in range(len(monomials))]) if columns else 0
-    for m in _monomials_up_to(chart, low):
-        column = [Fraction(0)] * len(monomials)
-        column[index[m]] = Fraction(1)
-        columns.append(column)
-    augmented = gaussian_rank([[c[r] for c in columns] for r in range(len(monomials))])
-    return augmented - base
+            echelon.insert({index[exponent]: coeff for exponent, coeff in product.terms.items()})
+    return sum(echelon.insert({index[m]: Fraction(1)}) for m in _monomials_up_to(chart, low))
+
+
+class _SparseEchelon:
+    """Textbook rational Gaussian elimination, one sparse row at a time.
+
+    ``rows[p]`` is a stored row whose first nonzero position is p, scaled so
+    that entry is 1.  A new row is reduced by the stored row at its first
+    nonzero position until that position is free; the positions it can gain
+    all lie beyond the one it loses, so the reduction ends.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def insert(self, row: dict[int, Fraction]) -> bool:
+        """Add a row; True when it raises the rank."""
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = self.rows.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                self.rows[lead] = {c: v * inv for c, v in row.items()}
+                return True
+            factor = row[lead]
+            for c, v in pivot.items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    row.pop(c, None)
+        return False
 
 
 def standard_monomial_count(leads, n: int):

@@ -235,14 +235,19 @@ class TestCheckPayload:
 class TestReportComputesEachInvariantOnce:
     """``report`` reads every invariant from one analysis of the structure."""
 
-    COUNTED = {"poisson": "pfaffian", "polyalg": "gcd_multi", "groebner": "buchberger"}
+    COUNTED = [
+        ("poisson", "pfaffian"),
+        ("poisson", "modular_field"),
+        ("polyalg", "gcd_multi"),
+        ("groebner", "buchberger"),
+    ]
 
     def count_calls(self, monkeypatch):
         # Wrap each function in every module that binds it, and count only
         # outermost calls (gcd_multi recurses through the content of its inputs).
         counts = Counter()
         active = set()
-        for home, name in self.COUNTED.items():
+        for home, name in self.COUNTED:
             original = getattr(importlib.import_module(f"poissonkit.{home}"), name)
 
             def counted(*args, _fn=original, _name=name, **kwargs):
@@ -263,9 +268,9 @@ class TestReportComputesEachInvariantOnce:
     @pytest.mark.parametrize(
         "fixture,expected",
         [
-            ("surface_cusp.poisson", {"pfaffian": 1, "gcd_multi": 1, "buchberger": 2}),
-            ("surface_nonreduced.poisson", {"pfaffian": 1, "gcd_multi": 1, "buchberger": 1}),
-            ("torus4.poisson", {"pfaffian": 1, "gcd_multi": 1, "buchberger": 1}),
+            ("surface_cusp.poisson", {"pfaffian": 1, "modular_field": 1, "gcd_multi": 1, "buchberger": 2}),
+            ("surface_nonreduced.poisson", {"pfaffian": 1, "modular_field": 1, "gcd_multi": 1, "buchberger": 1}),
+            ("torus4.poisson", {"pfaffian": 1, "modular_field": 1, "gcd_multi": 1, "buchberger": 1}),
         ],
     )
     def test_counts(self, capsys, monkeypatch, fixture, expected):

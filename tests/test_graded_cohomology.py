@@ -24,7 +24,7 @@ from poissonkit import (
     rank_exact,
 )
 from poissonkit.graded_cohomology import _block_rank, _DerivativeTable
-from conftest import CHART2, CHART3, FIXTURES, random_diagonal_structure, random_poly
+from conftest import CHART2, CHART3, CHART4, FIXTURES, random_diagonal_structure, random_poly
 from oracles import bruteforce_dimension_table, gaussian_rank
 
 
@@ -36,6 +36,24 @@ def hesse_structure():
     x, y, z = (Poly.variable(CHART3, i) for i in range(3))
     F = (x**3 + y**3 + z**3) * Fraction(1, 3) + x * y * z
     return jacobian_poisson_3(F), F
+
+
+def rational_hesse_structure():
+    """A Jacobian structure whose bivector has non-integer coefficients."""
+    x, y, z = (Poly.variable(CHART3, i) for i in range(3))
+    F = (x**3 + y**3 + z**3) * Fraction(1, 6) + x * y * z * Fraction(1, 2)
+    return jacobian_poisson_3(F)
+
+
+def rational_diagonal_structure(rng):
+    """A diagonal 4-chart whose skew matrix has rational, non-integer entries."""
+    n = CHART4.n
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
+            matrix[j][i] = -matrix[i][j]
+    return diagonal_quadratic_poisson(matrix, chart=CHART4)
 
 
 class TestHomogeneityWeight:
@@ -149,6 +167,29 @@ class TestRankExact:
             ]
             assert rank_exact(matrix) == gaussian_rank(matrix)
 
+    def test_single_lines_zero_and_mixed_rows(self):
+        assert rank_exact([[0, Fraction(1, 2), 0]]) == 1
+        assert rank_exact([[0], [0], [Fraction(-3)]]) == 1
+        assert rank_exact([[0, 0, 0]]) == rank_exact([[0], [0]]) == 0
+        assert rank_exact([[Fraction(0)] * 3] * 2) == 0
+        # An int row beside a Fraction row: singular, then not.
+        assert rank_exact([[1, 2], [Fraction(1, 2), Fraction(1)]]) == 1
+        assert rank_exact([[1, 2], [Fraction(1, 2), Fraction(3, 2)]]) == 2
+        assert rank_exact([[2, Fraction(2, 3), 0], [3, 1, 0], [0, 0, Fraction(1, 7)]]) == 2
+
+    def test_shapes_and_mixed_rows_agree_with_gaussian_oracle(self, rng):
+        def cell():
+            value = rng.randint(-3, 3) if rng.random() < 0.6 else 0
+            return Fraction(value, rng.randint(1, 3)) if rng.random() < 0.4 else value
+
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            for nrows, ncols in ((1, n), (n, 1), (n, rng.randint(2, 6))):
+                matrix = [[cell() for _ in range(ncols)] for _ in range(nrows)]
+                assert rank_exact(matrix) == gaussian_rank(matrix), matrix
+                zero = [[0] * ncols for _ in range(nrows)]
+                assert rank_exact(zero) == 0 == gaussian_rank(zero)
+
 
 class TestCohomologyTable:
     def test_constant_symplectic_matches_de_rham(self):
@@ -208,6 +249,27 @@ class TestCohomologyTable:
         table = cohomology_table(P, 2, 4)
         assert table.euler_consistent()
 
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(-2, 5)])
+    def test_scaled_structure_has_the_same_table(self, rng, c):
+        cases = [(fixture_structure("hesse_cubic"), 3, 3), (rational_diagonal_structure(rng), 4, 1)]
+        for P, k_max, w_max in cases:
+            scaled = new_poisson(P.pi * c)
+            table = cohomology_table(P, k_max, w_max)
+            other = cohomology_table(scaled, k_max, w_max)
+            assert other.entries == table.entries
+            assert other.euler_checks == table.euler_checks
+
+    def test_integer_structure_builds_no_fraction(self, monkeypatch):
+        import poissonkit.graded_cohomology as module
+
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built on the integer path")
+
+        monkeypatch.setattr(module, "Fraction", refuse)
+        assert cohomology_table(fixture_structure("torus4"), 4, 3).euler_consistent()
+        with pytest.raises(AssertionError):
+            dpi_matrix(fixture_structure("torus4"), 1, 0)
+
     def test_render_text_is_aligned(self):
         table = cohomology_table(symplectic2(), 2, 2)
         lines = table.render_text().splitlines()
@@ -249,6 +311,7 @@ class TestDirectAssembly:
     """The monomial-key image against lichnerowicz on built polyvectors."""
 
     def assert_images_match(self, P, weights):
+        # The table holds scale * pi, so its images are scale * d_pi, in ints.
         table = _DerivativeTable(P)
         for k in range(P.chart.n + 1):
             for w in weights:
@@ -256,11 +319,14 @@ class TestDirectAssembly:
                 for key, element in zip(basis.keys, basis.elements):
                     image = lichnerowicz(P, element)
                     expected = {
-                        (index, exponent): value
+                        (index, exponent): value * table.scale
                         for index, coeff in image.terms.items()
                         for exponent, value in coeff.terms.items()
                     }
-                    assert table.image(*key) == expected, (key, str(image))
+                    got = table.image(*key)
+                    assert got == expected, (key, str(image))
+                    assert all(type(value) is int for value in got.values()), key
+        return table
 
     def test_homogeneous_fixtures(self):
         structures = homogeneous_fixture_structures()
@@ -273,11 +339,18 @@ class TestDirectAssembly:
         for _ in range(3):
             self.assert_images_match(random_diagonal_structure(rng), range(-4, 1))
 
-    def test_dpi_matrix_columns_are_the_images(self):
-        P, _ = hesse_structure()
-        matrix = dpi_matrix(P, 1, 1)
-        source = graded_basis(P.chart, 1, 1)
-        target = graded_basis(P.chart, 2, 1)
+    def test_rational_structures(self, rng):
+        assert self.assert_images_match(rational_hesse_structure(), range(-3, 3)).scale == 2
+        for _ in range(2):
+            table = self.assert_images_match(rational_diagonal_structure(rng), range(-4, 1))
+            assert table.scale > 1
+
+    @staticmethod
+    def assert_columns_are_the_images(P, k, w):
+        matrix = dpi_matrix(P, k, w)
+        source = graded_basis(P.chart, k, w)
+        target = graded_basis(P.chart, k + 1, w + homogeneity_weight(P))
+        assert (matrix.nrows, matrix.ncols) == (len(target), len(source))
         for j, element in enumerate(source.elements):
             image = lichnerowicz(P, element)
             column = [Fraction(0)] * len(target)
@@ -285,6 +358,19 @@ class TestDirectAssembly:
                 if index in image.terms:
                     column[row] = image.terms[index].terms.get(exponent, Fraction(0))
             assert [matrix.entries[i][j] for i in range(matrix.nrows)] == column
+
+    def test_dpi_matrix_columns_are_the_images(self):
+        P, _ = hesse_structure()
+        self.assert_columns_are_the_images(P, 1, 1)
+
+    def test_dpi_matrix_is_exact_for_a_rational_pi(self, rng):
+        P = rational_hesse_structure()
+        for k in range(3):
+            for w in range(-1, 2):
+                self.assert_columns_are_the_images(P, k, w)
+        # {y, z} = 1/2 x^2 + 1/2 y z: the entries of d_pi are halves, not ints.
+        assert Fraction(-1, 2) in {v for row in dpi_matrix(P, 1, 1).entries for v in row}
+        self.assert_columns_are_the_images(rational_diagonal_structure(rng), 1, -1)
 
 
 class TestBlockRank:

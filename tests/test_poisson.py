@@ -10,6 +10,7 @@ from poissonkit import (
     OneForm,
     Poly,
     Polyvector,
+    PoissonStructure,
     PreconditionError,
     apply_vector_field,
     bv,
@@ -57,8 +58,13 @@ class TestConstruction:
             surface(random_poly(rng, CHART2))
 
     def test_so3_is_accepted(self):
+        # Construction is the Jacobi check: a bivector that passes it is
+        # wrapped unchanged, and one that fails it is refused.
         P = so3_structure()
-        assert P.jacobiator_checked
+        assert isinstance(P, PoissonStructure)
+        assert jacobiator(P.pi).is_zero and new_poisson(P.pi) == P
+        with pytest.raises(JacobiFailure):
+            new_poisson(Polyvector(CHART3, 2, {(0, 1): Y3, (0, 2): X3}))
 
     def test_jacobi_failure_carries_the_trivector(self):
         bad = Polyvector(CHART3, 2, {(0, 1): Y3, (0, 2): X3})
