@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError, PreconditionError
-from .polyalg import Chart, Exponent, Poly
+from .polyalg import Chart, Exponent, Poly, _div, _sub_mul
 
 DEFAULT_BUDGET = 10**6
 
@@ -134,31 +134,30 @@ def division(
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
     ``leads`` are the divisors' leading exponents under ``order``, for a
-    caller that already holds them.
+    caller that already holds them.  One term map is reduced in place; its
+    leading exponent falls at every step, so each quotient term is set once.
     """
     chart = p.chart
     key = order.key(chart)
     if leads is None:
         leads = [d.leading(key)[0] for d in divisors]
     lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
-    quotients = [Poly.zero(chart) for _ in divisors]
-    remainder = Poly.zero(chart)
-    work = p
-    while not work.is_zero:
-        exp, coeff = work.leading(key)
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        exp = max(work, key=key)
         for i, lead_exp in enumerate(leads):
             if _divides(lead_exp, exp):
                 if counter is not None:
                     counter.spend()
-                q = Poly.monomial(chart, _monomial_quotient(exp, lead_exp), coeff / lead_coeffs[i])
-                quotients[i] = quotients[i] + q
-                work = work - q * divisors[i]
+                q_exp = _monomial_quotient(exp, lead_exp)
+                q_coeff = quotients[i][q_exp] = _div(work[exp], lead_coeffs[i])
+                _sub_mul(work, q_coeff, q_exp, divisors[i].terms)
                 break
         else:
-            t = Poly.monomial(chart, exp, coeff)
-            remainder = remainder + t
-            work = work - t
-    return quotients, remainder
+            remainder[exp] = work.pop(exp)
+    return [Poly._of(chart, q) for q in quotients], Poly._of(chart, remainder)
 
 
 def buchberger(
@@ -199,7 +198,7 @@ def buchberger(
     def add(g: Poly):
         lead, coeff = g.leading(key)
         h = len(basis)
-        basis.append(g * (1 / coeff))
+        basis.append(g * _div(1, coeff))
         leads.append(lead)
         # B_k on the old pairs.
         kept = [
@@ -229,10 +228,10 @@ def buchberger(
         add(g)
     while pairs:
         _, (i, j), lcm = heapq.heappop(pairs)
-        s = Poly.monomial(chart, _monomial_quotient(lcm, leads[i]), 1) * basis[i] - Poly.monomial(
-            chart, _monomial_quotient(lcm, leads[j]), 1
-        ) * basis[j]
-        _, remainder = division(s, [basis[k] for k in live], order, counter, [leads[k] for k in live])
+        s: dict = {}
+        _sub_mul(s, -1, _monomial_quotient(lcm, leads[i]), basis[i].terms)
+        _sub_mul(s, 1, _monomial_quotient(lcm, leads[j]), basis[j].terms)
+        _, remainder = division(Poly._of(chart, s), [basis[k] for k in live], order, counter, [leads[k] for k in live])
         if not remainder.is_zero:
             add(remainder)
 

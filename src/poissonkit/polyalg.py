@@ -2,9 +2,17 @@
 
 A polynomial lives on a :class:`Chart` (an ordered tuple of variable names
 with positive integer weights) and is stored as a dictionary mapping
-exponent tuples to nonzero ``Fraction`` coefficients.  The zero polynomial
-has an empty term map.  All arithmetic is exact; no floating point enters
-anywhere in the engine.
+exponent tuples to nonzero exact coefficients: an ``int`` or a ``Fraction``,
+never a ``float``.  The public constructor, scalar multiplication and every
+coefficient division (:func:`_div`) turn an integral ``Fraction`` into an
+``int``, so integer polynomials are computed in ``int`` arithmetic; an
+``int`` and an equal ``Fraction`` compare, hash and print alike.  The zero
+polynomial has an empty term map.
+
+Only the public constructor validates.  Arithmetic wraps the term maps it
+builds with the trusted :meth:`Poly._of`, and division reduces one mutable
+term map in place (:func:`_sub_mul`), so a ``Poly`` is built only for the
+results.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, a multivariate gcd (primitive-part recursion with
@@ -19,9 +27,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChartMismatchError, ParseError, PreconditionError, UnknownIdentifierError
+from .errors import BudgetExceededError, ChartMismatchError, ParseError, PreconditionError, UnknownIdentifierError
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -98,12 +107,31 @@ class Chart:
         return f"Chart({ws})"
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value):
+    """An exact coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _div(a, b):
+    """Exact quotient of two coefficients, normalised by :func:`_exact`."""
+    return _exact(Fraction(a, b))
+
+
+def _sub_mul(work: dict, c, shift: Exponent, terms: dict) -> None:
+    """``work -= c * x^shift * terms`` in place; cancelled terms are deleted."""
+    for exponent, coeff in terms.items():
+        e = tuple(a + b for a, b in zip(exponent, shift))
+        acc = work.get(e, 0) - c * coeff
+        if acc:
+            work[e] = acc
+        else:
+            del work[e]
 
 
 # Monomial order used internally for leading terms and printing: grevlex.
@@ -115,24 +143,34 @@ def grevlex_key(exponent: Exponent):
 class Poly:
     """A sparse multivariate polynomial with exact rational coefficients.
 
-    Immutable after construction; zero coefficients are never stored.
+    Immutable after construction; zero coefficients are never stored.  The
+    public constructor validates every exponent and coefficient; arithmetic
+    builds its results through the unchecked :meth:`_of`.
     """
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: Chart, terms: dict[Exponent, Fraction] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
+    def __init__(self, chart: Chart, terms: dict[Exponent, Coeff] | None = None):
+        cleaned: dict[Exponent, Coeff] = {}
         if terms:
             n = chart.n
             for exponent, coeff in terms.items():
                 exponent = tuple(exponent)
-                if len(exponent) != n or any(e < 0 or not isinstance(e, int) for e in exponent):
+                if len(exponent) != n or any(not isinstance(e, int) or e < 0 for e in exponent):
                     raise ValueError(f"bad exponent vector {exponent} for chart of dimension {n}")
-                coeff = _as_fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     cleaned[exponent] = coeff
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _of(cls, chart: Chart, terms: dict[Exponent, Coeff]) -> Poly:
+        """Wrap a term map the caller guarantees clean; it is neither checked nor copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "chart", chart)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -145,7 +183,7 @@ class Poly:
 
     @classmethod
     def constant(cls, chart: Chart, value) -> Poly:
-        return cls(chart, {(0,) * chart.n: _as_fraction(value)})
+        return cls(chart, {(0,) * chart.n: value})
 
     @classmethod
     def variable(cls, chart: Chart, var: int | str) -> Poly:
@@ -153,11 +191,11 @@ class Poly:
         if not 0 <= i < chart.n:
             raise IndexError(f"variable index {i} out of range")
         exponent = tuple(1 if j == i else 0 for j in range(chart.n))
-        return cls(chart, {exponent: Fraction(1)})
+        return cls(chart, {exponent: 1})
 
     @classmethod
     def monomial(cls, chart: Chart, exponent: Exponent, coeff=1) -> Poly:
-        return cls(chart, {tuple(exponent): _as_fraction(coeff)})
+        return cls(chart, {tuple(exponent): coeff})
 
     # -- predicates and views ---------------------------------------------
 
@@ -181,15 +219,12 @@ class Poly:
             return MINUS_INFINITY
         return max(sum(e) for e in self.terms)
 
-    def leading(self, key=grevlex_key) -> tuple[Exponent, Fraction]:
+    def leading(self, key=grevlex_key) -> tuple[Exponent, Coeff]:
         """Leading (exponent, coefficient) under the given monomial key."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         exponent = max(self.terms, key=key)
         return exponent, self.terms[exponent]
-
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -210,12 +245,12 @@ class Poly:
                 out[exponent] = acc
             else:
                 out.pop(exponent, None)
-        return Poly(self.chart, out)
+        return Poly._of(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -229,14 +264,14 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if not c:
-                return Poly.zero(self.chart)
-            return Poly(self.chart, {e: c * v for e, v in self.terms.items()})
+                return Poly._of(self.chart, {})
+            return Poly._of(self.chart, {e: _exact(c * v) for e, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_chart(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
@@ -245,7 +280,7 @@ class Poly:
                     out[e] = acc
                 else:
                     out.pop(e, None)
-        return Poly(self.chart, out)
+        return Poly._of(self.chart, out)
 
     __rmul__ = __mul__
 
@@ -277,7 +312,7 @@ class Poly:
         i = self.chart.index(var) if isinstance(var, str) else var
         if not 0 <= i < self.chart.n:
             raise IndexError(f"variable index {i} out of range")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exponent, coeff in self.terms.items():
             k = exponent[i]
             if k == 0:
@@ -285,11 +320,11 @@ class Poly:
             e = list(exponent)
             e[i] = k - 1
             out[tuple(e)] = coeff * k
-        return Poly(self.chart, out)
+        return Poly._of(self.chart, out)
 
     def shift(self, point) -> Poly:
         """Substitute x_i -> x_i + a_i (translate the point a to the origin)."""
-        values = [_as_fraction(v) for v in point]
+        values = [_exact(v) for v in point]
         if len(values) != self.chart.n:
             raise ValueError("translation point must supply one value per variable")
         result = Poly.zero(self.chart)
@@ -334,10 +369,6 @@ def diff(p: Poly, var: int | str) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)  # Fraction prints as "p/q" or "p"
-
-
 def _format_monomial(chart: Chart, exponent: Exponent) -> str:
     parts = []
     for name, e in zip(chart.names, exponent):
@@ -361,11 +392,11 @@ def format_poly(p: Poly) -> str:
         mono = _format_monomial(p.chart, exponent)
         mag = abs(coeff)
         if not mono:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -385,10 +416,13 @@ def format_poly(p: Poly) -> str:
 # Whitespace is insignificant.  Identifiers: ASCII letter followed by
 # letters/digits/underscore.  A single unary minus may prefix any term.
 # Parentheses nest at most MAX_NESTING deep, so that the recursive descent
-# stays well inside the interpreter's recursion limit.
+# stays well inside the interpreter's recursion limit.  Before a product or
+# power is expanded, its term count is bounded from above; past MAX_TERMS the
+# parser raises BudgetExceededError instead of expanding it.
 # ---------------------------------------------------------------------------
 
 MAX_NESTING = 100
+MAX_TERMS = 2000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -433,6 +467,10 @@ class _PolyParser:
         _, _, pos = self.peek()
         raise ParseError(message, column=pos + 1)
 
+    def check_terms(self, bound: int, what: str):
+        if bound > MAX_TERMS:
+            raise BudgetExceededError(f"expression parser: {what} may have {bound} terms, more than {MAX_TERMS}")
+
     def expect_op(self, op: str):
         kind, value, _ = self.peek()
         if kind != "op" or value != op:
@@ -470,7 +508,9 @@ class _PolyParser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.factor()
+                rhs = self.factor()
+                self.check_terms(len(result.terms) * len(rhs.terms), "a product")
+                result = result * rhs
             else:
                 return result
 
@@ -483,7 +523,11 @@ class _PolyParser:
             if kind != "int":
                 self.fail("expected a nonnegative integer exponent after '^'")
             self.advance()
-            return base ** int(value)
+            k, t, n = int(value), len(base.terms), self.chart.n
+            if t > 1:
+                d = base.total_degree()
+                self.check_terms(min(math.comb(t - 1 + k, t - 1), math.comb(n + k * d, n)), f"a power ^{k}")
+            return base**k
         return base
 
     def base(self) -> Poly:
@@ -534,19 +578,17 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
     if d.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_chart(d)
-    chart = p.chart
     lead_d, coeff_d = d.leading()
-    quotient: dict[Exponent, Fraction] = {}
-    remainder = p
-    while not remainder.is_zero:
-        lead_r, coeff_r = remainder.leading()
+    quotient: dict[Exponent, Coeff] = {}
+    work = dict(p.terms)
+    while work:
+        lead_r = max(work, key=grevlex_key)
         q_exp = tuple(a - b for a, b in zip(lead_r, lead_d))
         if any(e < 0 for e in q_exp):
             raise ValueError("polynomial division is not exact")
-        q_coeff = coeff_r / coeff_d
-        quotient[q_exp] = q_coeff
-        remainder = remainder - Poly.monomial(chart, q_exp, q_coeff) * d
-    return Poly(chart, quotient)
+        q_coeff = quotient[q_exp] = _div(work[lead_r], coeff_d)
+        _sub_mul(work, q_coeff, q_exp, d.terms)
+    return Poly._of(p.chart, quotient)
 
 
 def divides(d: Poly, p: Poly) -> bool:
@@ -573,23 +615,23 @@ def _max_var(p: Poly) -> int | None:
 def _to_univariate(p: Poly, var: int) -> dict[int, Poly]:
     """View p as a univariate polynomial in x_var with Poly coefficients."""
     chart = p.chart
-    coeffs: dict[int, dict[Exponent, Fraction]] = {}
+    coeffs: dict[int, dict[Exponent, Coeff]] = {}
     for exponent, coeff in p.terms.items():
         k = exponent[var]
         e = list(exponent)
         e[var] = 0
         coeffs.setdefault(k, {})[tuple(e)] = coeff
-    return {k: Poly(chart, t) for k, t in coeffs.items()}
+    return {k: Poly._of(chart, t) for k, t in coeffs.items()}
 
 
 def _from_univariate(chart: Chart, var: int, coeffs: dict[int, Poly]) -> Poly:
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, Coeff] = {}
     for k, c in coeffs.items():
         for exponent, coeff in c.terms.items():
             e = list(exponent)
             e[var] = k
             terms[tuple(e)] = coeff
-    return Poly(chart, terms)
+    return Poly._of(chart, terms)
 
 
 def _uni_degree(coeffs: dict[int, Poly]) -> int:
@@ -637,7 +679,7 @@ def _normalize_monic(p: Poly) -> Poly:
     if p.is_zero:
         return p
     _, lead_coeff = p.leading()
-    return p * (1 / lead_coeff)
+    return p * _div(1, lead_coeff)
 
 
 def _primitive_over_z(p: Poly) -> Poly:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import sys
+import time
 from collections import Counter
 from importlib.resources import files
 
@@ -297,6 +298,13 @@ class TestExitCodeContract:
     def test_tjurina_literal_longer_than_a_file_name(self, capsys):
         literal = "w^2 + z^2" + " + 0*w" * 1000
         assert run_json(capsys, "tjurina", literal)["result"]["tjurina"] == 1
+
+    def test_runaway_power_is_4(self, capsys):
+        started = time.perf_counter()
+        assert main(["tjurina", "(w+z+1)^400"]) == 4
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert "expression parser" in err and "80601 terms" in err
 
     def test_deep_nesting_is_2(self, capsys, tmp_path):
         nested = "(" * 3000 + "w" + ")" * 3000

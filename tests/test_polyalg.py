@@ -6,19 +6,21 @@ import pytest
 
 from poissonkit import (
     MINUS_INFINITY,
+    BudgetExceededError,
     Chart,
     ChartMismatchError,
     ParseError,
     Poly,
     PreconditionError,
     UnknownIdentifierError,
+    buchberger,
     gcd_multi,
     is_squarefree,
     parse_poly,
     poly_arith,
 )
-from poissonkit.groebner import LEX, division
-from poissonkit.polyalg import MAX_NESTING
+from poissonkit.groebner import GREVLEX, LEX, _divides, _StepCounter, division
+from poissonkit.polyalg import MAX_NESTING, MAX_TERMS, _div, exact_divide
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import univariate_gcd_degree
 
@@ -75,11 +77,83 @@ class TestParser:
             P("(" * (depth + 1) + "w" + ")" * (depth + 1))
         assert info.value.column == depth + 1
 
+    def test_expansion_cap(self):
+        # (w+z+1)^k has C(k+2, 2) terms; a monomial power has one.
+        k = max(k for k in range(200) if (k + 1) * (k + 2) // 2 <= MAX_TERMS)
+        assert len(P(f"(w+z+1)^{k}").terms) == (k + 1) * (k + 2) // 2
+        with pytest.raises(BudgetExceededError, match="expression parser: a power"):
+            P(f"(w+z+1)^{k + 1}")
+        assert P("w^100000000*z^3") == Poly.monomial(CHART2, (100000000, 3))
+        assert P("(2*w*z)^1000") == Poly.monomial(CHART2, (1000, 1000), 2**1000)
+        assert P("(w+z)^0") == P("1")
+        wide = "(" + " + ".join(f"w^{i}" for i in range(MAX_TERMS // 10 + 1)) + ")"
+        with pytest.raises(BudgetExceededError, match="expression parser: a product"):
+            P(wide + "*(z + z^2 + z^3 + z^4 + z^5 + z^6 + z^7 + z^8 + z^9 + z^10)")
+
     def test_roundtrip_on_random_normal_forms(self, rng):
         for chart in (CHART2, CHART3, CHART4, Chart(("a", "b_1"), (2, 5))):
             for _ in range(50):
                 p = random_poly(rng, chart, max_degree=4, max_terms=4)
                 assert parse_poly(str(p), chart) == p
+
+
+class TestConstruction:
+    def test_exponent_type_is_checked_before_its_sign(self):
+        for bad in ({("a", 0): 1}, {(1.0, 0): 1}, {(-1, 0): 1}, {(1,): 1}):
+            with pytest.raises(ValueError, match="bad exponent vector"):
+                Poly(CHART2, bad)
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            Poly(CHART2, {(1, 0): 0.5})
+        with pytest.raises(TypeError, match="exact rational"):
+            Poly.constant(CHART2, 1.0)
+        with pytest.raises(TypeError):
+            P("w") * 0.5
+
+    def test_integral_coefficients_are_ints(self):
+        p = Poly(CHART2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): True})
+        assert [type(p.terms[e]) for e in ((1, 0), (0, 1), (0, 0))] == [int, Fraction, int]
+        assert p == P("2*w + 1/2*z + 1")
+        assert type((p * Fraction(2)).terms[(0, 1)]) is int
+        assert [type(_div(*ab)) for ab in ((4, 2), (1, 2), (Fraction(1, 2), Fraction(1, 4)))] == [int, Fraction, int]
+
+
+def assert_exact(p: Poly, normalised: bool):
+    """No coefficient is a float; with ``normalised``, integral ones are ints."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and (c.denominator != 1 or not normalised)), (p, c)
+
+
+class TestKernelCoefficients:
+    def test_no_float_and_ints_where_integral(self, rng):
+        for chart in (CHART2, CHART3):
+            for _ in range(40):
+                p = random_poly(rng, chart, max_degree=3, max_terms=3, allow_zero=False)
+                q = random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
+                assert_exact(p, normalised=True)
+                assert_exact(exact_divide(p * q, q), normalised=True)
+                assert_exact(gcd_multi([p * q, q * q]), normalised=True)
+                for g in buchberger([p, q], budget=10**5).gens:
+                    assert_exact(g, normalised=False)
+
+
+class TestDivision:
+    def test_certificate_on_random_divisors(self, rng):
+        for chart in (CHART2, CHART3):
+            for order in (GREVLEX, LEX):
+                key = order.key(chart)
+                for _ in range(30):
+                    p = random_poly(rng, chart, max_degree=4, max_terms=5)
+                    divisors = [
+                        random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    quotients, r = division(p, divisors, order, _StepCounter(10**4))
+                    assert p == sum((q * d for q, d in zip(quotients, divisors)), r)
+                    assert all(c for t in (r, *quotients) for c in t.terms.values())
+                    leads = [d.leading(key)[0] for d in divisors]
+                    assert not any(_divides(lead, e) for e in r.terms for lead in leads)
 
 
 class TestArithmetic:

@@ -1,6 +1,7 @@
-"""sympy as an independent oracle for the Groebner and gcd kernels.
+"""sympy as an independent oracle for the polynomial, Groebner and gcd kernels.
 
-sympy is a test-only dependency: the engine never imports it.  The curves
+sympy is a test-only dependency: the engine never imports it.  The ring
+operations are checked on seeded ``conftest.random_poly`` inputs.  The curves
 are the ``tjurina-ladder`` family of the benchmark (``w^a + z^b`` plus up to
 three monomials, some translated to a point), and the surfaces are the
 ``report-mix`` inputs whose gcd ran away before the PRS was made primitive.
@@ -15,7 +16,8 @@ import sympy
 
 from poissonkit import INFINITE, gcd_multi, jacobian_ideal_basis, parse_poly, tjurina_at_point
 from poissonkit.cli import main
-from conftest import CHART2
+from poissonkit.polyalg import exact_divide
+from conftest import CHART2, CHART3, random_poly
 from oracles import standard_monomial_count
 
 W, Z = sympy.symbols("w z")
@@ -53,6 +55,28 @@ def sympy_reduced_basis(polys):
 
 def canonical(term_maps):
     return sorted(sorted(t.items()) for t in term_maps)
+
+
+def sympy_poly(p, gens):
+    """p as a sympy.Poly over QQ in ``gens``."""
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+
+class TestRingOperationsAgainstSympy:
+    def test_add_sub_mul_exact_divide_diff(self, rng):
+        for chart in (CHART2, CHART3):
+            gens = sympy.symbols(chart.names)
+            for _ in range(60):
+                p = random_poly(rng, chart, max_degree=4, max_terms=4)
+                q = random_poly(rng, chart, max_degree=3, max_terms=3, allow_zero=False)
+                P, Q = sympy_poly(p, gens), sympy_poly(q, gens)
+                assert sympy_poly(p + q, gens) == P + Q
+                assert sympy_poly(p - q, gens) == P - Q
+                assert sympy_poly(p * q, gens) == P * Q
+                assert sympy_poly(exact_divide(p * q, q), gens) == sympy.exquo(P * Q, Q)
+                for i, x in enumerate(gens):
+                    assert sympy_poly(p.diff(i), gens) == P.diff(x)
 
 
 class TestGroebnerAgainstSympy:
