@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parse error, 3 violated mathematical precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -334,7 +335,9 @@ def _render_human(envelope: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="poissonkit",
         description="Exact diagnostics for polynomial Poisson structures.",

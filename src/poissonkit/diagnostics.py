@@ -34,7 +34,7 @@ from .groebner import (
 )
 from .multivec import Polyvector
 from .poisson import PoissonStructure, hamiltonian, modular_field, pfaffian
-from .polyalg import Poly, gcd_multi
+from .polyalg import Poly, nonreduced_factor
 
 
 class Verdict(enum.Enum):
@@ -134,7 +134,7 @@ class StructureAnalysis:
         f = self._nonzero_pfaffian(
             "the Pfaffian vanishes identically: no open dense symplectic leaf"
         )
-        return gcd_multi([f, *(f.diff(i) for i in range(f.chart.n))])
+        return nonreduced_factor(f)
 
     @property
     def reduced(self) -> bool:

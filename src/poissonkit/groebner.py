@@ -12,16 +12,24 @@ criteria discard pairs whose S-polynomials are known to reduce to zero
 before any is formed.  A step budget (one step per reduction) guards against
 blowup: exceeding it raises :class:`BudgetExceededError`; nothing is ever
 silently truncated.
+
+The ideals are rational, but the arithmetic is integer: Buchberger keeps
+its basis primitive over Z and makes it monic only at output, and
+:func:`division` reduces fraction-free under one running integer
+multiplier.  Both reduce the same leading terms in the same order as a
+reduction over Q with a monic basis, so the step counts, the quotients and
+the remainders are the same.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError, PreconditionError
-from .polyalg import Chart, Exponent, Poly, _div, _sub_mul
+from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul
 
 DEFAULT_BUDGET = 10**6
 
@@ -136,15 +144,27 @@ def division(
     ``leads`` are the divisors' leading exponents under ``order``, for a
     caller that already holds them.  One term map is reduced in place; its
     leading exponent falls at every step, so each quotient term is set once.
+
+    The reduction is fraction-free: p is scaled once to integer
+    coefficients and each divisor to its primitive part over Z, and the
+    work map W stays integral under a running integer multiplier m, with
+    W / m the rational work polynomial.  A step with work lead c and
+    primitive divisor lead A scales W and m by A / gcd(A, c).  Its quotient
+    coefficient is c / (a m), with a the divisor's own lead coefficient,
+    and a remainder coefficient is c / m: the same rationals a reduction
+    over Q produces.
     """
     chart = p.chart
     key = order.key(chart)
     if leads is None:
         leads = [d.leading(key)[0] for d in divisors]
     lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
+    integral = [_primitive_terms(d.terms) for d in divisors]
+    int_leads = [t[e] for t, e in zip(integral, leads)]
     quotients: list[dict] = [{} for _ in divisors]
     remainder = {}
-    work = dict(p.terms)
+    m = math.lcm(*(c.denominator for c in p.terms.values()))
+    work = {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
     while work:
         exp = max(work, key=key)
         for i, lead_exp in enumerate(leads):
@@ -152,11 +172,18 @@ def division(
                 if counter is not None:
                     counter.spend()
                 q_exp = _monomial_quotient(exp, lead_exp)
-                q_coeff = quotients[i][q_exp] = _div(work[exp], lead_coeffs[i])
-                _sub_mul(work, q_coeff, q_exp, divisors[i].terms)
+                c = work[exp]
+                quotients[i][q_exp] = _div(c, lead_coeffs[i] * m)
+                common = math.gcd(c, int_leads[i])
+                scale = int_leads[i] // common
+                if scale != 1:
+                    m *= scale
+                    for e in work:
+                        work[e] *= scale
+                _sub_mul(work, c // common, q_exp, integral[i])
                 break
         else:
-            remainder[exp] = work.pop(exp)
+            remainder[exp] = _div(work.pop(exp), m)
     return [Poly._of(chart, q) for q in quotients], Poly._of(chart, remainder)
 
 
@@ -176,6 +203,10 @@ def buchberger(
     neither lcm(i, new) nor lcm(j, new) equals it (B_k); and elements whose
     leading term the new one divides form no further pairs.  Leading
     exponents are computed once per element.
+
+    Elements are kept primitive over Z and S-polynomials are formed with
+    integer cofactors, so the reductions run in integer arithmetic; each
+    element is made monic once, at output.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -190,15 +221,15 @@ def buchberger(
     key = order.key(chart)
     counter = _StepCounter(budget)
 
-    basis: list[Poly] = []
+    basis: list[Poly] = []  # primitive over Z
     leads: list[Exponent] = []
     live: list[int] = []  # elements that still form pairs, ascending
     pairs: list = []  # heap of (key(lcm), (i, j), lcm)
 
     def add(g: Poly):
-        lead, coeff = g.leading(key)
+        lead = max(g.terms, key=key)
         h = len(basis)
-        basis.append(g * _div(1, coeff))
+        basis.append(Poly._of(chart, _primitive_terms(g.terms)))
         leads.append(lead)
         # B_k on the old pairs.
         kept = [
@@ -228,9 +259,11 @@ def buchberger(
         add(g)
     while pairs:
         _, (i, j), lcm = heapq.heappop(pairs)
+        a_i, a_j = basis[i].terms[leads[i]], basis[j].terms[leads[j]]
+        common = math.gcd(a_i, a_j)
         s: dict = {}
-        _sub_mul(s, -1, _monomial_quotient(lcm, leads[i]), basis[i].terms)
-        _sub_mul(s, 1, _monomial_quotient(lcm, leads[j]), basis[j].terms)
+        _sub_mul(s, -(a_j // common), _monomial_quotient(lcm, leads[i]), basis[i].terms)
+        _sub_mul(s, a_i // common, _monomial_quotient(lcm, leads[j]), basis[j].terms)
         _, remainder = division(Poly._of(chart, s), [basis[k] for k in live], order, counter, [leads[k] for k in live])
         if not remainder.is_zero:
             add(remainder)
@@ -247,8 +280,10 @@ def buchberger(
         others = reduced[:idx] + reduced[idx + 1 :]
         if not others:
             continue
-        _, reduced[idx] = division(g, others, order, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
-    return GroebnerBasis(chart, order, tuple(reduced))
+        _, remainder = division(g, others, order, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
+        reduced[idx] = Poly._of(chart, _primitive_terms(remainder.terms))
+    monic = (g * _div(1, g.terms[lead]) for g, lead in zip(reduced, minimal_leads))
+    return GroebnerBasis(chart, order, tuple(monic))
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:

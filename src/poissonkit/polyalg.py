@@ -15,13 +15,15 @@ term map in place (:func:`_sub_mul`), so a ``Poly`` is built only for the
 results.
 
 The module also provides the expression parser / pretty-printer used by the
-CLI and the test suite, a multivariate gcd (primitive-part recursion with
-primitive pseudo-remainder sequences over Z), and the squarefreeness test
-that backs the reducedness diagnostics.
+CLI and the test suite, a multivariate gcd (the heuristic GCDHEU over Z,
+certified by trial division, with primitive pseudo-remainder sequences as
+the fallback), and the squarefreeness test that backs the reducedness
+diagnostics.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -467,6 +469,13 @@ class _PolyParser:
         _, _, pos = self.peek()
         raise ParseError(message, column=pos + 1)
 
+    def integer(self, value: str, pos: int) -> int:
+        """An int token as an int; one past the interpreter's digit limit is a parse error."""
+        try:
+            return int(value)
+        except ValueError:
+            raise ParseError(f"integer literal of {len(value)} digits is too long", column=pos + 1) from None
+
     def check_terms(self, bound: int, what: str):
         if bound > MAX_TERMS:
             raise BudgetExceededError(f"expression parser: {what} may have {bound} terms, more than {MAX_TERMS}")
@@ -519,11 +528,11 @@ class _PolyParser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind != "int":
                 self.fail("expected a nonnegative integer exponent after '^'")
             self.advance()
-            k, t, n = int(value), len(base.terms), self.chart.n
+            k, t, n = self.integer(value, pos), len(base.terms), self.chart.n
             if t > 1:
                 d = base.total_degree()
                 self.check_terms(min(math.comb(t - 1 + k, t - 1), math.comb(n + k * d, n)), f"a power ^{k}")
@@ -534,15 +543,15 @@ class _PolyParser:
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            numerator = int(value)
+            numerator = self.integer(value, pos)
             kind, value, _ = self.peek()
             if kind == "op" and value == "/":
                 self.advance()
-                kind, value, _ = self.peek()
+                kind, value, denominator_pos = self.peek()
                 if kind != "int":
                     self.fail("expected an integer denominator after '/'")
                 self.advance()
-                denominator = int(value)
+                denominator = self.integer(value, denominator_pos)
                 if denominator == 0:
                     raise ParseError("zero denominator", column=pos + 1)
                 return Poly.constant(self.chart, Fraction(numerator, denominator))
@@ -682,16 +691,24 @@ def _normalize_monic(p: Poly) -> Poly:
     return p * _div(1, lead_coeff)
 
 
+def _primitive_terms(terms: dict) -> dict[Exponent, int]:
+    """A nonzero term map scaled by a positive rational to coprime ints; one that is already so is returned as is."""
+    denominators = math.lcm(*(c.denominator for c in terms.values()))
+    numerators = math.gcd(*(c.numerator for c in terms.values()))
+    if denominators == numerators == 1 and all(type(c) is int for c in terms.values()):
+        return terms
+    return {e: c.numerator * (denominators // c.denominator) // numerators for e, c in terms.items()}
+
+
 def _primitive_over_z(p: Poly) -> Poly:
     """p scaled by a positive rational to integer coefficients with gcd 1."""
-    denominators = math.lcm(*(c.denominator for c in p.terms.values()))
-    numerators = math.gcd(*(c.numerator for c in p.terms.values()))
-    return p * Fraction(denominators, numerators)
+    return Poly._of(p.chart, _primitive_terms(p.terms))
 
 
 def _gcd_pair(a: Poly, b: Poly) -> Poly:
     """Gcd by primitive-part recursion with a primitive PRS over Z.
 
+    The fallback of :func:`gcd_multi` when the heuristic gcd gives up.
     Every pseudo-remainder is made primitive: its content in the lower
     variables is divided out and its coefficients are scaled to coprime
     integers, so coefficients do not grow from one remainder to the next
@@ -726,22 +743,167 @@ def _gcd_pair(a: Poly, b: Poly) -> Poly:
     return _normalize_monic(_gcd_pair(cont_a, cont_b) * gcd_pp)
 
 
+# ---------------------------------------------------------------------------
+# Heuristic gcd (GCDHEU) on integer term maps
+#
+# Char, Geddes and Gonnet, *GCDHEU: Heuristic polynomial GCD algorithm based
+# on integer GCD computation*, J. Symb. Comp. 1989.  The highest variable is
+# evaluated at an integer xi, the gcd of the images is computed recursively
+# (down to math.gcd), and the candidate is read back from the symmetric
+# xi-adic digits of that gcd.  For primitive inputs and
+# xi >= 2*min(|a|_inf, |b|_inf) + 2, a candidate whose primitive part divides
+# both inputs over Z is their gcd; a candidate that fails the trial division
+# is discarded and xi grows.
+# ---------------------------------------------------------------------------
+
+HEU_TRIES = 6
+# Give up before an image would need more bits than this (about 5000 digits).
+HEU_MAX_BITS = 16_000
+
+
+def _content_z(terms: dict) -> int:
+    return math.gcd(*terms.values())
+
+
+def _is_constant_terms(terms: dict) -> bool:
+    return len(terms) == 1 and not any(next(iter(terms)))
+
+
+def _positive_lead(terms: dict) -> dict:
+    """The term map or its negative, whichever has a positive lex-leading coefficient."""
+    if terms[max(terms)] > 0:
+        return terms
+    return {e: -c for e, c in terms.items()}
+
+
+def _divide_z(a: dict, d: dict) -> bool:
+    """True iff the integer term map d divides a in Z[x].
+
+    Lex-order division that stops at the first quotient term outside the
+    box deg_v(a) - deg_v(d), where no quotient term of an exact division lies.
+    """
+    lead_d = max(d)
+    coeff_d = d[lead_d]
+    room = [max(column) - max(other) for column, other in zip(zip(*a), zip(*d))]
+    work = dict(a)
+    while work:
+        lead = max(work)
+        shift = tuple(x - y for x, y in zip(lead, lead_d))
+        if any(e < 0 or e > r for e, r in zip(shift, room)):
+            return False
+        q, r = divmod(work[lead], coeff_d)
+        if r:
+            return False
+        _sub_mul(work, q, shift, d)
+    return True
+
+
+def _evaluate(terms: dict, var: int, xi: int) -> dict:
+    """The term map with x_var replaced by the integer xi."""
+    out: dict = {}
+    powers = [1]
+    for e, c in terms.items():
+        k = e[var]
+        if k:
+            while len(powers) <= k:
+                powers.append(powers[-1] * xi)
+            c *= powers[k]
+            e = e[:var] + (0,) + e[var + 1 :]
+        acc = out.get(e, 0) + c
+        if acc:
+            out[e] = acc
+        else:
+            del out[e]
+    return out
+
+
+def _interpolate(gamma: dict, var: int, xi: int) -> dict:
+    """The polynomial in x_var whose coefficients are the symmetric xi-adic digits of gamma."""
+    out: dict = {}
+    half = xi // 2
+    k = 0
+    while gamma:
+        rest = {}
+        for e, c in gamma.items():
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[e[:var] + (k,) + e[var + 1 :]] = digit
+            if c != digit:
+                rest[e] = (c - digit) // xi
+        gamma = rest
+        k += 1
+    return out
+
+
+def _heu_gcd(a: dict, b: dict) -> dict | None:
+    """Gcd of two nonzero integer term maps over Z, or None when the heuristic gives up.
+
+    The result has a positive lex-leading coefficient.  It is returned only
+    after it has divided both inputs exactly, with xi at or above the
+    CGG bound of the level.
+    """
+    ca, cb = _content_z(a), _content_z(b)
+    content = math.gcd(ca, cb)
+    if ca != 1:
+        a = {e: c // ca for e, c in a.items()}
+    if cb != 1:
+        b = {e: c // cb for e, c in b.items()}
+    if _is_constant_terms(a) or _is_constant_terms(b):
+        return {(0,) * len(next(iter(a))): content}
+    var = max(i for e in itertools.chain(a, b) for i, k in enumerate(e) if k)
+    degree = max(e[var] for e in itertools.chain(a, b))
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(HEU_TRIES):
+        if xi.bit_length() * degree > HEU_MAX_BITS:
+            return None
+        image_a, image_b = _evaluate(a, var, xi), _evaluate(b, var, xi)
+        if image_a and image_b:
+            gamma = _heu_gcd(image_a, image_b)
+        else:  # xi is a root of the input of larger norm (never of the other)
+            gamma = image_a or image_b
+        if gamma is not None:
+            candidate = _interpolate(gamma, var, xi)
+            g = _content_z(candidate)
+            candidate = _positive_lead({e: c // g for e, c in candidate.items()})
+            if _divide_z(a, candidate) and _divide_z(b, candidate):
+                return {e: c * content for e, c in candidate.items()} if content != 1 else candidate
+        xi = xi * 73794 // 27011
+    return None
+
+
 def gcd_multi(ps: list[Poly]) -> Poly:
     """Gcd of a nonempty family, monic under the grevlex leading term.
 
-    Zero entries are ignored; all-zero input is an error.
+    Zero entries are ignored; all-zero input is an error.  Each pairwise gcd
+    runs the certified heuristic :func:`_heu_gcd` on the primitive integer
+    parts, and the primitive PRS :func:`_gcd_pair` when the heuristic gives up.
     """
     if not ps:
         raise ValueError("gcd_multi needs at least one polynomial")
     nonzero = [p for p in ps if not p.is_zero]
     if not nonzero:
         raise ValueError("gcd_multi: all inputs are zero")
-    g = nonzero[0]
+    chart = nonzero[0].chart
+    g = _primitive_terms(nonzero[0].terms)
     for p in nonzero[1:]:
-        if g.is_constant:
+        if _is_constant_terms(g):
             break
-        g = _gcd_pair(g, p)
-    return _normalize_monic(g)
+        h = _heu_gcd(g, _primitive_terms(p.terms))
+        if h is None:
+            h = _primitive_terms(_gcd_pair(Poly._of(chart, g), p).terms)
+        g = h
+    return _normalize_monic(Poly._of(chart, g))
+
+
+def nonreduced_factor(p: Poly) -> Poly:
+    """gcd(p, dp/dx_1, ..., dp/dx_n), monic: constant exactly when p is reduced.
+
+    The one definition of reducedness (squarefreeness) of a nonzero p; a
+    constant p counts as reduced.
+    """
+    return gcd_multi([p, *(p.diff(i) for i in range(p.chart.n))])
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -753,5 +915,4 @@ def is_squarefree(p: Poly) -> bool:
     """
     if p.is_zero or p.is_constant:
         raise PreconditionError("squarefreeness needs a nonzero, nonconstant polynomial")
-    partials = [p.diff(i) for i in range(p.chart.n)]
-    return gcd_multi([p, *partials]).is_constant
+    return nonreduced_factor(p).is_constant

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths it certifies: ranks are
 plain rational Gaussian elimination instead of Bareiss, Tjurina numbers come
 from truncated-jet linear algebra instead of Groebner bases, standard
-monomials are counted one by one instead of slice by slice, and the
-cohomology table is rebuilt densely with fresh matrices and no caching.
+monomials are counted one by one instead of slice by slice, multivariate
+division reduces over Q in ``Fraction`` arithmetic instead of fraction-free
+over Z, and the cohomology table is rebuilt densely with fresh matrices and
+no caching.
 """
 
 from __future__ import annotations
@@ -168,6 +170,35 @@ def standard_monomial_count(leads, n: int):
         for exponent in itertools.product(*(range(b) for b in bounds))
         if not any(all(a <= b for a, b in zip(e, exponent)) for e in leads)
     )
+
+
+def division_over_q(p: Poly, divisors: list[Poly], key):
+    """Textbook multivariate division over Q: quotient term maps and remainder term map.
+
+    At each step the leading term of the work polynomial is divided by the
+    first divisor whose leading term divides it, or moved to the remainder.
+    """
+    leads = [max(d.terms, key=key) for d in divisors]
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder = {}
+    work = {e: Fraction(c) for e, c in p.terms.items()}
+    while work:
+        exp = max(work, key=key)
+        for i, lead in enumerate(leads):
+            if all(a <= b for a, b in zip(lead, exp)):
+                shift = tuple(b - a for a, b in zip(lead, exp))
+                q = quotients[i][shift] = work[exp] / Fraction(divisors[i].terms[lead])
+                for e, c in divisors[i].terms.items():
+                    t = tuple(x + y for x, y in zip(e, shift))
+                    value = work.get(t, 0) - q * c
+                    if value:
+                        work[t] = value
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[exp] = work.pop(exp)
+    return quotients, remainder
 
 
 def diagonal_modular_coefficients(lam) -> list[Fraction]:

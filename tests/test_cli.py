@@ -306,6 +306,14 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "expression parser" in err and "80601 terms" in err
 
+    def test_integer_literal_past_the_digit_limit_is_2(self, capsys):
+        nines = "9" * 5000
+        for literal in (f"w+{nines}", f"w^{nines}+z^2", f"w + 1/{nines}"):
+            assert main(["tjurina", literal]) == 2
+            err = capsys.readouterr().err
+            assert "integer literal of 5000 digits" in err
+            assert f"column {literal.index(nines) + 1}" in err
+
     def test_deep_nesting_is_2(self, capsys, tmp_path):
         nested = "(" * 3000 + "w" + ")" * 3000
         deep = tmp_path / "deep.poisson"

@@ -19,10 +19,10 @@ from poissonkit import (
     parse_poly,
     poly_arith,
 )
-from poissonkit.groebner import GREVLEX, LEX, _divides, _StepCounter, division
+from poissonkit.groebner import GREVLEX, LEX, WEIGHTED_GREVLEX, _divides, _StepCounter, division
 from poissonkit.polyalg import MAX_NESTING, MAX_TERMS, _div, exact_divide
 from conftest import CHART2, CHART3, CHART4, random_poly
-from oracles import univariate_gcd_degree
+from oracles import division_over_q, univariate_gcd_degree
 
 
 def P(text, chart=CHART2):
@@ -154,6 +154,24 @@ class TestDivision:
                     assert all(c for t in (r, *quotients) for c in t.terms.values())
                     leads = [d.leading(key)[0] for d in divisors]
                     assert not any(_divides(lead, e) for e in r.terms for lead in leads)
+
+    def test_fraction_free_division_returns_the_rationals_of_division_over_q(self, rng):
+        for chart in (CHART2, CHART3):
+            for order in (GREVLEX, LEX, WEIGHTED_GREVLEX):
+                key = order.key(chart)
+                for _ in range(30):
+                    # Products carry integral Fractions; the divisors mix ints and Fractions.
+                    p = random_poly(rng, chart, max_degree=3, max_terms=4) * random_poly(rng, chart, max_terms=3)
+                    divisors = [
+                        random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    quotients, r = division(p, divisors, order)
+                    expected_quotients, expected_r = division_over_q(p, divisors, key)
+                    assert [q.terms for q in quotients] == expected_quotients
+                    assert r.terms == expected_r
+                    for c in (*r.terms.values(), *(c for q in quotients for c in q.terms.values())):
+                        assert type(c) is int or c.denominator > 1
 
 
 class TestArithmetic:
