@@ -7,21 +7,22 @@ weight.  Every cohomology dimension is a rank of d_pi on one piece.
 
 The matrices are assembled and ranked sparsely, in integers.  pi is scaled
 once by the lcm s of its coefficient denominators; d_{s pi} = s d_pi has
-the same ranks, and its columns are ``{row: int}``.  Each column, the image
-of one monomial basis element x^e d_I, is computed straight from the
-monomial key (I, e) and a table of s pi's derivatives by the odd frame
-symbols and by the chart variables, built once per structure.  The signs
-and target multi-indices depend on I alone, so they are tabulated once per
-multi-index; a key then costs only exponent additions and int products.  No
-polyvector is built and no Schouten bracket is evaluated per basis element.
-The rank is the sum of the ranks of the blocks, the connected components of
-the bipartite graph joining a row to a column wherever their entry is
-nonzero; each block is densified and ranked by fraction-free Bareiss
-elimination in :func:`rank_exact`, which takes a one-row or one-column
-block's rank without eliminating.  The pieces are very sparse, so the
-blocks stay small even when a basis holds thousands of elements.
-:func:`dpi_matrix` divides by s again and returns the exact rational matrix
-of d_pi on one piece.
+the same ranks, and its columns are ``{row: int}``.  A monomial polyvector
+x^e d_I is one int code, ``mask(I) + (sum_i e_i R^i << n)``, with the radix
+R fixed once per table past every exponent that a touched piece or an image
+can reach, so the codes of a piece are distinct and an exponent shift is
+one int addition.  Each column, the image of one basis element, comes
+straight from its code and a table of s pi's derivatives by the odd frame
+symbols and by the chart variables, built once per structure: the image
+terms are code offsets with int coefficients, tabulated once per
+multi-index, so a key costs int additions and products and one
+``{code: row}`` lookup per term.  No polyvector is built and no Schouten
+bracket is evaluated per basis element.  The rank of a piece is one
+fraction-free sparse elimination over its columns (:func:`_echelon`),
+which keeps each reduced column primitive; :func:`rank_exact` clears the
+denominators of a dense matrix's rows and runs the same elimination.
+:func:`dpi_matrix` divides by s again and returns the exact rational
+matrix of d_pi on one piece.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -44,8 +45,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import add
+from math import gcd, lcm
 
 from .errors import BasisSizeExceededError, PreconditionError
 from .multivec import MultiIndex, Polyvector
@@ -96,18 +96,27 @@ def homogeneity_weight(P: PoissonStructure):
 class GradedBasis:
     """Ordered monomial basis of the degree-k, weight-w graded piece.
 
-    Keys ``(multi-index, exponent)`` are ordered by multi-index (lex
-    ascending), then by monomial (grevlex descending), so two runs enumerate
-    identically.
+    ``groups`` pairs each multi-index I (lex ascending) with its monomials
+    x^e (grevlex descending), so two runs enumerate identically.  ``codes``
+    holds one int per element in that order, ``mask(I) + (sum_i e_i
+    radix^i << n)``, where ``mask(I)`` has bit i set for each i in I and
+    ``radix`` exceeds every exponent of the piece.
     """
 
     chart: Chart
     k: int
     w: int
-    keys: tuple[Key, ...]
+    radix: int
+    groups: tuple[tuple[MultiIndex, tuple[Exponent, ...]], ...]
+    codes: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.codes)
+
+    @cached_property
+    def keys(self) -> tuple[Key, ...]:
+        """The basis as ``(multi-index, exponent)`` pairs, in order."""
+        return tuple((index, exponent) for index, exponents in self.groups for exponent in exponents)
 
     @cached_property
     def elements(self) -> tuple[Polyvector, ...]:
@@ -117,49 +126,68 @@ class GradedBasis:
             for index, exponent in self.keys
         )
 
-    def index_map(self) -> dict[Key, int]:
-        return {key: pos for pos, key in enumerate(self.keys)}
+
+def _pack(exponent: Exponent, radix: int) -> int:
+    """sum_i exponent[i] * radix^i; a negative entry borrows, as integer arithmetic does."""
+    packed = 0
+    for x in reversed(exponent):
+        packed = packed * radix + x
+    return packed
 
 
 def _monomials_of_weighted_degree(chart: Chart, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given weighted degree, deterministic order."""
+    """All exponent tuples of the given weighted degree, grevlex descending."""
     if degree < 0:
         return []
-    n = chart.n
     weights = chart.weights
     out: list[Exponent] = []
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == n - 1:
-            if remaining % weights[i] == 0:
-                out.append(prefix + (remaining // weights[i],))
+    def rec(i: int, remaining: int, suffix: tuple[int, ...]):
+        if i == 0:
+            if remaining % weights[0] == 0:
+                out.append((remaining // weights[0],) + suffix)
             return
         for e in range(remaining // weights[i] + 1):
-            rec(i + 1, remaining - e * weights[i], prefix + (e,))
+            rec(i - 1, remaining - e * weights[i], (e,) + suffix)
 
-    rec(0, degree, ())
-    # grevlex descending within a fixed weighted degree
-    out.sort(key=lambda e: (sum(e), tuple(-x for x in reversed(e))), reverse=True)
+    # e_{n-1} ascending, then e_{n-2}, ...: grevlex descending within one
+    # total degree; the stable sort then puts higher total degrees first.
+    rec(chart.n - 1, degree, ())
+    out.sort(key=sum, reverse=True)
     return out
 
 
-def graded_basis(chart: Chart, k: int, w: int, cap: int = DEFAULT_BASIS_CAP) -> GradedBasis:
-    """Enumerate the monomial polyvectors of degree k and weight w."""
-    if not 0 <= k <= chart.n:
-        return GradedBasis(chart, k, w, ())
-    keys: list[Key] = []
-    monomials: dict[int, list[Exponent]] = {}
-    for index in itertools.combinations(range(chart.n), k):
-        target = w + sum(chart.weights[i] for i in index)
-        if target not in monomials:
-            monomials[target] = _monomials_of_weighted_degree(chart, target)
-        for exponent in monomials[target]:
-            keys.append((index, exponent))
-            if len(keys) > cap:
+def graded_basis(
+    chart: Chart, k: int, w: int, cap: int = DEFAULT_BASIS_CAP, radix: int | None = None
+) -> GradedBasis:
+    """Enumerate the monomial polyvectors of degree k and weight w.
+
+    ``radix`` must exceed every exponent of the piece; by default it is
+    ``w + sum(weights) + 1``, past the largest weighted degree of a monomial.
+    """
+    n = chart.n
+    if radix is None:
+        radix = max(w + sum(chart.weights), 0) + 1
+    groups: list[tuple[MultiIndex, tuple[Exponent, ...]]] = []
+    codes: list[int] = []
+    if 0 <= k <= n:
+        by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] = {}
+        for index in itertools.combinations(range(n), k):
+            target = w + sum(chart.weights[i] for i in index)
+            if target not in by_degree:
+                monomials = tuple(_monomials_of_weighted_degree(chart, target))
+                by_degree[target] = (monomials, [_pack(e, radix) << n for e in monomials])
+            monomials, packed = by_degree[target]
+            if not monomials:
+                continue
+            if len(codes) + len(monomials) > cap:
                 raise BasisSizeExceededError(
                     f"graded piece (k={k}, w={w}) exceeds the basis cap {cap}"
                 )
-    return GradedBasis(chart, k, w, tuple(keys))
+            mask = sum(1 << i for i in index)
+            codes.extend([mask + p for p in packed])
+            groups.append((index, monomials))
+    return GradedBasis(chart, k, w, radix, tuple(groups), tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -176,7 +204,7 @@ class RationalMatrix:
 
 
 class _DerivativeTable:
-    """d_pi on monomial keys, from pi's partial derivatives tabulated once.
+    """d_pi on monomial codes, from pi's partial derivatives tabulated once.
 
     In the odd-coordinate model of :mod:`poissonkit.multivec`, for a
     bivector pi and b = x^e d_I,
@@ -192,102 +220,105 @@ class _DerivativeTable:
     d_{s pi} = s d_pi with s != 0, every rank is that of d_pi.
     ``by_theta[i]`` lists the terms ``(j, exponent, c)`` of dpi/dtheta_i
     = sum_j pi_ij d_j, and ``by_x[i]`` the terms ``((a, b), exponent, c)``
-    of dpi/dx_i.
+    of dpi/dx_i, each exponent packed as in :class:`GradedBasis` codes.
 
-    The signs and target multi-indices of [pi, x^e d_I] depend on I alone,
-    not on e, so they are worked out once per multi-index (:meth:`moves`)
-    and every key with that index only adds exponents and multiplies ints.
+    ``radix`` is fixed from ``w_top``, the largest weight of a piece the
+    caller touches: it is the largest weighted degree of a monomial in such
+    a piece, plus the degree of pi, plus 2.  Adding an image's exponent
+    shift to a code then never carries between digits, and a shift that
+    leaves the piece, even by borrowing, reaches a code no piece holds.
     """
 
-    __slots__ = ("scale", "by_theta", "by_x", "_moves")
+    __slots__ = ("scale", "radix", "by_theta", "by_x", "_moves")
 
-    def __init__(self, P: PoissonStructure):
-        n = P.chart.n
-        self.scale = lcm(
-            *(value.denominator for coeff in P.pi.terms.values() for value in coeff.terms.values())
-        )
-        self.by_theta: list[list[tuple[int, Exponent, int]]] = [[] for _ in range(n)]
-        self.by_x: list[list[tuple[MultiIndex, Exponent, int]]] = [[] for _ in range(n)]
-        for (a, b), coeff in P.pi.terms.items():
-            for exponent, value in coeff.terms.items():
-                c = value.numerator * (self.scale // value.denominator)
-                self.by_theta[a].append((b, exponent, c))
-                self.by_theta[b].append((a, exponent, -c))
-                for i, power in enumerate(exponent):
-                    if power:
-                        shift = exponent[:i] + (power - 1,) + exponent[i + 1 :]
-                        self.by_x[i].append(((a, b), shift, power * c))
+    def __init__(self, P: PoissonStructure, w_top: int):
+        chart = P.chart
+        n = chart.n
+        terms = [
+            (a, b, exponent, value)
+            for (a, b), coeff in P.pi.terms.items()
+            for exponent, value in coeff.terms.items()
+        ]
+        self.scale = lcm(*(value.denominator for *_, value in terms))
+        degree = max((sum(exponent) for _, _, exponent, _ in terms), default=0)
+        self.radix = radix = max(w_top + sum(chart.weights), 0) + degree + 2
+        self.by_theta: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.by_x: list[list[tuple[MultiIndex, int, int]]] = [[] for _ in range(n)]
+        for a, b, exponent, value in terms:
+            c = value.numerator * (self.scale // value.denominator)
+            packed = _pack(exponent, radix) << n
+            self.by_theta[a].append((b, packed, c))
+            self.by_theta[b].append((a, packed, -c))
+            for i, power in enumerate(exponent):
+                if power:
+                    self.by_x[i].append(((a, b), packed - (radix**i << n), power * c))
         self._moves: dict[MultiIndex, tuple[list, list]] = {}
 
     def moves(self, index: MultiIndex) -> tuple[list, list]:
-        """The signed moves of [pi, x^e d_index], computed once per index.
+        """The signed moves of [pi, x^e d_index] as code offsets, computed once per index.
 
-        ``by_var[i]`` lists ``(target, shift, c)`` for the terms that
-        differentiate x^e by x_i: each adds ``c * e_i`` at
-        ``(target, e + shift)``, with the -1 of the derivative already in
-        ``shift``.  ``fixed`` lists ``(target, shift, c)`` for the terms
-        that differentiate pi: each adds ``c`` at ``(target, e + shift)``.
+        ``by_var[i]`` lists ``(delta, c)`` for the terms that differentiate
+        x^e by x_i: each adds ``c * e_i`` at code ``+ delta``, with the -1 of
+        the derivative already in ``delta``.  ``fixed`` lists ``(delta, c)``
+        for the terms that differentiate pi: each adds ``c`` at code
+        ``+ delta``.  A delta moves the multi-index bits and the exponent
+        digits at once.
         """
         cached = self._moves.get(index)
         if cached is not None:
             return cached
-        by_var: list[list[tuple[MultiIndex, Exponent, int]]] = []
+        n = len(self.by_theta)
+        by_var: list[list[tuple[int, int]]] = []
         for i, terms in enumerate(self.by_theta):
             # -(dpi/dtheta_i) ^ (e_i x^(e - delta_i) d_I)
+            unit = self.radix**i << n
             out = []
-            for j, shift, value in terms:
+            for j, packed, value in terms:
                 if j in index:
                     continue
                 below = sum(1 for r in index if r < j)
-                shift = shift[:i] + (shift[i] - 1,) + shift[i + 1 :]
-                out.append((tuple(sorted(index + (j,))), shift, value if below % 2 else -value))
+                out.append(((1 << j) + packed - unit, value if below % 2 else -value))
             by_var.append(out)
-        fixed: list[tuple[MultiIndex, Exponent, int]] = []
+        fixed: list[tuple[int, int]] = []
         for pos, i in enumerate(index):
             rest = index[:pos] + index[pos + 1 :]
             # -((-1)^pos x^e d_rest) ^ (dpi/dx_i)
-            for pair, shift, value in self.by_x[i]:
-                if pair[0] in rest or pair[1] in rest:
+            for (a, b), packed, value in self.by_x[i]:
+                if a in rest or b in rest:
                     continue
-                inversions = sum(1 for r in rest for q in pair if r > q)
-                fixed.append(
-                    (tuple(sorted(rest + pair)), shift, value if (pos + inversions) % 2 else -value)
-                )
+                inversions = sum(1 for r in rest for q in (a, b) if r > q)
+                delta = (1 << a) + (1 << b) - (1 << i) + packed
+                fixed.append((delta, value if (pos + inversions) % 2 else -value))
         self._moves[index] = (by_var, fixed)
         return by_var, fixed
-
-    def image(self, index: MultiIndex, exponent: Exponent) -> dict[Key, int]:
-        """The nonzero terms of [scale * pi, x^exponent d_index], by monomial key."""
-        by_var, fixed = self.moves(index)
-        out: dict[Key, int] = {}
-        for i, power in enumerate(exponent):
-            if not power:
-                continue
-            for target, shift, value in by_var[i]:
-                key = (target, tuple(map(add, exponent, shift)))
-                out[key] = out.get(key, 0) + power * value
-        for target, shift, value in fixed:
-            key = (target, tuple(map(add, exponent, shift)))
-            out[key] = out.get(key, 0) + value
-        return {key: value for key, value in out.items() if value}
 
 
 def _dpi_columns(
     table: _DerivativeTable, source: GradedBasis, target: GradedBasis
 ) -> list[dict[int, int]]:
     """Sparse int columns {row: value} of ``table.scale`` * d_pi from ``source`` into ``target``."""
-    lookup = target.index_map()
+    rows = {code: row for row, code in enumerate(target.codes)}
     columns: list[dict[int, int]] = []
-    for index, exponent in source.keys:
-        column: dict[int, int] = {}
-        for key, value in table.image(index, exponent).items():
-            row = lookup.get(key)
-            if row is None:
-                raise AssertionError(
-                    "image leaves the expected graded piece; homogeneity is broken"
-                )
-            column[row] = value
-        columns.append(column)
+    codes = iter(source.codes)
+    try:
+        for index, exponents in source.groups:
+            by_var, fixed = table.moves(index)
+            # zip draws from ``exponents`` first, so ``codes`` stays in step with the groups.
+            for exponent, code in zip(exponents, codes):
+                column: dict[int, int] = {}
+                for power, terms in zip(exponent, by_var):
+                    if power:
+                        for delta, c in terms:
+                            row = rows[code + delta]
+                            column[row] = column.get(row, 0) + power * c
+                for delta, c in fixed:
+                    row = rows[code + delta]
+                    column[row] = column.get(row, 0) + c
+                if 0 in column.values():
+                    column = {row: value for row, value in column.items() if value}
+                columns.append(column)
+    except KeyError:
+        raise AssertionError("image leaves the expected graded piece; homogeneity is broken") from None
     return columns
 
 
@@ -302,9 +333,9 @@ def dpi_matrix(P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP
     m = homogeneity_weight(P)
     if m is NOT_HOMOGENEOUS:
         raise PreconditionError("the Poisson structure is not weight-homogeneous")
-    source = graded_basis(P.chart, k, w, cap)
-    target = graded_basis(P.chart, k + 1, w + m, cap)
-    table = _DerivativeTable(P)
+    table = _DerivativeTable(P, max(w, w + m))
+    source = graded_basis(P.chart, k, w, cap, table.radix)
+    target = graded_basis(P.chart, k + 1, w + m, cap, table.radix)
     columns = _dpi_columns(table, source, target)
     entries = tuple(
         tuple(Fraction(column.get(row, 0), table.scale) for column in columns)
@@ -313,83 +344,62 @@ def dpi_matrix(P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP
     return RationalMatrix(len(target), len(source), entries)
 
 
-def _block_rank(columns: list[dict[int, int]], nrows: int) -> int:
-    """Rank of a sparse matrix given by its integer columns {row: value}.
+def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
+    """Fraction-free sparse echelon form of integer columns ``{row: value}``.
 
-    Rows joined by a column fall in one block (union-find over the rows), so
-    the blocks are the connected components of the bipartite row/column
-    nonzero graph, and the rank is the sum of the block ranks.  Each block
-    is densified and ranked by one call of :func:`rank_exact`; its cells
-    are ints, so no ``Fraction`` enters the rank.
+    Each column is reduced against the pivots found so far, at its smallest
+    row first.  Where that row r holds b and the pivot of r holds a, the
+    column becomes (a * column - b * pivot) / gcd(a, b), which clears r, and
+    is then made primitive; its entries stay bounded by the minors of the
+    input.  A column whose smallest row has no pivot yet becomes that row's
+    pivot; a column that reduces to zero was dependent.  The result maps
+    each pivot row r to ``(a, rest)``: the pivot's entry at r and its
+    entries at larger rows.  Its length is the rank.  The columns are
+    consumed.
     """
-    parent = list(range(nrows))
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for column in columns:
-        rows = iter(column)
-        first = next(rows, None)
-        if first is None:
-            continue
-        root = find(first)
-        for r in rows:
-            other = find(r)
-            if other != root:
-                parent[other] = root
-    blocks: dict[int, list[dict[int, int]]] = {}
-    for column in columns:
-        if column:
-            blocks.setdefault(find(next(iter(column))), []).append(column)
-    rank = 0
-    for block in blocks.values():
-        rows = sorted({r for column in block for r in column})
-        rank += rank_exact([[column.get(r, 0) for column in block] for r in rows])
-    return rank
+        while column:
+            r = min(column)
+            b = column.pop(r)
+            pivot = pivots.get(r)
+            if pivot is None:
+                pivots[r] = (b, column)
+                break
+            a, rest = pivot
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            if a != 1:
+                for row in column:
+                    column[row] *= a
+            for row, v in rest.items():
+                x = column.get(row, 0) - b * v
+                if x:
+                    column[row] = x
+                else:
+                    del column[row]
+            if column:
+                g = gcd(*column.values())
+                if g != 1:
+                    for row in column:
+                        column[row] //= g
+    return pivots
 
 
 def rank_exact(M) -> int:
-    """Rank over the rationals by fraction-free Bareiss elimination.
+    """Rank over the rationals of a :class:`RationalMatrix` or a sequence of rows.
 
-    ``M`` is a :class:`RationalMatrix` or a sequence of rows.  A row whose
-    cells are all ints is eliminated as it is; only a row with another
-    cell (a ``Fraction``, say) is converted, and its denominators cleared,
-    which does not change the rank.  A matrix with one row or one column
-    has rank 1 if any cell is nonzero and 0 otherwise, with no elimination.
+    The cells are ints or ``Fraction``s.  Each row is scaled by the lcm of
+    its denominators, which does not change the rank, and the integer rows
+    are eliminated by :func:`_echelon` as the columns of the transpose.
     """
-    rows = list(M.entries if isinstance(M, RationalMatrix) else M)
-    if not rows or not rows[0]:
-        return 0
-    if len(rows) == 1 or len(rows[0]) == 1:
-        return 1 if any(x for row in rows for x in row) else 0
-    work: list[list[int]] = []
+    rows = M.entries if isinstance(M, RationalMatrix) else M
+    vectors = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            work.append(list(row))
-        else:
-            fracs = [Fraction(x) for x in row]
-            scale = lcm(*(f.denominator for f in fracs))
-            work.append([f.numerator * (scale // f.denominator) for f in fracs])
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                work[r][c] = (work[r][c] * work[rank][col] - work[r][col] * work[rank][c]) // prev
-            work[r][col] = 0
-        prev = work[rank][col]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        scale = lcm(*(x.denominator for x in row))
+        vectors.append({c: x.numerator * (scale // x.denominator) for c, x in enumerate(row) if x})
+    return len(_echelon(vectors))
 
 
 @dataclass(frozen=True)
@@ -479,16 +489,15 @@ def cohomology_table(
     if w_min is None:
         w_min = -sum(chart.weights)
 
-    table = _DerivativeTable(P)
+    # Every piece touched below has weight at most w_max + n|m|.
+    table = _DerivativeTable(P, w_max + n * abs(m))
     bases: dict[tuple[int, int], GradedBasis] = {}
     ranks: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def basis(k: int, w: int) -> GradedBasis:
-        if not 0 <= k <= n:
-            return GradedBasis(chart, max(k, 0), w, ())
         key = (k, w)
         if key not in bases:
-            bases[key] = graded_basis(chart, k, w, cap)
+            bases[key] = graded_basis(chart, k, w, cap, table.radix)
         return bases[key]
 
     def rank_of(k: int, w: int) -> tuple[int, int, int]:
@@ -500,7 +509,7 @@ def cohomology_table(
             source = basis(k, w)
             target = basis(k + 1, w + m)
             columns = _dpi_columns(table, source, target)
-            ranks[key] = (len(target), len(source), _block_rank(columns, len(target)))
+            ranks[key] = (len(target), len(source), len(_echelon(columns)))
         return ranks[key]
 
     def dim_h(k: int, w: int) -> int:

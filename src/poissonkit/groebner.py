@@ -101,16 +101,31 @@ class GroebnerBasis:
 
 
 class _StepCounter:
-    __slots__ = ("remaining",)
+    """Reduction steps left of a budget, and how far the current phase got.
+
+    ``phase`` names the Buchberger phase that spends the steps, and ``done``
+    counts the ``units`` it has finished: S-pairs reduced, then generators
+    inter-reduced.
+    """
+
+    __slots__ = ("budget", "remaining", "phase", "units", "done")
 
     def __init__(self, budget: int):
+        self.budget = budget
         self.remaining = budget
+        self.enter("S-pair reduction", "S-pairs reduced")
+
+    def enter(self, phase: str, units: str):
+        self.phase = phase
+        self.units = units
+        self.done = 0
 
     def spend(self):
         self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError(
-                "Groebner step budget exceeded; raise it with a larger budget"
+                f"Groebner step budget exceeded in {self.phase}: all {self.budget} steps spent, "
+                f"{self.done} {self.units}; raise it with a larger budget"
             )
 
 
@@ -267,6 +282,7 @@ def buchberger(
         _, remainder = division(Poly._of(chart, s), [basis[k] for k in live], order, counter, [leads[k] for k in live])
         if not remainder.is_zero:
             add(remainder)
+        counter.done += 1
 
     # Minimalize: drop generators whose leading term another one divides.
     minimal: list[int] = []
@@ -274,6 +290,7 @@ def buchberger(
         if not any(_divides(leads[k], leads[i]) for k in minimal):
             minimal.append(i)
     # Reduce every generator modulo the others; the leading terms stay put.
+    counter.enter("inter-reduction", "generators reduced")
     reduced = [basis[i] for i in minimal]
     minimal_leads = [leads[i] for i in minimal]
     for idx, g in enumerate(reduced):
@@ -282,6 +299,7 @@ def buchberger(
             continue
         _, remainder = division(g, others, order, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
         reduced[idx] = Poly._of(chart, _primitive_terms(remainder.terms))
+        counter.done += 1
     monic = (g * _div(1, g.terms[lead]) for g, lead in zip(reduced, minimal_leads))
     return GroebnerBasis(chart, order, tuple(monic))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -456,6 +457,8 @@ class _PolyParser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        # The interpreter's limit on the digits of an int converted to str; 0 if none.
+        self.digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
     def peek(self):
         return self.tokens[self.i]
@@ -476,6 +479,19 @@ class _PolyParser:
         except ValueError:
             raise ParseError(f"integer literal of {len(value)} digits is too long", column=pos + 1) from None
 
+    def too_long(self, pos: int):
+        raise ParseError(f"a coefficient has more than {self.digits} digits", column=pos + 1)
+
+    def printable(self, p: Poly, pos: int) -> Poly:
+        """p, unless a coefficient has more digits than the interpreter converts to str."""
+        if self.digits:
+            for c in p.terms.values():
+                for x in (abs(c.numerator), c.denominator):
+                    # 8^digits < 10^digits, so most values are ruled out by their length.
+                    if x.bit_length() > 3 * self.digits and x >= 10**self.digits:
+                        self.too_long(pos)
+        return p
+
     def check_terms(self, bound: int, what: str):
         if bound > MAX_TERMS:
             raise BudgetExceededError(f"expression parser: {what} may have {bound} terms, more than {MAX_TERMS}")
@@ -494,6 +510,7 @@ class _PolyParser:
         return p
 
     def expr(self) -> Poly:
+        start = self.peek()[2]
         result = self.signed_term()
         while True:
             kind, value, _ = self.peek()
@@ -502,7 +519,7 @@ class _PolyParser:
                 rhs = self.signed_term()
                 result = result + rhs if value == "+" else result - rhs
             else:
-                return result
+                return self.printable(result, start)
 
     def signed_term(self) -> Poly:
         kind, value, _ = self.peek()
@@ -512,6 +529,7 @@ class _PolyParser:
         return self.term()
 
     def term(self) -> Poly:
+        start = self.peek()[2]
         result = self.factor()
         while True:
             kind, value, _ = self.peek()
@@ -521,9 +539,10 @@ class _PolyParser:
                 self.check_terms(len(result.terms) * len(rhs.terms), "a product")
                 result = result * rhs
             else:
-                return result
+                return self.printable(result, start)
 
     def factor(self) -> Poly:
+        start = self.peek()[2]
         base = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -536,6 +555,13 @@ class _PolyParser:
             if t > 1:
                 d = base.total_degree()
                 self.check_terms(min(math.comb(t - 1 + k, t - 1), math.comb(n + k * d, n)), f"a power ^{k}")
+            if base.terms and self.digits:
+                # The lex-largest term of base^k has the coefficient c^k, and
+                # |c^k| >= 2^(k * bits) > 10^digits once 3 * k * bits > 10 * digits.
+                c = base.terms[max(base.terms)]
+                bits = max(abs(c.numerator), c.denominator).bit_length() - 1
+                if 3 * k * bits > 10 * self.digits:
+                    self.too_long(start)
             return base**k
         return base
 

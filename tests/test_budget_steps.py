@@ -63,3 +63,17 @@ def test_report_budget_steps(capsys, tmp_path, n):
     path = tmp_path / "surface.poisson"
     path.write_text(f"chart: w z\npoisson:\n{{w,z}} = {RUNAWAYS[n][0]}\n")
     assert succeeds_exactly_at(capsys, ["report", str(path)], RUNAWAY_BUDGETS[n])
+
+
+@pytest.mark.parametrize(
+    "budget,message",
+    [
+        (10, "in S-pair reduction: all 10 steps spent, 3 S-pairs reduced"),
+        (37, "in inter-reduction: all 37 steps spent, 3 generators reduced"),
+    ],
+)
+def test_budget_error_names_phase_and_steps(capsys, budget, message):
+    text, point, _ = CURVES[0]
+    assert main(["tjurina", text, f"--point={point}", "--budget", str(budget)]) == 4
+    err = capsys.readouterr().err
+    assert f"budget exceeded: Groebner step budget exceeded {message}; raise it with a larger budget" in err

@@ -314,6 +314,34 @@ class TestExitCodeContract:
             assert "integer literal of 5000 digits" in err
             assert f"column {literal.index(nines) + 1}" in err
 
+    def test_coefficient_past_the_digit_limit_is_2(self, capsys, tmp_path):
+        # 9^9999 has 9543 digits; the parser rejects it before anything prints it.
+        # Powers, a product and a sum (10^4300 has 4301 digits), each with
+        # the column where the too-long subexpression starts.  9^99999999
+        # would take seconds to compute; it is refused before that.
+        cases = (
+            ("w + 9^9999", 5),
+            ("w + 9^99999999", 5),
+            ("z + (10^4000*w + 1)^2", 5),
+            ("w + 9^3000*9^3000*z", 5),
+            ("w + (9*10^4299 + 10^4299)", 6),
+        )
+        for literal, column in cases:
+            started = time.perf_counter()
+            assert main(["tjurina", literal, "--json"]) == 2
+            assert time.perf_counter() - started < 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert f"a coefficient has more than 4300 digits (column {column})" in captured.err
+        path = tmp_path / "huge.poisson"
+        path.write_text("chart: w z\npoisson:\n{w,z} = w + 9^9999\n")
+        for command in ("check", "report", "cohomology"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "more than 4300 digits" in err and "line 3, column 13" in err
+        # Just under the limit still parses: 10^4299 has 4300 digits.
+        assert run_json(capsys, "tjurina", "w + 10^4299")["result"]["tjurina"] == 0
+
     def test_deep_nesting_is_2(self, capsys, tmp_path):
         nested = "(" * 3000 + "w" + ")" * 3000
         deep = tmp_path / "deep.poisson"

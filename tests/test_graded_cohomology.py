@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -23,7 +24,7 @@ from poissonkit import (
     parse_structure_file,
     rank_exact,
 )
-from poissonkit.graded_cohomology import _block_rank, _DerivativeTable
+from poissonkit.graded_cohomology import _DerivativeTable, _dpi_columns, _echelon, _pack
 from conftest import CHART2, CHART3, CHART4, FIXTURES, random_diagonal_structure, random_poly
 from oracles import bruteforce_dimension_table, gaussian_rank
 
@@ -308,29 +309,34 @@ def fixture_structure(name):
 
 
 class TestDirectAssembly:
-    """The monomial-key image against lichnerowicz on built polyvectors."""
+    """The columns assembled from monomial codes against lichnerowicz on built polyvectors."""
 
     def assert_images_match(self, P, weights):
-        # The table holds scale * pi, so its images are scale * d_pi, in ints.
-        table = _DerivativeTable(P)
-        for k in range(P.chart.n + 1):
+        # The table holds scale * pi, so its columns are scale * d_pi, in ints.
+        m = homogeneity_weight(P)
+        n = P.chart.n
+        table = _DerivativeTable(P, max(weights) + n * abs(m))
+        for k in range(n + 1):
             for w in weights:
-                basis = graded_basis(P.chart, k, w)
-                for key, element in zip(basis.keys, basis.elements):
+                source = graded_basis(P.chart, k, w, radix=table.radix)
+                target = graded_basis(P.chart, k + 1, w + m, radix=table.radix)
+                row_of = {key: row for row, key in enumerate(target.keys)}
+                columns = _dpi_columns(table, source, target)
+                assert len(columns) == len(source)
+                for key, element, column in zip(source.keys, source.elements, columns):
                     image = lichnerowicz(P, element)
                     expected = {
-                        (index, exponent): value * table.scale
+                        row_of[(index, exponent)]: value * table.scale
                         for index, coeff in image.terms.items()
                         for exponent, value in coeff.terms.items()
                     }
-                    got = table.image(*key)
-                    assert got == expected, (key, str(image))
-                    assert all(type(value) is int for value in got.values()), key
+                    assert column == expected, (key, str(image))
+                    assert all(type(value) is int for value in column.values()), key
         return table
 
     def test_homogeneous_fixtures(self):
         structures = homogeneous_fixture_structures()
-        assert len(structures) == 8
+        assert len(structures) == 9
         for _, P in structures:
             w_min = -sum(P.chart.weights)
             self.assert_images_match(P, range(w_min, w_min + 6))
@@ -373,7 +379,27 @@ class TestDirectAssembly:
         self.assert_columns_are_the_images(rational_diagonal_structure(rng), 1, -1)
 
 
+def integer_columns(dense, nrows, ncols):
+    """Sparse int columns of a dense rational matrix, each scaled by the lcm of its denominators."""
+    columns = []
+    for c in range(ncols):
+        cells = [Fraction(dense[r][c]) for r in range(nrows)]
+        scale = lcm(*(x.denominator for x in cells))
+        columns.append({r: int(x * scale) for r, x in enumerate(cells) if x})
+    return columns
+
+
+def hadamard_bound(columns):
+    """Product over the columns of their Euclidean norms, rounded up; bounds every minor."""
+    bound = 1
+    for column in columns:
+        bound *= isqrt(sum(v * v for v in column.values())) + 1
+    return bound
+
+
 class TestBlockRank:
+    """Block-sparse matrices ranked by one sparse elimination over their columns."""
+
     def random_block_sparse(self, rng):
         """A block-diagonal rational matrix with zero lines, rows and columns permuted."""
         blocks = []
@@ -402,21 +428,17 @@ class TestBlockRank:
         rng.shuffle(col_order)
         return [[dense[r][c] for c in col_order] for r in row_order], nrows, ncols
 
-    @staticmethod
-    def columns_of(dense, nrows, ncols):
-        return [{r: dense[r][c] for r in range(nrows) if dense[r][c]} for c in range(ncols)]
-
     def test_agrees_with_gaussian_oracle(self, rng):
         for _ in range(60):
             dense, nrows, ncols = self.random_block_sparse(rng)
-            columns = self.columns_of(dense, nrows, ncols)
-            assert _block_rank(columns, nrows) == gaussian_rank(dense)
+            expected = gaussian_rank(dense)
+            assert len(_echelon(integer_columns(dense, nrows, ncols))) == expected
+            assert rank_exact(dense) == expected
 
     def test_empty_shapes(self):
-        assert _block_rank([], 0) == 0
-        assert _block_rank([], 3) == 0
-        assert _block_rank([{}, {}], 0) == 0
-        assert _block_rank([{}, {}], 2) == 0
+        assert _echelon([]) == {}
+        assert _echelon([{}, {}]) == {}
+        assert rank_exact([]) == rank_exact([[], []]) == 0
 
     def test_blocks_sum(self):
         # Two 2x2 blocks, one singular, interleaved by the row/column order.
@@ -426,7 +448,110 @@ class TestBlockRank:
             [Fraction(2), 0, Fraction(4), 0],
             [0, Fraction(3, 2), 0, Fraction(1)],
         ]
-        assert _block_rank(self.columns_of(dense, 4, 4), 4) == 2 == gaussian_rank(dense)
+        assert len(_echelon(integer_columns(dense, 4, 4))) == 2 == gaussian_rank(dense)
+
+
+class TestSparseElimination:
+    """``_echelon`` and ``rank_exact`` on dense, large-entry and rank-deficient matrices."""
+
+    def test_echelon_stays_within_the_hadamard_bound(self, rng):
+        # Each reduced column is primitive, hence a divisor of a minor of the
+        # input.  Without the primitive step the entries double in length
+        # with every elimination step and pass the bound at once.
+        for _ in range(5):
+            size = rng.randint(8, 12)
+            dense = [[rng.randint(-10**12, 10**12) for _ in range(size)] for _ in range(size)]
+            columns = integer_columns(dense, size, size)
+            bound = hadamard_bound(columns)
+            pivots = _echelon(integer_columns(dense, size, size))
+            assert len(pivots) == size
+            for r, (a, rest) in pivots.items():
+                assert a and all(row > r and v for row, v in rest.items())
+                assert max(abs(v) for v in (a, *rest.values())) <= bound
+
+    def test_dense_large_entries_agree_with_gaussian_oracle(self, rng):
+        for size in (1, 2, 5, 13, 40):
+            dense = [[rng.randint(-10**12, 10**12) for _ in range(size)] for _ in range(size)]
+            if size > 2:
+                dense[-1] = [a - 3 * b for a, b in zip(dense[0], dense[1])]  # one dependent row
+            expected = gaussian_rank(dense)
+            assert expected == (size - 1 if size > 2 else size)
+            assert len(_echelon(integer_columns(dense, size, size))) == expected
+            assert rank_exact(dense) == expected
+
+    def test_rank_deficient_products(self, rng):
+        for _ in range(20):
+            nrows, ncols, inner = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 5)
+            left = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(nrows)]
+            right = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(inner)]
+            dense = [
+                [sum(left[i][t] * right[t][j] for t in range(inner)) for j in range(ncols)]
+                for i in range(nrows)
+            ]
+            expected = gaussian_rank(dense)
+            assert expected <= inner
+            assert len(_echelon(integer_columns(dense, nrows, ncols))) == expected
+            # The same rows as Fractions, each scaled by a different rational.
+            scaled = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(dense)]
+            assert rank_exact(scaled) == expected
+
+
+class TestMonomialCodes:
+    def test_weighted_chart_codes_are_distinct_at_the_smallest_radix(self):
+        # The radix is one past the largest exponent, so some digit is radix - 1.
+        chart = Chart(("w", "z"), (2, 3))
+        for k in range(3):
+            for w in range(-5, 12):
+                top = max((max(e) for _, e in graded_basis(chart, k, w).keys), default=0)
+                basis = graded_basis(chart, k, w, radix=top + 1)
+                assert len(set(basis.codes)) == len(basis.codes)
+                for code, (index, exponent) in zip(basis.codes, basis.keys):
+                    assert code == sum(1 << i for i in index) + (_pack(exponent, top + 1) << chart.n)
+
+    def test_cohomology_radix_leaves_room_for_every_image(self, monkeypatch):
+        # An image exponent is at most a basis exponent plus deg(pi), and the
+        # digit radix - 1 stays unused, so a borrow cannot alias a valid code.
+        import poissonkit.graded_cohomology as module
+
+        seen = []
+
+        def recording(*args):
+            basis = graded_basis(*args)
+            seen.append(basis)
+            return basis
+
+        monkeypatch.setattr(module, "graded_basis", recording)
+        for name in ("weighted_surface", "so3_linear", "symplectic4", "sklyanin4", "torus4"):
+            P = fixture_structure(name)
+            degree = max(sum(e) for coeff in P.pi.terms.values() for e in coeff.terms)
+            seen.clear()
+            cohomology_table(P, P.chart.n, 3)
+            assert seen
+            for basis in seen:
+                top = max((x for _, e in basis.keys for x in e), default=0)
+                assert top + degree < basis.radix - 1, (name, basis.k, basis.w)
+
+    @pytest.mark.parametrize("name", ["hesse_cubic", "sklyanin4", "weighted_surface"])
+    def test_wrong_shift_breaks_homogeneity(self, name):
+        P = fixture_structure(name)
+        m = homogeneity_weight(P)
+        n = P.chart.n
+        for var in range(n):
+            for step in (-1, 1):
+                table = _DerivativeTable(P, 4 + n * abs(m))
+                unit = step * (table.radix**var << n)
+                table.by_x = [[(pair, packed + unit, c) for pair, packed, c in terms] for terms in table.by_x]
+                raised = 0
+                for k in range(n):
+                    for w in range(4):
+                        source = graded_basis(P.chart, k, w, radix=table.radix)
+                        target = graded_basis(P.chart, k + 1, w + m, radix=table.radix)
+                        try:
+                            _dpi_columns(table, source, target)
+                        except AssertionError as exc:
+                            assert "homogeneity is broken" in str(exc)
+                            raised += 1
+                assert raised, (name, var, step)
 
 
 class TestOracleOnLargerCharts:
@@ -460,6 +585,15 @@ class TestClosedForms:
         for w in range(table.w_min, 8):
             expected = 1 if w >= 0 and w % 2 == 0 else 0
             assert table.dim_h(0, w) == expected, w
+
+    def test_sklyanin4_casimir_algebra(self):
+        # H^0 is C[f1, f2] with f1, f2 quadrics: dim H^0_w = w/2 + 1 for
+        # even w >= 0, and 0 otherwise.
+        table = cohomology_table(fixture_structure("sklyanin4"), 4, 7)
+        for w in range(table.w_min, 8):
+            expected = w // 2 + 1 if w >= 0 and w % 2 == 0 else 0
+            assert table.dim_h(0, w) == expected, w
+        assert table.euler_consistent()
 
     def test_torus4_euler_consistent(self):
         assert cohomology_table(fixture_structure("torus4"), 4, 7).euler_consistent()
