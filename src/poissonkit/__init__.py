@@ -10,12 +10,10 @@ from .polyalg import (
     MINUS_INFINITY,
     Chart,
     Poly,
-    diff,
     format_poly,
     gcd_multi,
     is_squarefree,
     parse_poly,
-    poly_arith,
 )
 from .multivec import (
     OneForm,
@@ -47,12 +45,8 @@ from .poisson import (
     poisson_bracket,
 )
 from .groebner import (
-    GREVLEX,
     INFINITE,
-    LEX,
-    WEIGHTED_GREVLEX,
     GroebnerBasis,
-    MonomialOrder,
     buchberger,
     ideal_dimension,
     jacobian_ideal_basis,

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .graded_cohomology import cohomology_table
-from .groebner import DEFAULT_BUDGET, GREVLEX, INFINITE, jacobian_ideal_basis, quotient_dimension
+from .groebner import DEFAULT_BUDGET, INFINITE, jacobian_ideal_basis, quotient_dimension
 from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
 from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
 from .polyalg import Chart, Poly, _tokenize, parse_poly
@@ -262,7 +262,7 @@ def cmd_tjurina(args) -> dict:
                 f"--point needs {chart.n} coordinates in chart order {chart.names}"
             )
         f = f.shift(point)
-    basis = jacobian_ideal_basis(f, include_f=True, order=GREVLEX, budget=args.budget)
+    basis = jacobian_ideal_basis(f, include_f=True, budget=args.budget)
     tau = quotient_dimension(basis)
     result = {
         "poly": str(f),

@@ -23,7 +23,6 @@ from functools import cached_property
 from .errors import DegenerateEverywhereError, NonReducedCurveError, PreconditionError
 from .groebner import (
     DEFAULT_BUDGET,
-    GREVLEX,
     GroebnerBasis,
     INFINITE,
     buchberger,
@@ -143,8 +142,8 @@ class StructureAnalysis:
 
     @cached_property
     def jacobian_basis(self) -> GroebnerBasis:
-        """GREVLEX Groebner basis of (f, df/dx_1, ..., df/dx_n)."""
-        return jacobian_ideal_basis(self.pfaffian, include_f=True, order=GREVLEX, budget=self.budget)
+        """Groebner basis of (f, df/dx_1, ..., df/dx_n)."""
+        return jacobian_ideal_basis(self.pfaffian, include_f=True, budget=self.budget)
 
     @cached_property
     def tjurina_total(self):
@@ -153,8 +152,8 @@ class StructureAnalysis:
 
     @cached_property
     def partials_basis(self) -> GroebnerBasis:
-        """GREVLEX Groebner basis of the partials of f alone (quasi-homogeneity test)."""
-        return jacobian_ideal_basis(self.pfaffian, include_f=False, order=GREVLEX, budget=self.budget)
+        """Groebner basis of the partials of f alone (quasi-homogeneity test)."""
+        return jacobian_ideal_basis(self.pfaffian, include_f=False, budget=self.budget)
 
     @cached_property
     def modular_field(self) -> Polyvector:
@@ -164,7 +163,7 @@ class StructureAnalysis:
     def zero_leaf_locus(self) -> tuple[GroebnerBasis, int]:
         """The locus of ``zero_leaf_locus``: its Groebner basis and dimension."""
         gens = [*self.P.pi.terms.values(), *self.modular_field.terms.values()]
-        basis = buchberger(gens or [Poly.zero(self.P.chart)], GREVLEX, self.budget)
+        basis = buchberger(gens or [Poly.zero(self.P.chart)], self.budget)
         return basis, ideal_dimension(basis)
 
     @cached_property

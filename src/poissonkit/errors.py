@@ -16,6 +16,7 @@ class ParseError(ValueError):
     """Syntax error in a polynomial expression or structure file."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""

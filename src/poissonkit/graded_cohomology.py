@@ -512,20 +512,17 @@ def cohomology_table(
             ranks[key] = (len(target), len(source), len(_echelon(columns)))
         return ranks[key]
 
-    def dim_h(k: int, w: int) -> int:
-        dim_chain = len(basis(k, w))
-        rank_out = rank_of(k, w)[2]
-        rank_in = rank_of(k - 1, w - m)[2] if k > 0 else 0
-        return dim_chain - rank_out - rank_in
+    pieces: dict[tuple[int, int], TableEntry] = {}
 
-    entries: dict[tuple[int, int], TableEntry] = {}
-    for k in range(k_max + 1):
-        for w in range(w_min, w_max + 1):
+    def piece(k: int, w: int) -> TableEntry:
+        """Dimensions of (k, w), for the table and the Euler sums alike."""
+        key = (k, w)
+        if key not in pieces:
             dim_chain = len(basis(k, w))
             cert = rank_of(k, w)
             rank_in = rank_of(k - 1, w - m)[2] if k > 0 else 0
             kernel = dim_chain - cert[2]
-            entries[(k, w)] = TableEntry(
+            pieces[key] = TableEntry(
                 k=k,
                 w=w,
                 dim_chain=dim_chain,
@@ -534,16 +531,18 @@ def cohomology_table(
                 dim_h=kernel - rank_in,
                 rank_certificate=cert,
             )
+        return pieces[key]
 
+    entries = {(k, w): piece(k, w) for k in range(k_max + 1) for w in range(w_min, w_max + 1)}
     checks = []
     for w0 in range(w_min, w_max + 1):
         chain_sum = 0
         cohomology_sum = 0
         for k in range(n + 1):
-            w = w0 + k * m
+            entry = piece(k, w0 + k * m)
             sign = -1 if k % 2 else 1
-            chain_sum += sign * len(basis(k, w))
-            cohomology_sum += sign * dim_h(k, w)
+            chain_sum += sign * entry.dim_chain
+            cohomology_sum += sign * entry.dim_h
         checks.append(EulerCheck(w0=w0, chain_sum=chain_sum, cohomology_sum=cohomology_sum))
 
     return CohomologyTable(

@@ -5,9 +5,11 @@ quotient ring (standard monomial counts), Krull dimension of the variety via
 the combinatorial independent-set criterion on the leading-term ideal, and
 Tjurina numbers of affine hypersurface singularities.
 
+grevlex is the only monomial order: every invariant read from a basis here
+(a quotient dimension, a Krull dimension) does not depend on the order.
 Critical pairs wait in a heap under the normal selection strategy (smallest
-lcm of leading terms under the active order, ties by generator index), so
-output is deterministic for a fixed input sequence.  The Gebauer--Moeller
+grevlex lcm of leading terms, ties by generator index), so output is
+deterministic for a fixed input sequence.  The Gebauer--Moeller
 criteria discard pairs whose S-polynomials are known to reduce to zero
 before any is formed.  A step budget (one step per reduction) guards against
 blowup: exceeding it raises :class:`BudgetExceededError`; nothing is ever
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError, PreconditionError
-from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul
+from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul, grevlex_key
 
 DEFAULT_BUDGET = 10**6
 
@@ -47,54 +49,18 @@ INFINITE = _Infinite()
 
 
 @dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order: grevlex (default), lex, or weighted-grevlex.
-
-    All three are total orders compatible with multiplication, with 1
-    minimal.  Weighted-grevlex compares weighted degrees first, using the
-    chart's weights, then falls back to the grevlex tiebreak.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "weighted-grevlex"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    def key(self, chart: Chart):
-        """Sort key on exponent tuples, ascending (1 is minimal)."""
-        if self.kind == "lex":
-            return lambda e: e
-        if self.kind == "grevlex":
-            return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-        weights = chart.weights
-        return lambda e: (
-            sum(w * x for w, x in zip(weights, e)),
-            sum(e),
-            tuple(-x for x in reversed(e)),
-        )
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-WEIGHTED_GREVLEX = MonomialOrder("weighted-grevlex")
-
-
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis under a fixed monomial order.
+    """A reduced, monic Groebner basis under grevlex, the engine's only order.
 
     ``gens`` is sorted by leading term (ascending), which makes the reduced
     basis a canonical representative of its ideal.
     """
 
     chart: Chart
-    order: MonomialOrder
     gens: tuple[Poly, ...]
 
     def leading_exponents(self) -> list[Exponent]:
-        key = self.order.key(self.chart)
-        return [g.leading(key)[0] for g in self.gens]
+        return [g.leading()[0] for g in self.gens]
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
@@ -148,7 +114,6 @@ def _is_coprime(a: Exponent, b: Exponent, lcm: Exponent) -> bool:
 def division(
     p: Poly,
     divisors: list[Poly],
-    order: MonomialOrder,
     counter: _StepCounter | None = None,
     leads: list[Exponent] | None = None,
 ):
@@ -156,7 +121,7 @@ def division(
 
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
-    ``leads`` are the divisors' leading exponents under ``order``, for a
+    ``leads`` are the divisors' grevlex leading exponents, for a
     caller that already holds them.  One term map is reduced in place; its
     leading exponent falls at every step, so each quotient term is set once.
 
@@ -170,9 +135,8 @@ def division(
     over Q produces.
     """
     chart = p.chart
-    key = order.key(chart)
     if leads is None:
-        leads = [d.leading(key)[0] for d in divisors]
+        leads = [d.leading()[0] for d in divisors]
     lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
     integral = [_primitive_terms(d.terms) for d in divisors]
     int_leads = [t[e] for t, e in zip(integral, leads)]
@@ -181,7 +145,7 @@ def division(
     m = math.lcm(*(c.denominator for c in p.terms.values()))
     work = {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
     while work:
-        exp = max(work, key=key)
+        exp = max(work, key=grevlex_key)
         for i, lead_exp in enumerate(leads):
             if _divides(lead_exp, exp):
                 if counter is not None:
@@ -202,12 +166,10 @@ def division(
     return [Poly._of(chart, q) for q in quotients], Poly._of(chart, remainder)
 
 
-def buchberger(
-    gens: list[Poly], order: MonomialOrder = GREVLEX, budget: int = DEFAULT_BUDGET
-) -> GroebnerBasis:
+def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Critical pairs wait in a heap keyed ``(key(lcm), (i, j))``: normal
+    Critical pairs wait in a heap keyed ``(grevlex_key(lcm), (i, j))``: normal
     selection with index tiebreak, so the run is deterministic for a fixed
     input sequence.  Each new element goes through the Gebauer--Moeller
     update (*On an installation of Buchberger's algorithm*, J. Symb. Comp.
@@ -228,21 +190,20 @@ def buchberger(
         chart = gens[0].chart if gens else None
         if chart is None:
             raise ValueError("buchberger needs at least one polynomial to fix the chart")
-        return GroebnerBasis(chart, order, ())
+        return GroebnerBasis(chart, ())
     chart = nonzero[0].chart
     for g in nonzero:
         if g.chart != chart:
             raise ChartMismatchError("generators live on different charts")
-    key = order.key(chart)
     counter = _StepCounter(budget)
 
     basis: list[Poly] = []  # primitive over Z
     leads: list[Exponent] = []
     live: list[int] = []  # elements that still form pairs, ascending
-    pairs: list = []  # heap of (key(lcm), (i, j), lcm)
+    pairs: list = []  # heap of (grevlex_key(lcm), (i, j), lcm)
 
     def add(g: Poly):
-        lead = max(g.terms, key=key)
+        lead = max(g.terms, key=grevlex_key)
         h = len(basis)
         basis.append(Poly._of(chart, _primitive_terms(g.terms)))
         leads.append(lead)
@@ -266,7 +227,7 @@ def buchberger(
                 continue  # M
             if any(_is_coprime(leads[i], lead, lcm) for i in members):
                 continue  # B
-            heapq.heappush(pairs, (key(lcm), (members[0], h), lcm))
+            heapq.heappush(pairs, (grevlex_key(lcm), (members[0], h), lcm))
         live[:] = [i for i in live if not _divides(lead, leads[i])]
         live.append(h)
 
@@ -279,14 +240,14 @@ def buchberger(
         s: dict = {}
         _sub_mul(s, -(a_j // common), _monomial_quotient(lcm, leads[i]), basis[i].terms)
         _sub_mul(s, a_i // common, _monomial_quotient(lcm, leads[j]), basis[j].terms)
-        _, remainder = division(Poly._of(chart, s), [basis[k] for k in live], order, counter, [leads[k] for k in live])
+        _, remainder = division(Poly._of(chart, s), [basis[k] for k in live], counter, [leads[k] for k in live])
         if not remainder.is_zero:
             add(remainder)
         counter.done += 1
 
     # Minimalize: drop generators whose leading term another one divides.
     minimal: list[int] = []
-    for i in sorted(live, key=lambda i: key(leads[i])):
+    for i in sorted(live, key=lambda i: grevlex_key(leads[i])):
         if not any(_divides(leads[k], leads[i]) for k in minimal):
             minimal.append(i)
     # Reduce every generator modulo the others; the leading terms stay put.
@@ -297,11 +258,11 @@ def buchberger(
         others = reduced[:idx] + reduced[idx + 1 :]
         if not others:
             continue
-        _, remainder = division(g, others, order, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
+        _, remainder = division(g, others, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
         reduced[idx] = Poly._of(chart, _primitive_terms(remainder.terms))
         counter.done += 1
     monic = (g * _div(1, g.terms[lead]) for g, lead in zip(reduced, minimal_leads))
-    return GroebnerBasis(chart, order, tuple(monic))
+    return GroebnerBasis(chart, tuple(monic))
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
@@ -310,7 +271,7 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
         raise ChartMismatchError("polynomial lives on a different chart")
     if not G.gens:
         return p
-    _, remainder = division(p, list(G.gens), G.order)
+    _, remainder = division(p, list(G.gens))
     return remainder
 
 
@@ -368,21 +329,16 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return 0
 
 
-def jacobian_ideal_basis(
-    f: Poly,
-    include_f: bool = True,
-    order: MonomialOrder = GREVLEX,
-    budget: int = DEFAULT_BUDGET,
-) -> GroebnerBasis:
+def jacobian_ideal_basis(f: Poly, include_f: bool = True, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """Groebner basis of (f, df/dx_1, ..., df/dx_n), or of the partials only."""
     gens = [f] if include_f else []
     gens.extend(f.diff(i) for i in range(f.chart.n))
     if all(g.is_zero for g in gens):
-        return GroebnerBasis(f.chart, order, ())
-    return buchberger(gens, order, budget)
+        return GroebnerBasis(f.chart, ())
+    return buchberger(gens, budget)
 
 
-def tjurina_global(f: Poly, order: MonomialOrder = GREVLEX, budget: int = DEFAULT_BUDGET):
+def tjurina_global(f: Poly, budget: int = DEFAULT_BUDGET):
     """Vector-space dimension of O/(f, df/dx_1, ..., df/dx_n), or INFINITE.
 
     Equals the sum of the local Tjurina numbers when all singular points of
@@ -391,10 +347,10 @@ def tjurina_global(f: Poly, order: MonomialOrder = GREVLEX, budget: int = DEFAUL
     """
     if f.is_zero or f.is_constant:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
-    return quotient_dimension(jacobian_ideal_basis(f, order=order, budget=budget))
+    return quotient_dimension(jacobian_ideal_basis(f, budget=budget))
 
 
-def tjurina_at_point(f: Poly, point, order: MonomialOrder = GREVLEX, budget: int = DEFAULT_BUDGET):
+def tjurina_at_point(f: Poly, point, budget: int = DEFAULT_BUDGET):
     """Tjurina number after translating ``point`` to the origin.
 
     This is translation plus the global computation on the translated
@@ -402,4 +358,4 @@ def tjurina_at_point(f: Poly, point, order: MonomialOrder = GREVLEX, budget: int
     translated curve; it is the local number only when the singularity at
     ``point`` is the sole one, and non-isolated singularities give INFINITE.
     """
-    return tjurina_global(f.shift(point), order=order, budget=budget)
+    return tjurina_global(f.shift(point), budget=budget)

@@ -137,8 +137,9 @@ def _sub_mul(work: dict, c, shift: Exponent, terms: dict) -> None:
             del work[e]
 
 
-# Monomial order used internally for leading terms and printing: grevlex.
-# Key sorts ascending (1 minimal); the tiebreak negates reversed exponents.
+# The one monomial order: grevlex, for leading terms, printing and every
+# Groebner computation.  Key sorts ascending (1 minimal); the tiebreak negates
+# reversed exponents.
 def grevlex_key(exponent: Exponent):
     return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
@@ -222,11 +223,11 @@ class Poly:
             return MINUS_INFINITY
         return max(sum(e) for e in self.terms)
 
-    def leading(self, key=grevlex_key) -> tuple[Exponent, Coeff]:
-        """Leading (exponent, coefficient) under the given monomial key."""
+    def leading(self) -> tuple[Exponent, Coeff]:
+        """Leading (exponent, coefficient) under grevlex."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        exponent = max(self.terms, key=key)
+        exponent = max(self.terms, key=grevlex_key)
         return exponent, self.terms[exponent]
 
     # -- arithmetic --------------------------------------------------------
@@ -346,25 +347,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
-
-
-def poly_arith(op: str, a: Poly, b) -> Poly:
-    """Dispatch form of the arithmetic operators (add|sub|mul|pow|neg)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a**b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown arithmetic operation {op!r}")
-
-
-def diff(p: Poly, var: int | str) -> Poly:
-    return p.diff(var)
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +606,6 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
         q_coeff = quotient[q_exp] = _div(work[lead_r], coeff_d)
         _sub_mul(work, q_coeff, q_exp, d.terms)
     return Poly._of(p.chart, quotient)
-
-
-def divides(d: Poly, p: Poly) -> bool:
-    if p.is_zero:
-        return not d.is_zero
-    try:
-        exact_divide(p, d)
-        return True
-    except ValueError:
-        return False
 
 
 def _max_var(p: Poly) -> int | None:

@@ -89,6 +89,7 @@ def parse_structure_file(text: str) -> StructureSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
         if line.startswith("chart:"):
             if names is not None:
                 raise ParseError("duplicate chart: line", line=lineno)
@@ -140,7 +141,7 @@ def parse_structure_file(text: str) -> StructureSpec:
             if (i, j) in seen_pairs:
                 raise ParseError(f"duplicate bracket pair {{{v1},{v2}}}", line=lineno)
             seen_pairs.add((i, j))
-            raw_brackets.append((i, j, _parse_expr(expr, ch, lineno, raw)))
+            raw_brackets.append((i, j, _parse_expr(expr, ch, lineno, indent + m.start(3))))
             continue
         m = _JACOBIAN_RE.match(line)
         if m:
@@ -148,7 +149,7 @@ def parse_structure_file(text: str) -> StructureSpec:
                 raise ParseError("a builder directive must be the only poisson entry", line=lineno)
             if ch.n != 3:
                 raise ParseError("jacobian3 needs a 3-variable chart", line=lineno)
-            builder = ("jacobian3", _parse_expr(m.group(1), ch, lineno, raw))
+            builder = ("jacobian3", _parse_expr(m.group(1), ch, lineno, indent + m.start(1)))
             continue
         m = _DIAGONAL_RE.match(line)
         if m:
@@ -176,13 +177,13 @@ def parse_structure_file(text: str) -> StructureSpec:
     return StructureSpec(current_chart(0), tuple(raw_brackets), builder)
 
 
-def _parse_expr(expr: str, chart: Chart, lineno: int, raw_line: str) -> Poly:
+def _parse_expr(expr: str, chart: Chart, lineno: int, offset: int) -> Poly:
+    """Parse ``expr``, which starts ``offset`` characters into its file line."""
     try:
         return parse_poly(expr, chart)
     except ParseError as exc:
-        offset = raw_line.find(expr)
-        column = (exc.column or 1) + (offset if offset >= 0 else 0)
-        raise ParseError(f"in polynomial expression: {exc.args[0]}", line=lineno, column=column) from None
+        column = (exc.column or 1) + offset
+        raise ParseError(f"in polynomial expression: {exc.message}", line=lineno, column=column) from None
 
 
 def serialize_structure(P: PoissonStructure) -> str:

@@ -350,3 +350,39 @@ class TestExitCodeContract:
         assert "line 3, column" in capsys.readouterr().err
         assert main(["tjurina", nested + "*z"]) == 2
         assert "column" in capsys.readouterr().err
+
+    def test_expression_error_in_a_file_names_one_position(self, capsys, tmp_path):
+        # The inner parser's own "(column …)" must not survive next to the file
+        # position, and the column counts from where the expression starts, even
+        # when its text also occurs earlier on the line ("3 F" in "jacobian3 F").
+        cases = (
+            ("{w,z} = w + $", "unexpected character '$' (line 3, column 13)"),
+            ("jacobian3 F = x^2 + (y $ z)", "unexpected character '$' (line 3, column 24)"),
+            ("jacobian3 F = 3 F", "unexpected token 'F' (line 3, column 17)"),
+            ("  {w,z} = w + $  # w + $", "unexpected character '$' (line 3, column 15)"),
+        )
+        for entry, message in cases:
+            path = tmp_path / "bad.poisson"
+            chart = "w z" if entry.lstrip().startswith("{") else "x y z"
+            path.write_text(f"chart: {chart}\npoisson:\n{entry}\n")
+            assert main(["report", str(path)]) == 2
+            assert capsys.readouterr().err == f"parse error: in polynomial expression: {message}\n"
+
+
+class TestHumanOutput:
+    @pytest.mark.parametrize(
+        "argv,key_line",
+        [
+            (["modular", "so3_linear.poisson"], "modular field: "),
+            (["report", "surface_node.poisson"], "verdict: "),
+            (["cohomology", "torus4.poisson", "--wmax", "2"], "euler consistent: True"),
+            (["tjurina", "surface_cusp.poisson"], "tjurina: "),
+        ],
+        ids=["modular", "report", "cohomology", "tjurina"],
+    )
+    def test_text_rendering(self, capsys, argv, key_line):
+        command, fixture, *rest = argv
+        assert main([command, str(FIXTURES / fixture), *rest]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"poissonkit {command} (v")
+        assert any(line.startswith(key_line) for line in lines[1:]), lines

@@ -17,10 +17,9 @@ from poissonkit import (
     gcd_multi,
     is_squarefree,
     parse_poly,
-    poly_arith,
 )
-from poissonkit.groebner import GREVLEX, LEX, WEIGHTED_GREVLEX, _divides, _StepCounter, division
-from poissonkit.polyalg import MAX_NESTING, MAX_TERMS, _div, exact_divide
+from poissonkit.groebner import _divides, _StepCounter, division
+from poissonkit.polyalg import MAX_NESTING, MAX_TERMS, _div, exact_divide, grevlex_key
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import division_over_q, univariate_gcd_degree
 
@@ -141,37 +140,33 @@ class TestKernelCoefficients:
 class TestDivision:
     def test_certificate_on_random_divisors(self, rng):
         for chart in (CHART2, CHART3):
-            for order in (GREVLEX, LEX):
-                key = order.key(chart)
-                for _ in range(30):
-                    p = random_poly(rng, chart, max_degree=4, max_terms=5)
-                    divisors = [
-                        random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
-                        for _ in range(rng.randint(1, 3))
-                    ]
-                    quotients, r = division(p, divisors, order, _StepCounter(10**4))
-                    assert p == sum((q * d for q, d in zip(quotients, divisors)), r)
-                    assert all(c for t in (r, *quotients) for c in t.terms.values())
-                    leads = [d.leading(key)[0] for d in divisors]
-                    assert not any(_divides(lead, e) for e in r.terms for lead in leads)
+            for _ in range(30):
+                p = random_poly(rng, chart, max_degree=4, max_terms=5)
+                divisors = [
+                    random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                quotients, r = division(p, divisors, _StepCounter(10**4))
+                assert p == sum((q * d for q, d in zip(quotients, divisors)), r)
+                assert all(c for t in (r, *quotients) for c in t.terms.values())
+                leads = [d.leading()[0] for d in divisors]
+                assert not any(_divides(lead, e) for e in r.terms for lead in leads)
 
     def test_fraction_free_division_returns_the_rationals_of_division_over_q(self, rng):
         for chart in (CHART2, CHART3):
-            for order in (GREVLEX, LEX, WEIGHTED_GREVLEX):
-                key = order.key(chart)
-                for _ in range(30):
-                    # Products carry integral Fractions; the divisors mix ints and Fractions.
-                    p = random_poly(rng, chart, max_degree=3, max_terms=4) * random_poly(rng, chart, max_terms=3)
-                    divisors = [
-                        random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
-                        for _ in range(rng.randint(1, 3))
-                    ]
-                    quotients, r = division(p, divisors, order)
-                    expected_quotients, expected_r = division_over_q(p, divisors, key)
-                    assert [q.terms for q in quotients] == expected_quotients
-                    assert r.terms == expected_r
-                    for c in (*r.terms.values(), *(c for q in quotients for c in q.terms.values())):
-                        assert type(c) is int or c.denominator > 1
+            for _ in range(30):
+                # Products carry integral Fractions; the divisors mix ints and Fractions.
+                p = random_poly(rng, chart, max_degree=3, max_terms=4) * random_poly(rng, chart, max_terms=3)
+                divisors = [
+                    random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                quotients, r = division(p, divisors)
+                expected_quotients, expected_r = division_over_q(p, divisors, grevlex_key)
+                assert [q.terms for q in quotients] == expected_quotients
+                assert r.terms == expected_r
+                for c in (*r.terms.values(), *(c for q in quotients for c in q.terms.values())):
+                    assert type(c) is int or c.denominator > 1
 
 
 class TestArithmetic:
@@ -183,15 +178,6 @@ class TestArithmetic:
 
     def test_empty_product(self):
         assert P("w+1") ** 0 == Poly.constant(CHART2, 1)
-
-    def test_dispatch_form(self):
-        assert poly_arith("add", P("w"), P("z")) == P("w+z")
-        assert poly_arith("sub", P("w"), P("z")) == P("w-z")
-        assert poly_arith("mul", P("w"), P("z")) == P("w*z")
-        assert poly_arith("pow", P("w+1"), 2) == P("w^2 + 2*w + 1")
-        assert poly_arith("neg", P("w"), None) == P("-w")
-        with pytest.raises(ValueError):
-            poly_arith("div", P("w"), P("z"))
 
     def test_chart_mismatch(self):
         with pytest.raises(ChartMismatchError):
@@ -274,7 +260,7 @@ class TestGcd:
         g = gcd_multi([P("4*w^2 + 4*w"), P("6*w")])
         assert g == P("w")
 
-    def test_gcd_divides_inputs_under_lex_division(self, rng):
+    def test_gcd_divides_inputs_under_division(self, rng):
         for chart in (CHART2, CHART3):
             for _ in range(25):
                 common = random_poly(rng, chart, max_degree=2, allow_zero=False)
@@ -284,7 +270,7 @@ class TestGcd:
                 for p in (a, b):
                     if p.is_zero:
                         continue
-                    _, remainder = division(p, [g], LEX)
+                    _, remainder = division(p, [g])
                     assert remainder.is_zero
 
 
