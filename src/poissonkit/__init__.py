@@ -12,7 +12,6 @@ from .polyalg import (
     Poly,
     format_poly,
     gcd_multi,
-    is_squarefree,
     parse_poly,
 )
 from .multivec import (
@@ -52,23 +51,9 @@ from .groebner import (
     jacobian_ideal_basis,
     normal_form,
     quotient_dimension,
-    tjurina_at_point,
     tjurina_global,
 )
-from .diagnostics import (
-    HolonomyVerdict,
-    StructureAnalysis,
-    SurfaceH2Report,
-    SurfaceLeafReport,
-    Verdict,
-    degeneracy_divisor,
-    holonomy_verdict,
-    is_log_symplectic,
-    modular_foliation_generators,
-    surface_h2_report,
-    surface_leaf_report,
-    zero_leaf_locus,
-)
+from .diagnostics import StructureAnalysis, Verdict
 from .graded_cohomology import (
     NOT_HOMOGENEOUS,
     CohomologyTable,

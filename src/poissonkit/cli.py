@@ -34,7 +34,7 @@ from .graded_cohomology import cohomology_table
 from .groebner import DEFAULT_BUDGET, INFINITE, jacobian_ideal_basis, quotient_dimension
 from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
 from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
-from .polyalg import Chart, Poly, _tokenize, parse_poly
+from .polyalg import Chart, Poly, _digit_limit, _exceeds_digit_limit, _tokenize, parse_poly
 from .structfile import StructureSpec, parse_structure_file
 
 
@@ -138,31 +138,28 @@ def cmd_report(args) -> dict:
         basis, dimension = analysis.zero_leaf_locus
         locus = {"ideal": [str(g) for g in basis.gens], "dimension": dimension}
     witness = None
-    if verdict.nonreduced_factor is not None:
-        witness = {"nonreduced_factor": str(verdict.nonreduced_factor)}
-    elif verdict.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES:
+    if verdict == Verdict.NOT_LOG_SYMPLECTIC:
+        witness = {"nonreduced_factor": str(analysis.nonreduced_factor)}
+    elif verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES:
         witness = locus  # the obstruction is the locus itself
     surface = None
     if P.chart.n == 2:
-        leaf = analysis.leaf_report
         surface = {
-            "singular_ideal": [str(g) for g in leaf.singular_ideal.gens],
-            "singular_dimension": leaf.singular_dimension,
-            "tjurina_total": _finite_or_marker(leaf.tjurina_total),
-            "multiple_components": leaf.contains_multiple_components,
-            "open_leaf": leaf.open_leaf,
+            "singular_ideal": [str(g) for g in analysis.jacobian_basis.gens],
+            "singular_dimension": analysis.singular_dimension,
+            "tjurina_total": _finite_or_marker(analysis.tjurina_total),
+            "multiple_components": not reduced,
+            "open_leaf": analysis.open_leaf,
+            "h2": None,
         }
         if reduced:
-            h2 = analysis.h2_report()
             surface["h2"] = {
-                "formula": h2.formula,
-                "tjurina_total": h2.tjurina_total,
-                "quasi_homogeneous": h2.quasi_homogeneous,
-                "formula_asserted": h2.formula_asserted,
-                "dim_h2": h2.dim_h2,
+                "formula": f"b2(U) + {analysis.tjurina_total}",
+                "tjurina_total": analysis.tjurina_total,
+                "quasi_homogeneous": analysis.quasi_homogeneous,
+                "formula_asserted": analysis.quasi_homogeneous,
+                "dim_h2": None,
             }
-        else:
-            surface["h2"] = None
     generators = [
         {
             "coordinate": str(g.source),
@@ -176,7 +173,7 @@ def cmd_report(args) -> dict:
         "pfaffian": str(f),
         "pfaffian_squarefree": reduced,
         "log_symplectic": reduced,
-        "verdict": verdict.verdict.value,
+        "verdict": verdict.value,
         "witness": witness,
         "zero_leaf_locus": locus,
         "surface": surface,
@@ -262,6 +259,9 @@ def cmd_tjurina(args) -> dict:
                 f"--point needs {chart.n} coordinates in chart order {chart.names}"
             )
         f = f.shift(point)
+        digits = _digit_limit()
+        if _exceeds_digit_limit([*point, *f.terms.values()], digits):
+            raise ParseError(f"--point {args.point!r} gives a coefficient of more than {digits} digits")
     basis = jacobian_ideal_basis(f, include_f=True, budget=args.budget)
     tau = quotient_dimension(basis)
     result = {

@@ -1,4 +1,8 @@
-"""Holonomicity and log-symplectic diagnostics.
+"""Holonomicity and log-symplectic diagnostics of one Poisson structure.
+
+``StructureAnalysis`` is the whole interface: the degeneracy divisor and its
+reducedness, the modular field, the rank-0 modular-leaf locus, the verdict,
+the surface leaf taxonomy and the ``H^2`` data are its cached properties.
 
 The decision procedure is sound but deliberately one-sided where the theory
 is: a non-reduced degeneracy divisor rules holonomicity out; on surfaces,
@@ -17,7 +21,6 @@ beyond the rank-0 stratum may differ from the analytic picture.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegenerateEverywhereError, NonReducedCurveError, PreconditionError
@@ -32,7 +35,7 @@ from .groebner import (
     quotient_dimension,
 )
 from .multivec import Polyvector
-from .poisson import PoissonStructure, hamiltonian, modular_field, pfaffian
+from .poisson import PoissonStructure, modular_field, pfaffian
 from .polyalg import Poly, nonreduced_factor
 
 
@@ -43,69 +46,13 @@ class Verdict(enum.Enum):
     NO_OBSTRUCTION_FOUND = "NoObstructionFound"
 
 
-@dataclass(frozen=True)
-class HolonomyVerdict:
-    """Decision plus witness.
-
-    ``NOT_LOG_SYMPLECTIC`` carries the non-squarefree factor
-    gcd(f, df/dx_1, ..., df/dx_n) of the Pfaffian f.
-    ``OBSTRUCTED_BY_MODULAR_LEAVES`` carries the rank-0 modular-leaf ideal
-    and its (positive) dimension.  ``NO_OBSTRUCTION_FOUND`` also records the
-    locus it inspected, as context rather than as a certificate.
-    """
-
-    verdict: Verdict
-    witness_ideal: GroebnerBasis | None = None
-    witness_dimension: int | None = None
-    nonreduced_factor: Poly | None = None
-
-
-@dataclass(frozen=True)
-class SurfaceLeafReport:
-    """Leaf taxonomy data of a Poisson surface with degeneracy curve f = 0.
-
-    The open complement of the curve is the single two-dimensional leaf; the
-    smooth locus of the curve carries the one-dimensional leaves; the
-    zero-dimensional leaves are the points of the scheme-theoretic singular
-    locus, cut out by (f, df/dw, df/dz).  When f is not squarefree the
-    singular locus contains every multiple component, and the Tjurina total
-    degenerates to INFINITE.
-    """
-
-    f: Poly
-    open_leaf: str
-    singular_ideal: GroebnerBasis
-    singular_dimension: int
-    tjurina_total: object  # int or INFINITE
-    contains_multiple_components: bool
-
-
-@dataclass(frozen=True)
-class SurfaceH2Report:
-    """Second graded cohomology of a log-symplectic surface chart.
-
-    dim H^2 = b_2(U) + (total Tjurina number of the curve), valid under the
-    quasi-homogeneous-singularities hypothesis.  ``quasi_homogeneous``
-    records the global Saito-criterion check (f inside its Jacobian ideal);
-    when it fails the formula is still emitted but ``formula_asserted`` is
-    False.  Betti numbers of the complement are user input (topology of
-    affine curve complements is out of scope).
-    """
-
-    tjurina_total: int
-    formula: str
-    quasi_homogeneous: bool
-    formula_asserted: bool
-    betti_u: tuple[int, ...] | None = None
-    dim_h2: int | None = None
-
-
 class StructureAnalysis:
-    """Every report invariant of one structure, each computed at most once.
+    """Every diagnostic of one structure, each a cached property computed at most once.
 
-    Each invariant is a cached property, computed on first read.  Reading one
-    raises what the matching public function below raises, in the same
-    order: odd chart, then zero Pfaffian, then non-reduced curve.
+    A read checks its preconditions in one order: odd chart
+    (PreconditionError), then zero Pfaffian (DegenerateEverywhereError), then
+    non-reduced curve (NonReducedCurveError).  ``budget`` bounds each
+    Groebner basis.
     """
 
     def __init__(self, P: PoissonStructure, budget: int = DEFAULT_BUDGET):
@@ -123,13 +70,26 @@ class StructureAnalysis:
             raise DegenerateEverywhereError(message)
         return f
 
-    def _require_surface(self) -> None:
+    def _surface_pfaffian(self, message: str) -> Poly:
+        """The nonzero Pfaffian of a surface; ``message`` names a zero one."""
         if self.P.chart.n != 2:
             raise PreconditionError("surface reports need a 2-dimensional chart")
+        return self._nonzero_pfaffian(message)
+
+    def _log_symplectic_tau(self) -> int:
+        """The total Tjurina number of a reduced surface curve, always finite."""
+        self._surface_pfaffian("the zero Poisson surface is not log symplectic")
+        if not self.reduced:
+            raise NonReducedCurveError(
+                "the degeneracy curve is non-reduced; the surface is not log symplectic"
+            )
+        tau = self.tjurina_total
+        assert tau is not INFINITE  # squarefree curves have isolated singularities
+        return tau
 
     @cached_property
     def nonreduced_factor(self) -> Poly:
-        """gcd(f, df/dx_1, ..., df/dx_n): constant exactly when f is reduced (or constant)."""
+        """gcd(f, df/dx_1, ..., df/dx_n), the NOT_LOG_SYMPLECTIC witness; constant iff f is reduced."""
         f = self._nonzero_pfaffian(
             "the Pfaffian vanishes identically: no open dense symplectic leaf"
         )
@@ -137,12 +97,12 @@ class StructureAnalysis:
 
     @property
     def reduced(self) -> bool:
-        """Squarefreeness of the Pfaffian, i.e. log-symplecticity."""
+        """Log-symplecticity: f is squarefree, or a nonzero constant (empty divisor)."""
         return self.nonreduced_factor.is_constant
 
     @cached_property
     def jacobian_basis(self) -> GroebnerBasis:
-        """Groebner basis of (f, df/dx_1, ..., df/dx_n)."""
+        """Groebner basis of (f, df/dx_1, ..., df/dx_n): the scheme-theoretic singular locus."""
         return jacobian_ideal_basis(self.pfaffian, include_f=True, budget=self.budget)
 
     @cached_property
@@ -161,139 +121,61 @@ class StructureAnalysis:
 
     @cached_property
     def zero_leaf_locus(self) -> tuple[GroebnerBasis, int]:
-        """The locus of ``zero_leaf_locus``: its Groebner basis and dimension."""
+        """Basis and Krull dimension (-1 if empty) of the rank-0 modular-leaf locus pi = zeta = 0."""
         gens = [*self.P.pi.terms.values(), *self.modular_field.terms.values()]
         basis = buchberger(gens or [Poly.zero(self.P.chart)], self.budget)
         return basis, ideal_dimension(basis)
 
     @cached_property
-    def verdict(self) -> HolonomyVerdict:
-        """The decision of ``holonomy_verdict``."""
+    def verdict(self) -> Verdict:
+        """Sound decision procedure for (non-)holonomicity on even charts.
+
+        (a) non-reduced degeneracy divisor: NOT_LOG_SYMPLECTIC (holonomic
+            manifolds are log symplectic), witnessed by ``nonreduced_factor``;
+        (b) surfaces: log symplectic is equivalent to holonomic, so
+            SURFACE_HOLONOMIC;
+        (c) n >= 4 with a positive-dimensional rank-0 modular-leaf locus:
+            OBSTRUCTED_BY_MODULAR_LEAVES (infinitely many zero-dimensional
+            modular leaves force a characteristic variety too large to be
+            Lagrangian), witnessed by ``zero_leaf_locus``;
+        (d) otherwise NO_OBSTRUCTION_FOUND, which certifies nothing.
+        """
         n = self.P.chart.n
         if n % 2:
             raise PreconditionError("holonomy verdicts need an even-dimensional chart")
         if not self.reduced:
-            return HolonomyVerdict(Verdict.NOT_LOG_SYMPLECTIC, nonreduced_factor=self.nonreduced_factor)
+            return Verdict.NOT_LOG_SYMPLECTIC
         if n == 2:
-            return HolonomyVerdict(Verdict.SURFACE_HOLONOMIC)
-        basis, dimension = self.zero_leaf_locus
-        if dimension >= 1:
-            verdict = Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
-        else:
-            verdict = Verdict.NO_OBSTRUCTION_FOUND
-        return HolonomyVerdict(verdict, witness_ideal=basis, witness_dimension=dimension)
+            return Verdict.SURFACE_HOLONOMIC
+        if self.zero_leaf_locus[1] >= 1:
+            return Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
+        return Verdict.NO_OBSTRUCTION_FOUND
 
     @cached_property
-    def leaf_report(self) -> SurfaceLeafReport:
-        """The report of ``surface_leaf_report``."""
-        self._require_surface()
-        f = self._nonzero_pfaffian("the zero Poisson surface has no leaf taxonomy")
+    def open_leaf(self) -> str:
+        """The open leaf of a surface; the curve's smooth locus and ``jacobian_basis`` hold the rest."""
+        f = self._surface_pfaffian("the zero Poisson surface has no leaf taxonomy")
         if f.is_constant:
-            open_leaf = "the whole chart (empty degeneracy curve)"
-        else:
-            open_leaf = f"complement of the curve ({f}) = 0"
-        return SurfaceLeafReport(
-            f=f,
-            open_leaf=open_leaf,
-            singular_ideal=self.jacobian_basis,
-            singular_dimension=ideal_dimension(self.jacobian_basis),
-            tjurina_total=self.tjurina_total,
-            contains_multiple_components=not self.reduced,
-        )
+            return "the whole chart (empty degeneracy curve)"
+        return f"complement of the curve ({f}) = 0"
 
-    def h2_report(self, betti_u: tuple[int, ...] | None = None) -> SurfaceH2Report:
-        """The report of ``surface_h2_report``."""
-        self._require_surface()
-        f = self._nonzero_pfaffian("the zero Poisson surface is not log symplectic")
-        if not self.reduced:
-            raise NonReducedCurveError(
-                "the degeneracy curve is non-reduced; the surface is not log symplectic"
-            )
-        tau = self.tjurina_total
-        assert tau is not INFINITE  # squarefree curves have isolated singularities
-        quasi_homogeneous = f.is_constant or normal_form(f, self.partials_basis).is_zero
-        value = None
-        if betti_u is not None:
-            betti_u = tuple(int(b) for b in betti_u)
-            if len(betti_u) != 3:
-                raise ValueError("betti_u must list (b0, b1, b2) of the complement")
-            value = betti_u[2] + tau
-        return SurfaceH2Report(
-            tjurina_total=tau,
-            formula=f"b2(U) + {tau}",
-            quasi_homogeneous=quasi_homogeneous,
-            formula_asserted=quasi_homogeneous,
-            betti_u=betti_u,
-            dim_h2=value,
-        )
+    @cached_property
+    def singular_dimension(self) -> int:
+        """Krull dimension of a surface curve's singular locus; 1 when f has a multiple component."""
+        self._surface_pfaffian("the zero Poisson surface has no leaf taxonomy")
+        return ideal_dimension(self.jacobian_basis)
 
+    @cached_property
+    def quasi_homogeneous(self) -> bool:
+        """f in the ideal of its partials (Saito): the hypothesis of dim H^2 = b_2(U) + tau."""
+        self._log_symplectic_tau()
+        f = self.pfaffian
+        return f.is_constant or normal_form(f, self.partials_basis).is_zero
 
-def degeneracy_divisor(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> tuple[Poly, bool]:
-    """The Pfaffian together with its squarefreeness.
-
-    A constant nonzero Pfaffian (symplectic chart, empty divisor) counts as
-    vacuously reduced.  An identically zero Pfaffian means there is no open
-    dense symplectic leaf and raises DegenerateEverywhereError.
-    """
-    analysis = StructureAnalysis(P, budget)
-    return analysis.pfaffian, analysis.reduced
-
-
-def is_log_symplectic(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the degeneracy divisor exists and is reduced (or empty)."""
-    return StructureAnalysis(P, budget).reduced
-
-
-def zero_leaf_locus(
-    P: PoissonStructure, budget: int = DEFAULT_BUDGET
-) -> tuple[GroebnerBasis, int]:
-    """The rank-0 modular-leaf locus: pi = 0 and zeta = 0 simultaneously.
-
-    Returns the Groebner basis of the ideal generated by every bivector
-    coefficient of pi together with every component of the modular field,
-    and the Krull dimension of its variety.
-    """
-    return StructureAnalysis(P, budget).zero_leaf_locus
-
-
-def holonomy_verdict(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> HolonomyVerdict:
-    """Sound decision procedure for (non-)holonomicity on even charts.
-
-    (a) non-reduced degeneracy divisor: NOT_LOG_SYMPLECTIC (holonomic
-        manifolds are log symplectic);
-    (b) surfaces: log symplectic is equivalent to holonomic, so
-        SURFACE_HOLONOMIC;
-    (c) n >= 4 with a positive-dimensional rank-0 modular-leaf locus:
-        OBSTRUCTED_BY_MODULAR_LEAVES (infinitely many zero-dimensional
-        modular leaves force a characteristic variety too large to be
-        Lagrangian);
-    (d) otherwise NO_OBSTRUCTION_FOUND, which certifies nothing.
-    """
-    return StructureAnalysis(P, budget).verdict
-
-
-def surface_leaf_report(P: PoissonStructure, budget: int = DEFAULT_BUDGET) -> SurfaceLeafReport:
-    """Modular-leaf taxonomy of a Poisson surface; needs a nonzero Pfaffian."""
-    return StructureAnalysis(P, budget).leaf_report
-
-
-def surface_h2_report(
-    P: PoissonStructure,
-    betti_u: tuple[int, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> SurfaceH2Report:
-    """dim H^2 = b_2(U) + total Tjurina number, for log-symplectic surfaces.
-
-    Raises NonReducedCurveError when the Pfaffian is not squarefree (the
-    log-symplectic hypothesis fails).  ``betti_u``, when supplied, lists
-    (b_0, b_1, b_2) of the complement U and turns the formula into a number.
-    """
-    return StructureAnalysis(P, budget).h2_report(betti_u)
-
-
-def modular_foliation_generators(P: PoissonStructure) -> list[Polyvector]:
-    """Generators of the modular foliation: zeta plus every H_{x_i}."""
-    out = [modular_field(P)]
-    for i in range(P.chart.n):
-        out.append(hamiltonian(P, Poly.variable(P.chart, i)))
-    return out
+    def dim_h2(self, betti_u: tuple[int, ...]) -> int:
+        """b_2(U) + ``tjurina_total`` = dim H^2 of a log-symplectic surface; ``betti_u`` is (b_0, b_1, b_2)."""
+        tau = self._log_symplectic_tau()
+        betti_u = tuple(int(b) for b in betti_u)
+        if len(betti_u) != 3:
+            raise ValueError("betti_u must list (b0, b1, b2) of the complement")
+        return betti_u[2] + tau

@@ -348,14 +348,3 @@ def tjurina_global(f: Poly, budget: int = DEFAULT_BUDGET):
     if f.is_zero or f.is_constant:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
     return quotient_dimension(jacobian_ideal_basis(f, budget=budget))
-
-
-def tjurina_at_point(f: Poly, point, budget: int = DEFAULT_BUDGET):
-    """Tjurina number after translating ``point`` to the origin.
-
-    This is translation plus the global computation on the translated
-    polynomial (no localization), so it counts every singular point of the
-    translated curve; it is the local number only when the singularity at
-    ``point`` is the sole one, and non-isolated singularities give INFINITE.
-    """
-    return tjurina_global(f.shift(point), budget=budget)

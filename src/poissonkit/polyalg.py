@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ChartMismatchError, ParseError, PreconditionError, UnknownIdentifierError
+from .errors import BudgetExceededError, ChartMismatchError, ParseError, UnknownIdentifierError
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -432,6 +432,21 @@ def _tokenize(text: str):
     return tokens
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int converted to str; 0 if none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _exceeds_digit_limit(values, digits: int) -> bool:
+    """Whether a numerator or denominator of the rationals ``values`` passes ``digits`` digits."""
+    # 8^digits < 10^digits, so most values are ruled out by their length.
+    return bool(digits) and any(
+        x.bit_length() > 3 * digits and x >= 10**digits
+        for c in values
+        for x in (abs(c.numerator), c.denominator)
+    )
+
+
 class _PolyParser:
     def __init__(self, text: str, chart: Chart):
         self.text = text
@@ -439,8 +454,7 @@ class _PolyParser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        # The interpreter's limit on the digits of an int converted to str; 0 if none.
-        self.digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.digits = _digit_limit()
 
     def peek(self):
         return self.tokens[self.i]
@@ -466,12 +480,8 @@ class _PolyParser:
 
     def printable(self, p: Poly, pos: int) -> Poly:
         """p, unless a coefficient has more digits than the interpreter converts to str."""
-        if self.digits:
-            for c in p.terms.values():
-                for x in (abs(c.numerator), c.denominator):
-                    # 8^digits < 10^digits, so most values are ruled out by their length.
-                    if x.bit_length() > 3 * self.digits and x >= 10**self.digits:
-                        self.too_long(pos)
+        if _exceeds_digit_limit(p.terms.values(), self.digits):
+            self.too_long(pos)
         return p
 
     def check_terms(self, bound: int, what: str):
@@ -902,15 +912,3 @@ def nonreduced_factor(p: Poly) -> Poly:
     constant p counts as reduced.
     """
     return gcd_multi([p, *(p.diff(i) for i in range(p.chart.n))])
-
-
-def is_squarefree(p: Poly) -> bool:
-    """True iff gcd(p, dp/dx_1, ..., dp/dx_n) is constant.
-
-    Over characteristic zero this is exactly reducedness of the principal
-    divisor cut out by p.  The verdict is for the polynomial ring; it agrees
-    with the analytic notion for polynomial input.
-    """
-    if p.is_zero or p.is_constant:
-        raise PreconditionError("squarefreeness needs a nonzero, nonconstant polynomial")
-    return nonreduced_factor(p).is_constant

@@ -183,7 +183,8 @@ def _parse_expr(expr: str, chart: Chart, lineno: int, offset: int) -> Poly:
         return parse_poly(expr, chart)
     except ParseError as exc:
         column = (exc.column or 1) + offset
-        raise ParseError(f"in polynomial expression: {exc.message}", line=lineno, column=column) from None
+        # Same class as the inner error, so an unknown identifier stays an UnknownIdentifierError.
+        raise type(exc)(f"in polynomial expression: {exc.message}", line=lineno, column=column) from None
 
 
 def serialize_structure(P: PoissonStructure) -> str:

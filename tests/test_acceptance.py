@@ -20,6 +20,7 @@ from poissonkit import (
     OneForm,
     Poly,
     Polyvector,
+    StructureAnalysis,
     Verdict,
     apply_vector_field,
     bv,
@@ -27,7 +28,6 @@ from poissonkit import (
     contract,
     diagonal_quadratic_poisson,
     hamiltonian,
-    holonomy_verdict,
     jacobian_poisson_3,
     lichnerowicz,
     lie_derivative,
@@ -139,13 +139,13 @@ def test_criterion_3_holonomicity_verdicts():
     node = new_poisson(
         Polyvector.term(CHART2, (0, 1), Poly.variable(CHART2, 0) * Poly.variable(CHART2, 1))
     )
-    assert holonomy_verdict(node).verdict == Verdict.SURFACE_HOLONOMIC
+    assert StructureAnalysis(node).verdict == Verdict.SURFACE_HOLONOMIC
     square = new_poisson(Polyvector.term(CHART2, (0, 1), Poly.variable(CHART2, 0) ** 2))
-    assert holonomy_verdict(square).verdict == Verdict.NOT_LOG_SYMPLECTIC
+    assert StructureAnalysis(square).verdict == Verdict.NOT_LOG_SYMPLECTIC
     P = diagonal_quadratic_poisson(LAMBDA_EXAMPLE)
-    verdict = holonomy_verdict(P)
-    assert verdict.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
-    assert verdict.witness_dimension == 1
+    analysis = StructureAnalysis(P)
+    assert analysis.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
+    assert analysis.zero_leaf_locus[1] == 1
     # Modular coefficients, re-verified against the hand-expansion oracle.
     oracle = diagonal_modular_coefficients(LAMBDA_EXAMPLE)
     assert oracle == [0, -1, 1, 0]

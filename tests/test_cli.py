@@ -10,7 +10,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from poissonkit import ParseError, parse_structure_file, serialize_structure
+from poissonkit import ParseError, UnknownIdentifierError, parse_structure_file, serialize_structure
 from poissonkit.cli import main
 from conftest import FIXTURES
 
@@ -367,6 +367,31 @@ class TestExitCodeContract:
             path.write_text(f"chart: {chart}\npoisson:\n{entry}\n")
             assert main(["report", str(path)]) == 2
             assert capsys.readouterr().err == f"parse error: in polynomial expression: {message}\n"
+
+    @pytest.mark.parametrize(
+        "chart,entry",
+        [("w z", "{w,z} = q"), ("x y z", "jacobian3 F = q")],
+    )
+    def test_unknown_identifier_in_a_file_keeps_its_class(self, capsys, tmp_path, chart, entry):
+        text = f"chart: {chart}\npoisson:\n{entry}\n"
+        with pytest.raises(UnknownIdentifierError) as caught:
+            parse_structure_file(text)
+        column = entry.index("q") + 1
+        assert str(caught.value) == f"in polynomial expression: unknown identifier 'q' (line 3, column {column})"
+        path = tmp_path / "unknown.poisson"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        assert "unknown identifier 'q'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["1e3000,0", "1e99999,0"])
+    def test_point_past_the_digit_limit_is_2(self, capsys, point):
+        # (w + 10^3000)^2 has a coefficient of 6001 digits; 10^99999 itself is too long.
+        started = time.perf_counter()
+        assert main(["tjurina", "w^2+z^3", "--point", point, "--json"]) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
 
 
 class TestHumanOutput:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from poissonkit import (
@@ -9,26 +11,21 @@ from poissonkit import (
     Poly,
     Polyvector,
     PreconditionError,
+    StructureAnalysis,
     Verdict,
     apply_vector_field,
-    degeneracy_divisor,
     diagonal_quadratic_poisson,
     hamiltonian,
-    holonomy_verdict,
-    is_log_symplectic,
-    is_squarefree,
     modular_field,
-    modular_foliation_generators,
     new_poisson,
     normal_form,
     parse_poly,
     schouten,
-    surface_h2_report,
-    surface_leaf_report,
-    tjurina_at_point,
     tjurina_global,
-    zero_leaf_locus,
 )
+from poissonkit.cli import main
+from poissonkit.groebner import division
+from poissonkit.polyalg import nonreduced_factor
 from conftest import CHART2, CHART3, CHART4, random_poly, random_surface_structure
 
 LAMBDA_EXAMPLE = [[0, 1, 1, -2], [-1, 0, 1, 1], [-1, -1, 0, 1], [2, -1, -1, 0]]
@@ -41,9 +38,55 @@ def surface(text):
     return new_poisson(Polyvector.term(CHART2, (0, 1), parse_poly(text, CHART2)))
 
 
+def degeneracy_divisor(P):
+    analysis = StructureAnalysis(P)
+    return analysis.pfaffian, analysis.reduced
+
+
+def report_h2(capsys, tmp_path, f):
+    """The ``h2`` block of ``report --json`` on the surface pi = f dw^dz."""
+    path = tmp_path / "surface.poisson"
+    path.write_text(f"chart: w z\npoisson:\n{{w,z}} = {f}\n")
+    assert main(["report", str(path), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["result"]["surface"]["h2"]
+
+
 def symplectic4():
     one = Poly.constant(CHART4, 1)
     return new_poisson(Polyvector(CHART4, 2, {(0, 1): one, (2, 3): one}))
+
+
+class TestAnalysisContract:
+    """Each failed precondition raises its own error, checked in the documented order."""
+
+    STRUCTURES = {
+        "3-chart": lambda: new_poisson(Polyvector.term(CHART3, (0, 1), Poly.constant(CHART3, 1))),
+        "zero surface": lambda: new_poisson(Polyvector.zero(CHART2, 2)),
+        "4-chart": symplectic4,
+        "w^2": lambda: surface("w^2"),
+        "w*z": lambda: surface("w*z"),
+    }
+
+    @pytest.mark.parametrize(
+        "structure,read,error",
+        [
+            pytest.param("3-chart", lambda a: a.verdict, PreconditionError, id="verdict-3-chart"),
+            pytest.param("zero surface", lambda a: a.verdict, DegenerateEverywhereError, id="verdict-zero"),
+            pytest.param("zero surface", lambda a: a.open_leaf, DegenerateEverywhereError, id="open_leaf-zero"),
+            pytest.param(
+                "zero surface", lambda a: a.quasi_homogeneous, DegenerateEverywhereError, id="quasi_homogeneous-zero"
+            ),
+            pytest.param("4-chart", lambda a: a.open_leaf, PreconditionError, id="open_leaf-4-chart"),
+            pytest.param("w^2", lambda a: a.quasi_homogeneous, NonReducedCurveError, id="quasi_homogeneous-w^2"),
+            pytest.param("w^2", lambda a: a.dim_h2((1, 1, 1)), NonReducedCurveError, id="dim_h2-w^2"),
+            pytest.param("w*z", lambda a: a.dim_h2((1, 2)), ValueError, id="dim_h2-two-betti-numbers"),
+        ],
+    )
+    def test_raises(self, structure, read, error):
+        with pytest.raises(error) as caught:
+            read(StructureAnalysis(self.STRUCTURES[structure]()))
+        # A subclass would be a different, later check (NonReducedCurveError is a PreconditionError).
+        assert type(caught.value) is error
 
 
 class TestDegeneracyDivisor:
@@ -71,62 +114,64 @@ class TestDegeneracyDivisor:
 
 class TestLogSymplectic:
     def test_symplectic_is_vacuously_log_symplectic(self):
-        assert is_log_symplectic(surface("1"))
+        assert StructureAnalysis(surface("1")).reduced
 
     def test_double_line_is_not(self):
-        assert not is_log_symplectic(surface("w^2"))
+        assert not StructureAnalysis(surface("w^2")).reduced
 
     def test_cuspidal_cubic_is(self):
-        assert is_log_symplectic(surface("w^2 - z^3"))
+        assert StructureAnalysis(surface("w^2 - z^3")).reduced
 
 
 class TestZeroLeafLocus:
     def test_symplectic_has_empty_locus(self):
-        basis, dimension = zero_leaf_locus(symplectic4())
+        basis, dimension = StructureAnalysis(symplectic4()).zero_leaf_locus
         assert dimension == -1 and [str(g) for g in basis.gens] == ["1"]
 
     def test_node_locus_is_the_origin(self):
-        basis, dimension = zero_leaf_locus(surface("w*z"))
+        basis, dimension = StructureAnalysis(surface("w*z")).zero_leaf_locus
         assert dimension == 0
         assert sorted(str(g) for g in basis.gens) == ["w", "z"]
 
     def test_diagonal_example_has_a_curve_of_zero_leaves(self):
-        basis, dimension = zero_leaf_locus(diagonal_quadratic_poisson(LAMBDA_EXAMPLE))
+        basis, dimension = StructureAnalysis(diagonal_quadratic_poisson(LAMBDA_EXAMPLE)).zero_leaf_locus
         assert dimension == 1
         assert sorted(str(g) for g in basis.gens) == ["x1*x4", "x2", "x3"]
 
 
 class TestHolonomyVerdict:
     def test_double_line(self):
-        verdict = holonomy_verdict(surface("w^2"))
-        assert verdict.verdict == Verdict.NOT_LOG_SYMPLECTIC
-        assert verdict.nonreduced_factor == W
+        analysis = StructureAnalysis(surface("w^2"))
+        assert analysis.verdict == Verdict.NOT_LOG_SYMPLECTIC
+        assert analysis.nonreduced_factor == W
 
     def test_node(self):
-        assert holonomy_verdict(surface("w*z")).verdict == Verdict.SURFACE_HOLONOMIC
+        assert StructureAnalysis(surface("w*z")).verdict == Verdict.SURFACE_HOLONOMIC
 
     def test_diagonal_example(self):
-        verdict = holonomy_verdict(diagonal_quadratic_poisson(LAMBDA_EXAMPLE))
-        assert verdict.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
-        assert verdict.witness_dimension == 1
+        analysis = StructureAnalysis(diagonal_quadratic_poisson(LAMBDA_EXAMPLE))
+        assert analysis.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
+        assert analysis.zero_leaf_locus[1] == 1
 
     def test_symplectic_four_chart(self):
-        verdict = holonomy_verdict(symplectic4())
-        assert verdict.verdict == Verdict.NO_OBSTRUCTION_FOUND
+        assert StructureAnalysis(symplectic4()).verdict == Verdict.NO_OBSTRUCTION_FOUND
 
     def test_odd_dimension_rejected(self):
         pi = Polyvector.term(CHART3, (0, 1), Poly.constant(CHART3, 1))
         with pytest.raises(PreconditionError):
-            holonomy_verdict(new_poisson(pi))
+            StructureAnalysis(new_poisson(pi)).verdict
 
     def test_not_log_symplectic_soundness(self, rng):
         emitted = 0
         for _ in range(60):
             P = random_surface_structure(rng)
-            verdict = holonomy_verdict(P)
-            if verdict.verdict == Verdict.NOT_LOG_SYMPLECTIC:
-                f, _ = degeneracy_divisor(P)
-                assert not is_squarefree(f)
+            analysis = StructureAnalysis(P)
+            if analysis.verdict == Verdict.NOT_LOG_SYMPLECTIC:
+                f = analysis.pfaffian
+                assert not nonreduced_factor(f).is_constant
+                # The witness is a nonconstant common factor of f and its partials.
+                for member in (f, f.diff(0), f.diff(1)):
+                    assert division(member, [analysis.nonreduced_factor])[1].is_zero
                 emitted += 1
         assert emitted > 0
 
@@ -135,17 +180,18 @@ class TestHolonomyVerdict:
         for _ in range(100):
             P = random_surface_structure(rng)
             f, _ = degeneracy_divisor(P)
-            verdict = holonomy_verdict(P).verdict
-            reduced = True if f.is_constant else is_squarefree(f)
+            verdict = StructureAnalysis(P).verdict
+            reduced = nonreduced_factor(f).is_constant
             assert (verdict == Verdict.SURFACE_HOLONOMIC) == reduced
             cases += 1
         assert cases == 100
 
     def test_obstruction_witness_validity(self):
         P = diagonal_quadratic_poisson(LAMBDA_EXAMPLE)
-        verdict = holonomy_verdict(P)
-        basis = verdict.witness_ideal
-        assert verdict.witness_dimension >= 1
+        analysis = StructureAnalysis(P)
+        assert analysis.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
+        basis, dimension = analysis.zero_leaf_locus
+        assert dimension >= 1
         for coeff in P.pi.terms.values():
             assert normal_form(coeff, basis).is_zero
         for component in modular_field(P).terms.values():
@@ -154,20 +200,21 @@ class TestHolonomyVerdict:
 
 class TestSurfaceLeafReport:
     def test_node(self):
-        report = surface_leaf_report(surface("w*z"))
+        report = StructureAnalysis(surface("w*z"))
         assert report.singular_dimension == 0
         assert report.tjurina_total == 1
-        assert not report.contains_multiple_components
+        assert report.reduced
+        assert report.open_leaf == "complement of the curve (w*z) = 0"
 
     def test_double_line(self):
-        report = surface_leaf_report(surface("w^2"))
-        assert [str(g) for g in report.singular_ideal.gens] == ["w"]
+        report = StructureAnalysis(surface("w^2"))
+        assert [str(g) for g in report.jacobian_basis.gens] == ["w"]
         assert report.singular_dimension == 1
         assert report.tjurina_total is INFINITE
-        assert report.contains_multiple_components
+        assert not report.reduced
 
     def test_cusp(self):
-        report = surface_leaf_report(surface("w^2 - z^3"))
+        report = StructureAnalysis(surface("w^2 - z^3"))
         assert report.singular_dimension == 0
         assert report.tjurina_total == 2
 
@@ -177,50 +224,60 @@ class TestSurfaceLeafReport:
             f, _ = degeneracy_divisor(P)
             if f.is_constant:
                 continue
-            report = surface_leaf_report(P)
+            report = StructureAnalysis(P)
             for member in (f, f.diff(0), f.diff(1)):
-                assert normal_form(member, report.singular_ideal).is_zero
+                assert normal_form(member, report.jacobian_basis).is_zero
 
     def test_symplectic_surface(self):
-        report = surface_leaf_report(surface("3"))
+        report = StructureAnalysis(surface("3"))
         assert report.singular_dimension == -1 and report.tjurina_total == 0
+        assert report.open_leaf == "the whole chart (empty degeneracy curve)"
 
     def test_needs_a_surface(self):
         with pytest.raises(PreconditionError):
-            surface_leaf_report(symplectic4())
+            StructureAnalysis(symplectic4()).open_leaf
 
 
 class TestSurfaceH2Report:
     def test_node_with_torus_betti_numbers(self):
-        report = surface_h2_report(surface("w*z"), betti_u=(1, 2, 1))
+        report = StructureAnalysis(surface("w*z"))
         assert report.tjurina_total == 1
-        assert report.dim_h2 == 2
-        assert report.quasi_homogeneous and report.formula_asserted
+        assert report.dim_h2((1, 2, 1)) == 2
+        assert report.quasi_homogeneous
 
-    def test_symbolic_formula_without_betti_input(self):
-        report = surface_h2_report(surface("w*z"))
-        assert report.formula == "b2(U) + 1" and report.dim_h2 is None
+    def test_symbolic_formula_without_betti_input(self, capsys, tmp_path):
+        # report has no Betti input, so it prints the formula with tau filled in.
+        h2 = report_h2(capsys, tmp_path, "w*z")
+        assert h2["formula"] == "b2(U) + 1" and h2["dim_h2"] is None
+        assert h2["quasi_homogeneous"] and h2["formula_asserted"]
 
     def test_smooth_curve(self):
-        report = surface_h2_report(surface("w - z"))
-        assert report.tjurina_total == 0 and report.formula == "b2(U) + 0"
+        report = StructureAnalysis(surface("w - z"))
+        assert report.tjurina_total == 0 and report.dim_h2((1, 0, 0)) == 0
 
     def test_non_reduced_curve_rejected(self):
         with pytest.raises(NonReducedCurveError):
-            surface_h2_report(surface("w^2"))
+            StructureAnalysis(surface("w^2")).quasi_homogeneous
 
-    def test_quasi_homogeneity_gate(self):
+    def test_quasi_homogeneity_gate(self, capsys, tmp_path):
         # w^5 + w^2 z^2 + z^5 has an isolated non-quasi-homogeneous
         # singularity at the origin, so the Saito membership check fails
         # and the formula is emitted unasserted.
-        report = surface_h2_report(surface("w^5 + w^2*z^2 + z^5"))
+        report = StructureAnalysis(surface("w^5 + w^2*z^2 + z^5"))
         assert not report.quasi_homogeneous
-        assert not report.formula_asserted
         assert report.tjurina_total == 10
+        h2 = report_h2(capsys, tmp_path, "w^5 + w^2*z^2 + z^5")
+        assert not h2["quasi_homogeneous"] and not h2["formula_asserted"]
 
     def test_betti_list_length_checked(self):
         with pytest.raises(ValueError):
-            surface_h2_report(surface("w*z"), betti_u=(1, 2))
+            StructureAnalysis(surface("w*z")).dim_h2((1, 2))
+
+
+def modular_foliation_generators(P):
+    """Generators of the modular foliation: zeta plus every H_{x_i}."""
+    hamiltonians = [hamiltonian(P, Poly.variable(P.chart, i)) for i in range(P.chart.n)]
+    return [StructureAnalysis(P).modular_field, *hamiltonians]
 
 
 class TestModularFoliation:
@@ -258,7 +315,7 @@ class TestTjurinaCrossCheck:
         # point is the origin, so the global number equals the local one.
         f = parse_poly("w*z*(w - z)", CHART2)
         total = tjurina_global(f)
-        local = tjurina_at_point(f, [0, 0])
+        local = tjurina_global(f.shift([0, 0]))
         assert total == local == 4
 
     def test_global_counts_separated_nodes(self):
@@ -268,4 +325,4 @@ class TestTjurinaCrossCheck:
         assert tjurina_global(f) == 2
         # Translation moves the ideal rigidly, so the translated-point
         # variant still sees both singular points (documented limitation).
-        assert tjurina_at_point(f, [1, 0]) == 2
+        assert tjurina_global(f.shift([1, 0])) == 2
