@@ -228,6 +228,17 @@ def cmd_cohomology(args) -> dict:
     return _envelope("cohomology", digest, result, started)
 
 
+def _exponent_past(literal: str, limit: int) -> bool:
+    """Whether a decimal literal ``m e x`` has |x| - len(literal) >= limit.
+
+    Then a nonzero m e x has a numerator or denominator of more than
+    ``limit`` digits.  Fraction(literal) would build 10**|x| first.
+    """
+    m = re.search(r"[eE][-+]?([\d_]+)\s*$", literal)
+    x = m.group(1).replace("_", "").lstrip("0") if m else ""
+    return len(x) > len(str(limit + len(literal))) or int(x or 0) - len(literal) >= limit
+
+
 def cmd_tjurina(args) -> dict:
     started = time.perf_counter()
     source = args.file_or_poly
@@ -250,8 +261,12 @@ def cmd_tjurina(args) -> dict:
         f, chart = _poly_from_text(source)
     point = None
     if args.point:
+        digits = _digit_limit()
+        coordinates = args.point.split(",")
+        if digits and any(_exponent_past(t, digits) for t in coordinates):
+            raise ParseError(f"--point {args.point!r} gives a coefficient of more than {digits} digits")
         try:
-            point = [Fraction(t.strip()) for t in args.point.split(",")]
+            point = [Fraction(t.strip()) for t in coordinates]
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad --point value {args.point!r}") from None
         if len(point) != chart.n:
@@ -259,7 +274,6 @@ def cmd_tjurina(args) -> dict:
                 f"--point needs {chart.n} coordinates in chart order {chart.names}"
             )
         f = f.shift(point)
-        digits = _digit_limit()
         if _exceeds_digit_limit([*point, *f.terms.values()], digits):
             raise ParseError(f"--point {args.point!r} gives a coefficient of more than {digits} digits")
     basis = jacobian_ideal_basis(f, include_f=True, budget=args.budget)

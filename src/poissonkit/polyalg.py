@@ -15,10 +15,10 @@ term map in place (:func:`_sub_mul`), so a ``Poly`` is built only for the
 results.
 
 The module also provides the expression parser / pretty-printer used by the
-CLI and the test suite, a multivariate gcd (the heuristic GCDHEU over Z,
-certified by trial division, with primitive pseudo-remainder sequences as
-the fallback), and the squarefreeness test that backs the reducedness
-diagnostics.
+CLI and the test suite, and the multivariate gcd over Z behind the
+reducedness test: the heuristic GCDHEU, certified by trial division, with a
+primitive pseudo-remainder sequence as the fallback.  Both run on integer
+term maps ``{exponent: int}``; only :func:`gcd_multi`'s result is a ``Poly``.
 """
 
 from __future__ import annotations
@@ -596,107 +596,8 @@ def parse_poly(text: str, chart: Chart) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Division, gcd, squarefreeness
+# Gcd and squarefreeness, on integer term maps
 # ---------------------------------------------------------------------------
-
-
-def exact_divide(p: Poly, d: Poly) -> Poly:
-    """Quotient p/d when d divides p exactly; raises ValueError otherwise."""
-    if d.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    p._check_chart(d)
-    lead_d, coeff_d = d.leading()
-    quotient: dict[Exponent, Coeff] = {}
-    work = dict(p.terms)
-    while work:
-        lead_r = max(work, key=grevlex_key)
-        q_exp = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(e < 0 for e in q_exp):
-            raise ValueError("polynomial division is not exact")
-        q_coeff = quotient[q_exp] = _div(work[lead_r], coeff_d)
-        _sub_mul(work, q_coeff, q_exp, d.terms)
-    return Poly._of(p.chart, quotient)
-
-
-def _max_var(p: Poly) -> int | None:
-    """Highest variable index occurring in p, or None for constants."""
-    best = None
-    for exponent in p.terms:
-        for i in range(p.chart.n - 1, -1, -1):
-            if exponent[i]:
-                best = i if best is None else max(best, i)
-                break
-    return best
-
-
-def _to_univariate(p: Poly, var: int) -> dict[int, Poly]:
-    """View p as a univariate polynomial in x_var with Poly coefficients."""
-    chart = p.chart
-    coeffs: dict[int, dict[Exponent, Coeff]] = {}
-    for exponent, coeff in p.terms.items():
-        k = exponent[var]
-        e = list(exponent)
-        e[var] = 0
-        coeffs.setdefault(k, {})[tuple(e)] = coeff
-    return {k: Poly._of(chart, t) for k, t in coeffs.items()}
-
-
-def _from_univariate(chart: Chart, var: int, coeffs: dict[int, Poly]) -> Poly:
-    terms: dict[Exponent, Coeff] = {}
-    for k, c in coeffs.items():
-        for exponent, coeff in c.terms.items():
-            e = list(exponent)
-            e[var] = k
-            terms[tuple(e)] = coeff
-    return Poly._of(chart, terms)
-
-
-def _uni_degree(coeffs: dict[int, Poly]) -> int:
-    return max(coeffs) if coeffs else -1
-
-
-def _uni_scale(coeffs: dict[int, Poly], factor: Poly) -> dict[int, Poly]:
-    return {k: product for k, c in coeffs.items() if not (product := c * factor).is_zero}
-
-
-def _uni_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    out = dict(a)
-    for k, c in b.items():
-        acc = out.get(k, None)
-        acc = c.__neg__() if acc is None else acc - c
-        if acc.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return out
-
-
-def _pseudo_remainder(a: dict[int, Poly], b: dict[int, Poly], var: int) -> dict[int, Poly]:
-    """prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a under division by b."""
-    da, db = _uni_degree(a), _uni_degree(b)
-    lb = b[db]
-    r = dict(a)
-    while True:
-        dr = _uni_degree(r)
-        if dr < db or dr < 0:
-            break
-        lr = r[dr]
-        r = _uni_sub(_uni_scale(r, lb), {k + dr - db: c * lr for k, c in b.items()})
-        r.pop(dr, None)
-    return r
-
-
-def _content(p: Poly, var: int) -> Poly:
-    """Gcd of the coefficients of p viewed in x_var."""
-    coeffs = list(_to_univariate(p, var).values())
-    return gcd_multi(coeffs) if len(coeffs) > 1 else _normalize_monic(coeffs[0])
-
-
-def _normalize_monic(p: Poly) -> Poly:
-    if p.is_zero:
-        return p
-    _, lead_coeff = p.leading()
-    return p * _div(1, lead_coeff)
 
 
 def _primitive_terms(terms: dict) -> dict[Exponent, int]:
@@ -706,67 +607,6 @@ def _primitive_terms(terms: dict) -> dict[Exponent, int]:
     if denominators == numerators == 1 and all(type(c) is int for c in terms.values()):
         return terms
     return {e: c.numerator * (denominators // c.denominator) // numerators for e, c in terms.items()}
-
-
-def _primitive_over_z(p: Poly) -> Poly:
-    """p scaled by a positive rational to integer coefficients with gcd 1."""
-    return Poly._of(p.chart, _primitive_terms(p.terms))
-
-
-def _gcd_pair(a: Poly, b: Poly) -> Poly:
-    """Gcd by primitive-part recursion with a primitive PRS over Z.
-
-    The fallback of :func:`gcd_multi` when the heuristic gcd gives up.
-    Every pseudo-remainder is made primitive: its content in the lower
-    variables is divided out and its coefficients are scaled to coprime
-    integers, so coefficients do not grow from one remainder to the next
-    (Brown and Traub, *On Euclid's algorithm and the theory of
-    subresultants*, J. ACM 1971).
-    """
-    if a.is_zero:
-        return _normalize_monic(b)
-    if b.is_zero:
-        return _normalize_monic(a)
-    if a.is_constant or b.is_constant:
-        return Poly.constant(a.chart, 1)
-    var = max(_max_var(a), _max_var(b))
-    ua, ub = _to_univariate(a, var), _to_univariate(b, var)
-    if _uni_degree(ua) == 0 or _uni_degree(ub) == 0:
-        # One operand does not involve the main variable: recurse on contents.
-        return _gcd_pair(_content(a, var), _content(b, var))
-    cont_a, cont_b = _content(a, var), _content(b, var)
-    pa = _to_univariate(_primitive_over_z(exact_divide(a, cont_a)), var)
-    pb = _to_univariate(_primitive_over_z(exact_divide(b, cont_b)), var)
-    if _uni_degree(pa) < _uni_degree(pb):
-        pa, pb = pb, pa
-    while True:
-        rem = _pseudo_remainder(pa, pb, var)
-        if not rem:
-            break
-        rem_poly = _from_univariate(a.chart, var, rem)
-        rem_poly = _primitive_over_z(exact_divide(rem_poly, _content(rem_poly, var)))
-        pa, pb = pb, _to_univariate(rem_poly, var)
-    gcd_pp = _from_univariate(a.chart, var, pb)
-    gcd_pp = exact_divide(gcd_pp, _content(gcd_pp, var))
-    return _normalize_monic(_gcd_pair(cont_a, cont_b) * gcd_pp)
-
-
-# ---------------------------------------------------------------------------
-# Heuristic gcd (GCDHEU) on integer term maps
-#
-# Char, Geddes and Gonnet, *GCDHEU: Heuristic polynomial GCD algorithm based
-# on integer GCD computation*, J. Symb. Comp. 1989.  The highest variable is
-# evaluated at an integer xi, the gcd of the images is computed recursively
-# (down to math.gcd), and the candidate is read back from the symmetric
-# xi-adic digits of that gcd.  For primitive inputs and
-# xi >= 2*min(|a|_inf, |b|_inf) + 2, a candidate whose primitive part divides
-# both inputs over Z is their gcd; a candidate that fails the trial division
-# is discarded and xi grows.
-# ---------------------------------------------------------------------------
-
-HEU_TRIES = 6
-# Give up before an image would need more bits than this (about 5000 digits).
-HEU_MAX_BITS = 16_000
 
 
 def _content_z(terms: dict) -> int:
@@ -784,8 +624,8 @@ def _positive_lead(terms: dict) -> dict:
     return {e: -c for e, c in terms.items()}
 
 
-def _divide_z(a: dict, d: dict) -> bool:
-    """True iff the integer term map d divides a in Z[x].
+def _quotient_z(a: dict, d: dict) -> dict | None:
+    """The quotient a/d of integer term maps when d divides a in Z[x], else None.
 
     Lex-order division that stops at the first quotient term outside the
     box deg_v(a) - deg_v(d), where no quotient term of an exact division lies.
@@ -794,16 +634,36 @@ def _divide_z(a: dict, d: dict) -> bool:
     coeff_d = d[lead_d]
     room = [max(column) - max(other) for column, other in zip(zip(*a), zip(*d))]
     work = dict(a)
+    quotient = {}
     while work:
         lead = max(work)
         shift = tuple(x - y for x, y in zip(lead, lead_d))
         if any(e < 0 or e > r for e, r in zip(shift, room)):
-            return False
+            return None
         q, r = divmod(work[lead], coeff_d)
         if r:
-            return False
+            return None
+        quotient[shift] = q
         _sub_mul(work, q, shift, d)
-    return True
+    return quotient
+
+
+# ---------------------------------------------------------------------------
+# Heuristic gcd (GCDHEU)
+#
+# Char, Geddes and Gonnet, *GCDHEU: Heuristic polynomial GCD algorithm based
+# on integer GCD computation*, J. Symb. Comp. 1989.  The highest variable is
+# evaluated at an integer xi, the gcd of the images is computed recursively
+# (down to math.gcd), and the candidate is read back from the symmetric
+# xi-adic digits of that gcd.  For primitive inputs and
+# xi >= 2*min(|a|_inf, |b|_inf) + 2, a candidate whose primitive part divides
+# both inputs over Z is their gcd; a candidate that fails the trial division
+# is discarded and xi grows.
+# ---------------------------------------------------------------------------
+
+HEU_TRIES = 6
+# Give up before an image would need more bits than this (about 5000 digits).
+HEU_MAX_BITS = 16_000
 
 
 def _evaluate(terms: dict, var: int, xi: int) -> dict:
@@ -875,34 +735,95 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
             candidate = _interpolate(gamma, var, xi)
             g = _content_z(candidate)
             candidate = _positive_lead({e: c // g for e, c in candidate.items()})
-            if _divide_z(a, candidate) and _divide_z(b, candidate):
+            if _quotient_z(a, candidate) is not None and _quotient_z(b, candidate) is not None:
                 return {e: c * content for e, c in candidate.items()} if content != 1 else candidate
         xi = xi * 73794 // 27011
     return None
 
 
+# ---------------------------------------------------------------------------
+# Primitive PRS, the fallback when the heuristic gives up
+#
+# Brown and Traub, *On Euclid's algorithm and the theory of subresultants*,
+# J. ACM 1971.  The inputs are viewed as polynomials in their highest
+# variable x_var.  Each is split into its content (the gcd of its
+# coefficients, recursively, with the integer content) and its primitive
+# part; every pseudo-remainder is made primitive the same way, so
+# coefficients do not grow from one remainder to the next.
+# ---------------------------------------------------------------------------
+
+
+def _coefficient(p: dict, var: int, k: int) -> dict:
+    """The coefficient of x_var^k in p, as a term map free of x_var."""
+    return {e[:var] + (0,) + e[var + 1 :]: c for e, c in p.items() if e[var] == k}
+
+
+def _content(p: dict, var: int) -> dict:
+    """Gcd over Z of the coefficients of p in x_var, with a positive lex-leading coefficient."""
+    degrees = iter({e[var] for e in p})
+    g = _positive_lead(_coefficient(p, var, next(degrees)))
+    for k in degrees:
+        g = _gcd_terms(g, _coefficient(p, var, k))
+    return g
+
+
+def _pseudo_remainder(a: dict, b: dict, var: int) -> dict:
+    """The remainder of lc(b)^s * a under division by b in x_var, s the number of steps."""
+    db = max(e[var] for e in b)
+    lead_b = _coefficient(b, var, db)
+    r = a
+    while r and (dr := max(e[var] for e in r)) >= db:
+        scaled: dict = {}
+        for e, c in lead_b.items():
+            _sub_mul(scaled, -c, e, r)
+        for e, c in _coefficient(r, var, dr).items():
+            _sub_mul(scaled, c, e[:var] + (dr - db,) + e[var + 1 :], b)
+        r = scaled
+    return r
+
+
+def _prs_gcd(a: dict, b: dict) -> dict:
+    """Gcd of two nonzero integer term maps over Z, integer contents included, with a positive lex-leading coefficient."""
+    var = max((i for e in itertools.chain(a, b) for i, k in enumerate(e) if k), default=None)
+    if var is None:
+        return {next(iter(a)): math.gcd(*a.values(), *b.values())}
+    content_a, content_b = _content(a, var), _content(b, var)
+    pa, pb = _quotient_z(a, content_a), _quotient_z(b, content_b)
+    if max(e[var] for e in pa) < max(e[var] for e in pb):
+        pa, pb = pb, pa
+    while rem := _pseudo_remainder(pa, pb, var):
+        pa, pb = pb, _quotient_z(rem, _content(rem, var))
+    gcd, primitive = {}, _positive_lead(pb)
+    for e, c in _gcd_terms(content_a, content_b).items():
+        _sub_mul(gcd, -c, e, primitive)
+    return gcd
+
+
+def _gcd_terms(a: dict, b: dict) -> dict:
+    """Gcd of two nonzero integer term maps over Z, with a positive lex-leading coefficient."""
+    return _heu_gcd(a, b) or _prs_gcd(a, b)
+
+
 def gcd_multi(ps: list[Poly]) -> Poly:
     """Gcd of a nonempty family, monic under the grevlex leading term.
 
-    Zero entries are ignored; all-zero input is an error.  Each pairwise gcd
-    runs the certified heuristic :func:`_heu_gcd` on the primitive integer
-    parts, and the primitive PRS :func:`_gcd_pair` when the heuristic gives up.
+    Zero entries are ignored; all-zero input is an error.  The primitive
+    integer parts are folded pairwise by :func:`_gcd_terms`: the certified
+    heuristic :func:`_heu_gcd`, and the primitive PRS :func:`_prs_gcd` when
+    the heuristic gives up.
     """
     if not ps:
         raise ValueError("gcd_multi needs at least one polynomial")
     nonzero = [p for p in ps if not p.is_zero]
     if not nonzero:
         raise ValueError("gcd_multi: all inputs are zero")
-    chart = nonzero[0].chart
     g = _primitive_terms(nonzero[0].terms)
     for p in nonzero[1:]:
         if _is_constant_terms(g):
             break
-        h = _heu_gcd(g, _primitive_terms(p.terms))
-        if h is None:
-            h = _primitive_terms(_gcd_pair(Poly._of(chart, g), p).terms)
-        g = h
-    return _normalize_monic(Poly._of(chart, g))
+        g = _gcd_terms(g, _primitive_terms(p.terms))
+    lead = g[max(g, key=grevlex_key)]
+    return Poly._of(nonzero[0].chart, {e: _div(c, lead) for e, c in g.items()})
 
 
 def nonreduced_factor(p: Poly) -> Poly:

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import poissonkit
 from poissonkit import ParseError, UnknownIdentifierError, parse_structure_file, serialize_structure
 from poissonkit.cli import main
 from conftest import FIXTURES
@@ -392,6 +396,17 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
+
+    @pytest.mark.parametrize("point", ["1e99999999,0", "1e-99999999,0"])
+    def test_point_with_a_runaway_exponent_is_2(self, point):
+        # Fraction(point) would build 10**99999999 before any later check; a
+        # subprocess lets the timeout stop a run that does.
+        src = str(Path(poissonkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "poissonkit", "tjurina", "w^2+z^3", "--point", point, "--json"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=5, env=env)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
 
 
 class TestHumanOutput:

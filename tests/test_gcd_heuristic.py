@@ -1,7 +1,7 @@
 """The heuristic gcd of ``gcd_multi`` against the primitive PRS and sympy.
 
 Each family plants a common factor g in a = g*p and b = g*q.  ``gcd_multi``
-must agree with the primitive PRS ``_gcd_pair`` (its fallback) and with
+must agree with the primitive PRS ``_prs_gcd`` (its fallback) and with
 ``sympy.gcd`` up to a unit, on 1-4 variables, integer coefficients up to
 10^30, rational coefficients, monomial and constant gcds.  Small
 coefficients make the first evaluation point unlucky often enough that a
@@ -18,7 +18,7 @@ import sympy
 from poissonkit import Chart, Poly, gcd_multi
 from poissonkit import polyalg
 from poissonkit.groebner import division
-from poissonkit.polyalg import _gcd_pair, _heu_gcd, _primitive_terms
+from poissonkit.polyalg import _heu_gcd, _primitive_terms, _prs_gcd
 from conftest import CHART2, CHART3, CHART4
 
 CHART1 = Chart(("x",))
@@ -56,6 +56,12 @@ def planted(rng, nvars, bound=3, rational=False, kind="general"):
     p = random_factor(rng, chart, degree, 3, bound, rational)
     q = random_factor(rng, chart, degree, 3, bound, rational)
     return g * p, g * q, g
+
+
+def _gcd_pair(a: Poly, b: Poly) -> Poly:
+    """The primitive PRS gcd of two nonzero polynomials, made monic like ``gcd_multi``'s."""
+    g = Poly(a.chart, _prs_gcd(_primitive_terms(a.terms), _primitive_terms(b.terms)))
+    return g * Fraction(1, g.leading()[1])
 
 
 def to_sympy(p: Poly, gens):
@@ -101,8 +107,7 @@ class TestHeuristicGcdOracles:
             if h is None:
                 continue
             answered += 1
-            expected = _primitive_terms(_gcd_pair(a, b).terms)
-            assert h in (expected, {e: -c for e, c in expected.items()}), (a, b)
+            assert h == _prs_gcd(_primitive_terms(a.terms), _primitive_terms(b.terms)), (a, b)
         assert answered >= 54
 
     def test_evaluation_points_respect_the_cgg_bound(self, rng, monkeypatch):
@@ -147,6 +152,26 @@ class TestPrsFallback:
             assert gcd_multi([a, b]) == want == _gcd_pair(a, b)
             assert_agrees(a, b, g)
         assert len(gave_up) >= len(cases)
+
+    def test_a_large_coefficient_reaches_the_prs(self, monkeypatch):
+        """A 400-digit coefficient puts xi past HEU_MAX_BITS, so the PRS answers unforced."""
+        prs_calls = []
+
+        def spy(a, b):
+            prs_calls.append((a, b))
+            return _prs_gcd(a, b)
+
+        monkeypatch.setattr(polyalg, "_prs_gcd", spy)
+        g = polyalg.parse_poly("w^12 + 7*10^400*z^3 + z + 1", CHART2)
+        a = g * polyalg.parse_poly("w^3 - 5*z^2 + 2", CHART2)
+        b = g * polyalg.parse_poly("w^2*z + 3", CHART2)
+        ours = gcd_multi([a, b])
+        assert ours == g * Fraction(1, g.leading()[1])
+        gens = sympy.symbols(CHART2.names)
+        expected = sympy.gcd(to_sympy(a, gens), to_sympy(b, gens))
+        got = to_sympy(ours, gens)
+        assert got * expected.LC() == expected * got.LC()
+        assert prs_calls
 
     def test_size_cap_gives_up(self, monkeypatch):
         monkeypatch.setattr(polyalg, "HEU_MAX_BITS", 8)
