@@ -55,10 +55,8 @@ from .groebner import (
 )
 from .diagnostics import StructureAnalysis, Verdict
 from .graded_cohomology import (
-    NOT_HOMOGENEOUS,
     CohomologyTable,
     GradedBasis,
-    RationalMatrix,
     cohomology_table,
     dpi_matrix,
     graded_basis,

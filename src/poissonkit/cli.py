@@ -349,6 +349,17 @@ def _render_human(envelope: dict) -> str:
     return "\n".join(lines)
 
 
+def _nonnegative_int(text: str) -> int:
+    """The argparse type of ``--budget`` and ``--kmax``: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the JSON report envelope")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_nonnegative_int,
             default=DEFAULT_BUDGET,
             help="Groebner reduction-step budget (default 10^6)",
         )
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="weight-graded Lichnerowicz cohomology table")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, default=None, help="largest polyvector degree (default n)")
+    p.add_argument("--kmax", type=_nonnegative_int, default=None, help="largest polyvector degree (default n)")
     p.add_argument("--wmax", type=int, default=6, help="largest weight (default 6)")
     common(p)
     p.set_defaults(func=cmd_cohomology)

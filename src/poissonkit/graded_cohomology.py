@@ -17,12 +17,12 @@ symbols and by the chart variables, built once per structure: the image
 terms are code offsets with int coefficients, tabulated once per
 multi-index, so a key costs int additions and products and one
 ``{code: row}`` lookup per term.  No polyvector is built and no Schouten
-bracket is evaluated per basis element.  The rank of a piece is one
-fraction-free sparse elimination over its columns (:func:`_echelon`),
-which keeps each reduced column primitive; :func:`rank_exact` clears the
-denominators of a dense matrix's rows and runs the same elimination.
-:func:`dpi_matrix` divides by s again and returns the exact rational
-matrix of d_pi on one piece.
+bracket is evaluated per basis element.  Sparse columns ``{row: value}``
+are the one representation of d_pi on a piece: :func:`dpi_matrix` divides
+the table's int columns by s again and returns those of d_pi itself, and
+:func:`rank_exact`, the rank of every piece, clears a column's
+denominators and runs one fraction-free sparse elimination
+(:func:`_echelon`), which keeps each reduced column primitive.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -50,46 +50,30 @@ from math import gcd, lcm
 from .errors import BasisSizeExceededError, PreconditionError
 from .multivec import MultiIndex, Polyvector
 from .poisson import PoissonStructure
-from .polyalg import Chart, Exponent, Poly
+from .polyalg import Chart, Exponent, Poly, _div
 
 DEFAULT_BASIS_CAP = 20000
 
 Key = tuple[MultiIndex, Exponent]
 
 
-class _NotHomogeneous:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NOT_HOMOGENEOUS"
-
-
-NOT_HOMOGENEOUS = _NotHomogeneous()
-
-
-def homogeneity_weight(P: PoissonStructure):
-    """The m with d_pi mapping weight w to w+m, or NOT_HOMOGENEOUS.
+def homogeneity_weight(P: PoissonStructure) -> int:
+    """The m with d_pi mapping weight w to w+m.
 
     Every coefficient of d_i^d_j must be weighted-homogeneous of degree
-    m + weights[i] + weights[j].  The zero bivector is homogeneous of every
-    weight; 0 is returned for it by convention.
+    m + weights[i] + weights[j]; otherwise PreconditionError is raised.
+    The zero bivector is homogeneous of every weight; 0 is returned for it
+    by convention.
     """
     chart = P.chart
-    m = None
-    for (i, j), coeff in P.pi.terms.items():
-        target = None
-        for exponent in coeff.terms:
-            d = chart.weighted_degree(exponent)
-            if target is None:
-                target = d
-            elif target != d:
-                return NOT_HOMOGENEOUS
-        this_m = target - chart.weights[i] - chart.weights[j]
-        if m is None:
-            m = this_m
-        elif m != this_m:
-            return NOT_HOMOGENEOUS
-    return 0 if m is None else m
+    shifts = {
+        chart.weighted_degree(exponent) - chart.weights[i] - chart.weights[j]
+        for (i, j), coeff in P.pi.terms.items()
+        for exponent in coeff.terms
+    }
+    if len(shifts) > 1:
+        raise PreconditionError("the Poisson structure is not weight-homogeneous")
+    return shifts.pop() if shifts else 0
 
 
 @dataclass(frozen=True)
@@ -188,19 +172,6 @@ def graded_basis(
             codes.extend([mask + p for p in packed])
             groups.append((index, monomials))
     return GradedBasis(chart, k, w, radix, tuple(groups), tuple(codes))
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """A dense exact matrix, rows x cols, entries Fraction."""
-
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.nrows or any(len(r) != self.ncols for r in self.entries):
-            raise ValueError("matrix shape does not match entries")
 
 
 class _DerivativeTable:
@@ -322,26 +293,25 @@ def _dpi_columns(
     return columns
 
 
-def dpi_matrix(P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP) -> RationalMatrix:
-    """Exact rational matrix of d_pi from the (k, w) piece to the (k+1, w+m) piece.
+def dpi_matrix(
+    P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP
+) -> list[dict[int, int | Fraction]]:
+    """Sparse columns ``{row: value}`` of d_pi from the (k, w) piece to the (k+1, w+m) piece.
 
     Column j holds the coordinates of d_pi applied to the j-th source basis
     element, expanded in the target basis.  The integer columns of the
     derivative table are divided by its ``scale`` here, so the entries are
-    those of d_pi itself, not of a multiple.
+    those of d_pi itself, not of a multiple: an ``int`` when integral, a
+    ``Fraction`` otherwise, and zeros are absent.
     """
     m = homogeneity_weight(P)
-    if m is NOT_HOMOGENEOUS:
-        raise PreconditionError("the Poisson structure is not weight-homogeneous")
     table = _DerivativeTable(P, max(w, w + m))
     source = graded_basis(P.chart, k, w, cap, table.radix)
     target = graded_basis(P.chart, k + 1, w + m, cap, table.radix)
     columns = _dpi_columns(table, source, target)
-    entries = tuple(
-        tuple(Fraction(column.get(row, 0), table.scale) for column in columns)
-        for row in range(len(target))
-    )
-    return RationalMatrix(len(target), len(source), entries)
+    if table.scale == 1:
+        return columns
+    return [{row: _div(value, table.scale) for row, value in column.items()} for column in columns]
 
 
 def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
@@ -387,19 +357,22 @@ def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
     return pivots
 
 
-def rank_exact(M) -> int:
-    """Rank over the rationals of a :class:`RationalMatrix` or a sequence of rows.
+def rank_exact(columns: list[dict[int, int | Fraction]]) -> int:
+    """Rank over the rationals of sparse columns ``{row: value}``, values ints or ``Fraction``s.
 
-    The cells are ints or ``Fraction``s.  Each row is scaled by the lcm of
-    its denominators, which does not change the rank, and the integer rows
-    are eliminated by :func:`_echelon` as the columns of the transpose.
+    When every value is a nonzero int, the columns go straight to
+    :func:`_echelon`, which consumes them; pass copies to keep them.
+    Otherwise each column is copied into ints, scaled by the lcm of its
+    denominators, which does not change the rank, and without its zeros.
     """
-    rows = M.entries if isinstance(M, RationalMatrix) else M
-    vectors = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        vectors.append({c: x.numerator * (scale // x.denominator) for c, x in enumerate(row) if x})
-    return len(_echelon(vectors))
+    values = list(itertools.chain.from_iterable(map(dict.values, columns)))
+    if not all(values) or not {int}.issuperset(map(type, values)):
+        integral = []
+        for column in columns:
+            scale = lcm(*(value.denominator for value in column.values()))
+            integral.append({row: v.numerator * (scale // v.denominator) for row, v in column.items() if v})
+        columns = integral
+    return len(_echelon(columns))
 
 
 @dataclass(frozen=True)
@@ -483,8 +456,6 @@ def cohomology_table(
     chart = P.chart
     n = chart.n
     m = homogeneity_weight(P)
-    if m is NOT_HOMOGENEOUS:
-        raise PreconditionError("the Poisson structure is not weight-homogeneous")
     k_max = min(k_max, n)
     if w_min is None:
         w_min = -sum(chart.weights)
@@ -509,7 +480,7 @@ def cohomology_table(
             source = basis(k, w)
             target = basis(k + 1, w + m)
             columns = _dpi_columns(table, source, target)
-            ranks[key] = (len(target), len(source), len(_echelon(columns)))
+            ranks[key] = (len(target), len(source), rank_exact(columns))
         return ranks[key]
 
     pieces: dict[tuple[int, int], TableEntry] = {}

@@ -387,6 +387,31 @@ class TestExitCodeContract:
         assert main(["report", str(path)]) == 2
         assert "unknown identifier 'q'" in capsys.readouterr().err
 
+    def test_negative_budget_is_2(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["tjurina", "w^2+z^3", "--budget", "-1"])
+        assert caught.value.code == 2
+        assert "argument --budget: expected an integer of at least 0, got '-1'" in capsys.readouterr().err
+        # A budget of 0 is still a budget: the first reduction step exceeds it.
+        assert main(["tjurina", "w^2+z^3", "--budget", "0"]) == 4
+        assert "all 0 steps spent" in capsys.readouterr().err
+
+    def test_negative_kmax_is_2(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["cohomology", str(FIXTURES / "hesse_cubic.poisson"), "--kmax", "-1"])
+        assert caught.value.code == 2
+        assert "argument --kmax: expected an integer of at least 0, got '-1'" in capsys.readouterr().err
+        envelope = run_json(capsys, "cohomology", str(FIXTURES / "hesse_cubic.poisson"), "--kmax", "0", "--wmax", "2")
+        assert {entry["k"] for entry in envelope["result"]["entries"]} == {0}
+
+    def test_non_homogeneous_cohomology_is_3(self, capsys, tmp_path):
+        path = tmp_path / "inhomogeneous.poisson"
+        path.write_text("chart: w z\npoisson:\n{w,z} = w + w^2\n")
+        assert main(["cohomology", str(path), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "precondition violated: the Poisson structure is not weight-homogeneous\n"
+
     @pytest.mark.parametrize("point", ["1e3000,0", "1e99999,0"])
     def test_point_past_the_digit_limit_is_2(self, capsys, point):
         # (w + 10^3000)^2 has a coefficient of 6001 digits; 10^99999 itself is too long.

@@ -8,7 +8,6 @@ import pytest
 from poissonkit import (
     BasisSizeExceededError,
     Chart,
-    NOT_HOMOGENEOUS,
     Poly,
     Polyvector,
     PreconditionError,
@@ -46,6 +45,15 @@ def rational_hesse_structure():
     return jacobian_poisson_3(F)
 
 
+def columns_of(rows, zeros=False):
+    """The sparse columns ``{row: value}`` of a dense matrix given by its rows.
+
+    Zero cells are left out unless ``zeros`` is set.
+    """
+    ncols = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if zeros or row[c]} for c in range(ncols)]
+
+
 def rational_diagonal_structure(rng):
     """A diagonal 4-chart whose skew matrix has rational, non-integer entries."""
     n = CHART4.n
@@ -78,7 +86,8 @@ class TestHomogeneityWeight:
 
     def test_inhomogeneous(self):
         P = new_poisson(Polyvector.term(CHART2, (0, 1), parse_poly("w + w^2", CHART2)))
-        assert homogeneity_weight(P) is NOT_HOMOGENEOUS
+        with pytest.raises(PreconditionError, match="not weight-homogeneous"):
+            homogeneity_weight(P)
 
     def test_zero_bivector_convention(self):
         assert homogeneity_weight(new_poisson(Polyvector.zero(CHART2, 2))) == 0
@@ -115,12 +124,13 @@ class TestDpiMatrix:
         P = new_poisson(Polyvector.zero(CHART2, 2))
         for k in range(2):
             for w in range(-2, 3):
-                matrix = dpi_matrix(P, k, w)
-                assert all(v == 0 for row in matrix.entries for v in row)
+                columns = dpi_matrix(P, k, w)
+                assert len(columns) == len(graded_basis(CHART2, k, w))
+                assert all(column == {} for column in columns)
 
     def test_symplectic_functions_to_fields_is_injective(self):
-        matrix = dpi_matrix(symplectic2(), 0, 1)
-        assert matrix.ncols == 2 and rank_exact(matrix) == 2
+        columns = dpi_matrix(symplectic2(), 0, 1)
+        assert len(columns) == 2 and rank_exact(columns) == 2
 
     def test_composition_vanishes(self):
         P, _ = hesse_structure()
@@ -128,14 +138,12 @@ class TestDpiMatrix:
             for w in range(0, 4):
                 first = dpi_matrix(P, k, w)
                 second = dpi_matrix(P, k + 1, w)
-                product = [
-                    [
-                        sum(second.entries[i][t] * first.entries[t][j] for t in range(first.nrows))
-                        for j in range(first.ncols)
-                    ]
-                    for i in range(second.nrows)
-                ]
-                assert all(v == 0 for row in product for v in row)
+                for column in first:
+                    product: dict[int, Fraction] = {}
+                    for t, a in column.items():
+                        for i, b in second[t].items():
+                            product[i] = product.get(i, 0) + b * a
+                    assert not any(product.values()), (k, w)
 
     def test_inhomogeneous_rejected(self):
         P = new_poisson(Polyvector.term(CHART2, (0, 1), parse_poly("w + w^2", CHART2)))
@@ -144,19 +152,22 @@ class TestDpiMatrix:
 
 
 class TestRankExact:
+    """``rank_exact`` on the sparse columns of dense matrices, against ``gaussian_rank``."""
+
     def test_identity(self):
-        assert rank_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert rank_exact(columns_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
     def test_zero(self):
-        assert rank_exact([[0, 0], [0, 0]]) == 0
+        assert rank_exact(columns_of([[0, 0], [0, 0]])) == 0
+        assert rank_exact(columns_of([[0, 0], [0, 0]], zeros=True)) == 0
 
     def test_rank_one(self):
-        assert rank_exact([[1, 2], [2, 4]]) == 1
+        assert rank_exact(columns_of([[1, 2], [2, 4]])) == 1
 
     def test_rational_entries(self):
         # Exactly singular: det = 1/2 - (1/3)(3/2) = 0.
-        assert rank_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 1
-        assert rank_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]) == 2
+        assert rank_exact(columns_of([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]])) == 1
+        assert rank_exact(columns_of([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]])) == 2
 
     def test_agrees_with_gaussian_oracle(self, rng):
         for _ in range(40):
@@ -166,17 +177,21 @@ class TestRankExact:
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
                 for _ in range(nrows)
             ]
-            assert rank_exact(matrix) == gaussian_rank(matrix)
+            assert rank_exact(columns_of(matrix)) == gaussian_rank(matrix)
 
     def test_single_lines_zero_and_mixed_rows(self):
-        assert rank_exact([[0, Fraction(1, 2), 0]]) == 1
-        assert rank_exact([[0], [0], [Fraction(-3)]]) == 1
-        assert rank_exact([[0, 0, 0]]) == rank_exact([[0], [0]]) == 0
-        assert rank_exact([[Fraction(0)] * 3] * 2) == 0
+        def rank(rows):
+            assert rank_exact(columns_of(rows, zeros=True)) == gaussian_rank(rows)
+            return rank_exact(columns_of(rows))
+
+        assert rank([[0, Fraction(1, 2), 0]]) == 1
+        assert rank([[0], [0], [Fraction(-3)]]) == 1
+        assert rank([[0, 0, 0]]) == rank([[0], [0]]) == 0
+        assert rank([[Fraction(0)] * 3] * 2) == 0
         # An int row beside a Fraction row: singular, then not.
-        assert rank_exact([[1, 2], [Fraction(1, 2), Fraction(1)]]) == 1
-        assert rank_exact([[1, 2], [Fraction(1, 2), Fraction(3, 2)]]) == 2
-        assert rank_exact([[2, Fraction(2, 3), 0], [3, 1, 0], [0, 0, Fraction(1, 7)]]) == 2
+        assert rank([[1, 2], [Fraction(1, 2), Fraction(1)]]) == 1
+        assert rank([[1, 2], [Fraction(1, 2), Fraction(3, 2)]]) == 2
+        assert rank([[2, Fraction(2, 3), 0], [3, 1, 0], [0, 0, Fraction(1, 7)]]) == 2
 
     def test_shapes_and_mixed_rows_agree_with_gaussian_oracle(self, rng):
         def cell():
@@ -187,9 +202,40 @@ class TestRankExact:
             n = rng.randint(1, 6)
             for nrows, ncols in ((1, n), (n, 1), (n, rng.randint(2, 6))):
                 matrix = [[cell() for _ in range(ncols)] for _ in range(nrows)]
-                assert rank_exact(matrix) == gaussian_rank(matrix), matrix
+                for zeros in (False, True):
+                    assert rank_exact(columns_of(matrix, zeros)) == gaussian_rank(matrix), matrix
                 zero = [[0] * ncols for _ in range(nrows)]
-                assert rank_exact(zero) == 0 == gaussian_rank(zero)
+                assert rank_exact(columns_of(zero, zeros=True)) == 0 == gaussian_rank(zero)
+
+    def test_sparse_columns_against_gaussian_oracle(self):
+        # Empty, zero, int and Fraction columns, alone and mixed; the oracle
+        # ranks the dense rows of the same columns.
+        def dense(columns):
+            nrows = max((r + 1 for column in columns for r in column), default=0)
+            return [[column.get(r, 0) for column in columns] for r in range(nrows)]
+
+        cases = [
+            [],
+            [{}],
+            [{}, {}],
+            [{0: 0}, {2: Fraction(0)}],
+            [{0: 3}],
+            [{0: 2, 1: 4}, {0: 1, 1: 2}],
+            [{0: 2, 1: 4}, {0: 1, 1: 3}],
+            [{1: Fraction(1, 2)}, {1: Fraction(-3, 4)}],
+            [{0: 1, 2: 2}, {0: Fraction(1, 3), 2: Fraction(2, 3)}, {1: 0, 2: 5}],
+            [{0: 1, 1: 0}, {0: Fraction(1, 2), 1: Fraction(1, 7)}, {}, {3: Fraction(6, 3)}],
+            [{0: 10**30}, {0: Fraction(1, 10**30)}, {0: 1, 1: 10**30 + 1}],
+        ]
+        for columns in cases:
+            expected = gaussian_rank(dense(columns))
+            assert rank_exact(columns) == expected
+
+    def test_rebuilt_columns_are_left_as_they_are(self):
+        # A list that holds a Fraction or a zero is ranked on int copies; _echelon consumes only those.
+        columns = [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 0}]
+        assert rank_exact(columns) == 2
+        assert columns == [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 0}]
 
 
 class TestCohomologyTable:
@@ -262,14 +308,61 @@ class TestCohomologyTable:
 
     def test_integer_structure_builds_no_fraction(self, monkeypatch):
         import poissonkit.graded_cohomology as module
+        import poissonkit.polyalg as polyalg
 
         def refuse(*args):
             raise AssertionError(f"Fraction{args} built on the integer path")
 
+        P = fixture_structure("torus4")
+        rational = rational_hesse_structure()
         monkeypatch.setattr(module, "Fraction", refuse)
-        assert cohomology_table(fixture_structure("torus4"), 4, 3).euler_consistent()
-        with pytest.raises(AssertionError):
-            dpi_matrix(fixture_structure("torus4"), 1, 0)
+        monkeypatch.setattr(polyalg, "Fraction", refuse)
+        assert cohomology_table(P, 4, 3).euler_consistent()
+        columns = dpi_matrix(P, 1, 0)
+        assert columns and all(type(value) is int for column in columns for value in column.values())
+        # A pi with halves gives d_pi entries that are not ints: they are built as Fractions.
+        with pytest.raises(AssertionError, match="built on the integer path"):
+            dpi_matrix(rational, 1, 1)
+
+    def test_every_piece_is_ranked_through_rank_exact(self, monkeypatch):
+        # One rank_exact call per ranked piece, on that piece's list of
+        # columns, and no elimination besides the one rank_exact runs.
+        import poissonkit.graded_cohomology as module
+
+        events = []
+        assemble, rank, echelon = module._dpi_columns, module.rank_exact, module._echelon
+
+        def assembling(table, source, target):
+            columns = assemble(table, source, target)
+            events.append(("piece", source.k, source.w, len(target), len(columns)))
+            return columns
+
+        def ranking(columns):
+            assert type(columns) is list
+            result = rank(columns)
+            events.append(("rank", len(columns), result))
+            return result
+
+        def eliminating(columns):
+            events.append(("echelon",))
+            return echelon(columns)
+
+        monkeypatch.setattr(module, "_dpi_columns", assembling)
+        monkeypatch.setattr(module, "rank_exact", ranking)
+        monkeypatch.setattr(module, "_echelon", eliminating)
+        for P in (fixture_structure("hesse_cubic"), fixture_structure("sklyanin4"), symplectic2()):
+            events.clear()
+            n = P.chart.n
+            table = cohomology_table(P, n, 3)
+            assert len(events) % 3 == 0
+            ranked = {}
+            for start in range(0, len(events), 3):
+                (kind, k, w, rows, cols), inner, outer = events[start : start + 3]
+                assert (kind, inner[0], outer[:2]) == ("piece", "echelon", ("rank", cols))
+                assert (k, w) not in ranked
+                ranked[(k, w)] = (rows, cols, outer[2])
+            for (k, w), entry in table.entries.items():
+                assert ranked[(k, w)] == entry.rank_certificate
 
     def test_render_text_is_aligned(self):
         table = cohomology_table(symplectic2(), 2, 2)
@@ -299,8 +392,11 @@ def homogeneous_fixture_structures():
     out = []
     for path in sorted(FIXTURES.glob("*.poisson")):
         P = parse_structure_file(path.read_text()).build()
-        if homogeneity_weight(P) is not NOT_HOMOGENEOUS:
-            out.append((path.stem, P))
+        try:
+            homogeneity_weight(P)
+        except PreconditionError:
+            continue
+        out.append((path.stem, P))
     return out
 
 
@@ -353,17 +449,22 @@ class TestDirectAssembly:
 
     @staticmethod
     def assert_columns_are_the_images(P, k, w):
-        matrix = dpi_matrix(P, k, w)
+        columns = dpi_matrix(P, k, w)
         source = graded_basis(P.chart, k, w)
         target = graded_basis(P.chart, k + 1, w + homogeneity_weight(P))
-        assert (matrix.nrows, matrix.ncols) == (len(target), len(source))
-        for j, element in enumerate(source.elements):
+        row_of = {key: row for row, key in enumerate(target.keys)}
+        assert len(columns) == len(source)
+        for element, column in zip(source.elements, columns):
             image = lichnerowicz(P, element)
-            column = [Fraction(0)] * len(target)
-            for row, (index, exponent) in enumerate(target.keys):
-                if index in image.terms:
-                    column[row] = image.terms[index].terms.get(exponent, Fraction(0))
-            assert [matrix.entries[i][j] for i in range(matrix.nrows)] == column
+            expected = {
+                row_of[(index, exponent)]: value
+                for index, coeff in image.terms.items()
+                for exponent, value in coeff.terms.items()
+            }
+            assert column == expected
+            # The Poly rule: an int when integral, a Fraction otherwise, never a zero.
+            for value in column.values():
+                assert value and type(value) is (int if Fraction(value).denominator == 1 else Fraction)
 
     def test_dpi_matrix_columns_are_the_images(self):
         P, _ = hesse_structure()
@@ -375,7 +476,7 @@ class TestDirectAssembly:
             for w in range(-1, 2):
                 self.assert_columns_are_the_images(P, k, w)
         # {y, z} = 1/2 x^2 + 1/2 y z: the entries of d_pi are halves, not ints.
-        assert Fraction(-1, 2) in {v for row in dpi_matrix(P, 1, 1).entries for v in row}
+        assert Fraction(-1, 2) in {v for column in dpi_matrix(P, 1, 1) for v in column.values()}
         self.assert_columns_are_the_images(rational_diagonal_structure(rng), 1, -1)
 
 
@@ -433,12 +534,12 @@ class TestBlockRank:
             dense, nrows, ncols = self.random_block_sparse(rng)
             expected = gaussian_rank(dense)
             assert len(_echelon(integer_columns(dense, nrows, ncols))) == expected
-            assert rank_exact(dense) == expected
+            assert rank_exact(columns_of(dense)) == expected
 
     def test_empty_shapes(self):
         assert _echelon([]) == {}
         assert _echelon([{}, {}]) == {}
-        assert rank_exact([]) == rank_exact([[], []]) == 0
+        assert rank_exact([]) == rank_exact([{}, {}]) == 0
 
     def test_blocks_sum(self):
         # Two 2x2 blocks, one singular, interleaved by the row/column order.
@@ -452,7 +553,7 @@ class TestBlockRank:
 
 
 class TestSparseElimination:
-    """``_echelon`` and ``rank_exact`` on dense, large-entry and rank-deficient matrices."""
+    """``_echelon`` and ``rank_exact`` on the columns of dense, large-entry and rank-deficient matrices."""
 
     def test_echelon_stays_within_the_hadamard_bound(self, rng):
         # Each reduced column is primitive, hence a divisor of a minor of the
@@ -477,7 +578,7 @@ class TestSparseElimination:
             expected = gaussian_rank(dense)
             assert expected == (size - 1 if size > 2 else size)
             assert len(_echelon(integer_columns(dense, size, size))) == expected
-            assert rank_exact(dense) == expected
+            assert rank_exact(columns_of(dense)) == expected
 
     def test_rank_deficient_products(self, rng):
         for _ in range(20):
@@ -493,7 +594,7 @@ class TestSparseElimination:
             assert len(_echelon(integer_columns(dense, nrows, ncols))) == expected
             # The same rows as Fractions, each scaled by a different rational.
             scaled = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(dense)]
-            assert rank_exact(scaled) == expected
+            assert rank_exact(columns_of(scaled)) == expected
 
 
 class TestMonomialCodes:
