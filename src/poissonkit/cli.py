@@ -189,6 +189,8 @@ def cmd_cohomology(args) -> dict:
     P = spec.build()
     k_max = args.kmax if args.kmax is not None else P.chart.n
     table = cohomology_table(P, k_max, args.wmax)
+    if table.w_max < table.w_min:
+        raise ParseError(f"--wmax {table.w_max} is below the table's w_min {table.w_min}: the window is empty")
     entries = [
         {
             "k": e.k,

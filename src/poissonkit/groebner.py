@@ -15,10 +15,15 @@ before any is formed.  A step budget (one step per reduction) guards against
 blowup: exceeding it raises :class:`BudgetExceededError`; nothing is ever
 silently truncated.
 
-The ideals are rational, but the arithmetic is integer: Buchberger keeps
-its basis primitive over Z and makes it monic only at output, and
-:func:`division` reduces fraction-free under one running integer
-multiplier.  Both reduce the same leading terms in the same order as a
+The ideals are rational, but the arithmetic is integer.  One loop,
+:func:`_reduce`, does every reduction: it works on integer term maps,
+fraction-free under one running integer multiplier, and pops each leading
+term from a grevlex heap of the work exponents.  Buchberger keeps its basis
+primitive over Z, reduces its S-polynomials and inter-reduces on that basis
+through :func:`_reduce` directly, builds no rational quotient, and makes
+the basis monic only at output; :func:`division` and :func:`normal_form`
+scale their input to integers and rebuild the rationals from the loop's
+steps.  Every reduction takes the same leading terms in the same order as a
 reduction over Q with a monic basis, so the step counts, the quotients and
 the remainders are the same.
 """
@@ -28,10 +33,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError, PreconditionError
-from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul, grevlex_key
+from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul, grevlex_desc, grevlex_key
 
 DEFAULT_BUDGET = 10**6
 
@@ -96,19 +102,74 @@ class _StepCounter:
 
 
 def _divides(d: Exponent, e: Exponent) -> bool:
-    return all(a <= b for a, b in zip(d, e))
+    return all(map(operator.le, d, e))
 
 
 def _monomial_quotient(e: Exponent, d: Exponent) -> Exponent:
-    return tuple(a - b for a, b in zip(e, d))
+    return tuple(map(operator.sub, e, d))
 
 
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _is_coprime(a: Exponent, b: Exponent, lcm: Exponent) -> bool:
-    return all(x + y == m for x, y, m in zip(a, b, lcm))
+    return tuple(map(operator.add, a, b)) == lcm
+
+
+def _reduce(
+    work: dict,
+    m: int,
+    leads: list[Exponent],
+    divisors: list[dict],
+    counter: _StepCounter | None = None,
+    steps: list | None = None,
+):
+    """Reduce the integer term map ``work`` (consumed) by the integer ``divisors``.
+
+    ``work`` / ``m`` is the rational polynomial and ``leads`` are the
+    divisors' grevlex leading exponents.  The loop is fraction-free: a step
+    with work lead c and divisor lead A scales the work and m by
+    A / gcd(A, c), then subtracts c / gcd(A, c) times the shifted divisor.
+    It spends one step of ``counter`` and, when ``steps`` is a list,
+    appends ``(i, q_exp, c, m)`` with c and m as before the step.
+
+    The work exponents wait in a heap under :func:`grevlex_desc`, so each
+    lead is popped, not searched for.  A popped exponent that is no longer
+    in ``work`` has cancelled and is skipped; a step inserts only exponents
+    below the current lead, so each term leaves the heap once, in
+    descending order.  Returns ``(remainder, m)``: remainder / m is the
+    rational remainder, its terms in descending grevlex order (a term moved
+    at multiplier m_at is scaled by m / m_at at the end).
+    """
+    int_leads = [d[e] for d, e in zip(divisors, leads)]
+    heap = [(grevlex_desc(e), e) for e in work]
+    heapq.heapify(heap)
+    moved = []
+    while heap:
+        exp = heapq.heappop(heap)[1]
+        c = work.get(exp)
+        if c is None:
+            continue
+        for i, lead_exp in enumerate(leads):
+            if _divides(lead_exp, exp):
+                if counter is not None:
+                    counter.spend()
+                q_exp = _monomial_quotient(exp, lead_exp)
+                if steps is not None:
+                    steps.append((i, q_exp, c, m))
+                common = math.gcd(c, int_leads[i])
+                scale = int_leads[i] // common
+                if scale != 1:
+                    m *= scale
+                    for e in work:
+                        work[e] *= scale
+                for e in _sub_mul(work, c // common, q_exp, divisors[i]):
+                    heapq.heappush(heap, (grevlex_desc(e), e))
+                break
+        else:
+            moved.append((exp, work.pop(exp), m))
+    return {e: c * (m // m_at) for e, c, m_at in moved}, m
 
 
 def division(
@@ -122,48 +183,36 @@ def division(
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
     ``leads`` are the divisors' grevlex leading exponents, for a
-    caller that already holds them.  One term map is reduced in place; its
-    leading exponent falls at every step, so each quotient term is set once.
+    caller that already holds them.
 
-    The reduction is fraction-free: p is scaled once to integer
-    coefficients and each divisor to its primitive part over Z, and the
-    work map W stays integral under a running integer multiplier m, with
-    W / m the rational work polynomial.  A step with work lead c and
-    primitive divisor lead A scales W and m by A / gcd(A, c).  Its quotient
-    coefficient is c / (a m), with a the divisor's own lead coefficient,
-    and a remainder coefficient is c / m: the same rationals a reduction
-    over Q produces.
+    The reduction is the fraction-free heap loop :func:`_reduce`: p is
+    scaled once to integer coefficients and each divisor to its primitive
+    part over Z.  The leading exponent falls at every step, so each
+    quotient term is set once.  A step with work lead c at multiplier m by a
+    divisor with lead coefficient a has the quotient coefficient c / (a m),
+    and the remainder is the loop's integer remainder over its final m: the
+    same rationals a reduction over Q produces.
     """
     chart = p.chart
     if leads is None:
         leads = [d.leading()[0] for d in divisors]
-    lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
-    integral = [_primitive_terms(d.terms) for d in divisors]
-    int_leads = [t[e] for t, e in zip(integral, leads)]
-    quotients: list[dict] = [{} for _ in divisors]
-    remainder = {}
     m = math.lcm(*(c.denominator for c in p.terms.values()))
     work = {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
-    while work:
-        exp = max(work, key=grevlex_key)
-        for i, lead_exp in enumerate(leads):
-            if _divides(lead_exp, exp):
-                if counter is not None:
-                    counter.spend()
-                q_exp = _monomial_quotient(exp, lead_exp)
-                c = work[exp]
-                quotients[i][q_exp] = _div(c, lead_coeffs[i] * m)
-                common = math.gcd(c, int_leads[i])
-                scale = int_leads[i] // common
-                if scale != 1:
-                    m *= scale
-                    for e in work:
-                        work[e] *= scale
-                _sub_mul(work, c // common, q_exp, integral[i])
-                break
-        else:
-            remainder[exp] = _div(work.pop(exp), m)
-    return [Poly._of(chart, q) for q in quotients], Poly._of(chart, remainder)
+    steps: list = []
+    remainder, m = _reduce(work, m, leads, [_primitive_terms(d.terms) for d in divisors], counter, steps)
+    lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
+    quotients: list[dict] = [{} for _ in divisors]
+    for i, q_exp, c, m_at in steps:
+        quotients[i][q_exp] = _div(c, lead_coeffs[i] * m_at)
+    return (
+        [Poly._of(chart, q) for q in quotients],
+        Poly._of(chart, {e: _div(c, m) for e, c in remainder.items()}),
+    )
+
+
+def _positive_primitive(remainder: dict, m: int) -> dict:
+    """The primitive part of remainder / m over Z: a positive multiple of it."""
+    return _primitive_terms(remainder if m > 0 else {e: -c for e, c in remainder.items()})
 
 
 def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
@@ -181,9 +230,11 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     leading term the new one divides form no further pairs.  Leading
     exponents are computed once per element.
 
-    Elements are kept primitive over Z and S-polynomials are formed with
-    integer cofactors, so the reductions run in integer arithmetic; each
-    element is made monic once, at output.
+    Elements are kept as primitive term maps over Z and S-polynomials are
+    formed with integer cofactors; :func:`_reduce` reduces them on that
+    basis, and a nonzero remainder joins it as the primitive part of its
+    positive multiple.  No rational quotient is built, and each element is
+    made monic once, at output.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -197,15 +248,14 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
             raise ChartMismatchError("generators live on different charts")
     counter = _StepCounter(budget)
 
-    basis: list[Poly] = []  # primitive over Z
+    basis: list[dict] = []  # term maps, primitive over Z
     leads: list[Exponent] = []
     live: list[int] = []  # elements that still form pairs, ascending
     pairs: list = []  # heap of (grevlex_key(lcm), (i, j), lcm)
 
-    def add(g: Poly):
-        lead = max(g.terms, key=grevlex_key)
+    def add(g: dict, lead: Exponent):
         h = len(basis)
-        basis.append(Poly._of(chart, _primitive_terms(g.terms)))
+        basis.append(g)
         leads.append(lead)
         # B_k on the old pairs.
         kept = [
@@ -232,17 +282,17 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         live.append(h)
 
     for g in nonzero:
-        add(g)
+        add(_primitive_terms(g.terms), g.leading()[0])
     while pairs:
         _, (i, j), lcm = heapq.heappop(pairs)
-        a_i, a_j = basis[i].terms[leads[i]], basis[j].terms[leads[j]]
+        a_i, a_j = basis[i][leads[i]], basis[j][leads[j]]
         common = math.gcd(a_i, a_j)
         s: dict = {}
-        _sub_mul(s, -(a_j // common), _monomial_quotient(lcm, leads[i]), basis[i].terms)
-        _sub_mul(s, a_i // common, _monomial_quotient(lcm, leads[j]), basis[j].terms)
-        _, remainder = division(Poly._of(chart, s), [basis[k] for k in live], counter, [leads[k] for k in live])
-        if not remainder.is_zero:
-            add(remainder)
+        _sub_mul(s, -(a_j // common), _monomial_quotient(lcm, leads[i]), basis[i])
+        _sub_mul(s, a_i // common, _monomial_quotient(lcm, leads[j]), basis[j])
+        remainder, m = _reduce(s, 1, [leads[k] for k in live], [basis[k] for k in live], counter)
+        if remainder:
+            add(_positive_primitive(remainder, m), next(iter(remainder)))
         counter.done += 1
 
     # Minimalize: drop generators whose leading term another one divides.
@@ -258,10 +308,10 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         others = reduced[:idx] + reduced[idx + 1 :]
         if not others:
             continue
-        _, remainder = division(g, others, counter, minimal_leads[:idx] + minimal_leads[idx + 1 :])
-        reduced[idx] = Poly._of(chart, _primitive_terms(remainder.terms))
+        remainder, m = _reduce(dict(g), 1, minimal_leads[:idx] + minimal_leads[idx + 1 :], others, counter)
+        reduced[idx] = _positive_primitive(remainder, m)
         counter.done += 1
-    monic = (g * _div(1, g.terms[lead]) for g, lead in zip(reduced, minimal_leads))
+    monic = (Poly._of(chart, g) * _div(1, g[lead]) for g, lead in zip(reduced, minimal_leads))
     return GroebnerBasis(chart, tuple(monic))
 
 

@@ -12,7 +12,10 @@ polynomial has an empty term map.
 Only the public constructor validates.  Arithmetic wraps the term maps it
 builds with the trusted :meth:`Poly._of`, and division reduces one mutable
 term map in place (:func:`_sub_mul`), so a ``Poly`` is built only for the
-results.
+results.  The Groebner reduction keeps that map's exponents in a heap under
+:func:`grevlex_desc` and pushes the exponents :func:`_sub_mul` inserts, so
+it pops each leading term instead of searching for it.  Exponent sums run
+through C-level ``map``.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, and the multivariate gcd over Z behind the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -126,22 +130,39 @@ def _div(a, b):
     return _exact(Fraction(a, b))
 
 
-def _sub_mul(work: dict, c, shift: Exponent, terms: dict) -> None:
-    """``work -= c * x^shift * terms`` in place; cancelled terms are deleted."""
+def _sub_mul(work: dict, c, shift: Exponent, terms: dict) -> list[Exponent]:
+    """``work -= c * x^shift * terms`` in place; cancelled terms are deleted.
+
+    Returns the exponents that were not in ``work`` before, so a caller that
+    indexes the keys of ``work`` can add them.
+    """
+    inserted = []
     for exponent, coeff in terms.items():
-        e = tuple(a + b for a, b in zip(exponent, shift))
-        acc = work.get(e, 0) - c * coeff
-        if acc:
-            work[e] = acc
+        e = tuple(map(operator.add, exponent, shift))
+        acc = work.get(e)
+        if acc is None:
+            work[e] = -c * coeff
+            inserted.append(e)
         else:
-            del work[e]
+            acc -= c * coeff
+            if acc:
+                work[e] = acc
+            else:
+                del work[e]
+    return inserted
 
 
 # The one monomial order: grevlex, for leading terms, printing and every
 # Groebner computation.  Key sorts ascending (1 minimal); the tiebreak negates
 # reversed exponents.
 def grevlex_key(exponent: Exponent):
-    return (sum(exponent), tuple(-e for e in reversed(exponent)))
+    return (sum(exponent), tuple(map(operator.neg, reversed(exponent))))
+
+
+# The same order descending: ascending on this key is descending on
+# grevlex_key, so a min-heap under it pops the grevlex-largest exponent.
+def grevlex_desc(exponent: Exponent):
+    return (-sum(exponent), exponent[::-1])
 
 
 class Poly:
@@ -278,7 +299,7 @@ class Poly:
         out: dict[Exponent, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(operator.add, ea, eb))
                 acc = out.get(e, 0) + ca * cb
                 if acc:
                     out[e] = acc

@@ -404,6 +404,16 @@ class TestExitCodeContract:
         envelope = run_json(capsys, "cohomology", str(FIXTURES / "hesse_cubic.poisson"), "--kmax", "0", "--wmax", "2")
         assert {entry["k"] for entry in envelope["result"]["entries"]} == {0}
 
+    def test_wmax_below_the_window_is_2(self, capsys):
+        fixture = str(FIXTURES / "hesse_cubic.poisson")
+        assert main(["cohomology", fixture, "--wmax", "-5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: --wmax -5 is below the table's w_min -3: the window is empty\n"
+        # The lowest weight alone is a window of one column.
+        envelope = run_json(capsys, "cohomology", fixture, "--wmax", "-3")
+        assert {entry["w"] for entry in envelope["result"]["entries"]} == {-3}
+
     def test_non_homogeneous_cohomology_is_3(self, capsys, tmp_path):
         path = tmp_path / "inhomogeneous.poisson"
         path.write_text("chart: w z\npoisson:\n{w,z} = w + w^2\n")

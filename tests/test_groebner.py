@@ -19,7 +19,7 @@ from poissonkit import (
     tjurina_global,
 )
 from poissonkit.groebner import GroebnerBasis, division
-from poissonkit.polyalg import grevlex_key
+from poissonkit.polyalg import grevlex_desc, grevlex_key
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import standard_monomial_count, tjurina_jet_oracle
 
@@ -46,6 +46,12 @@ class TestMonomialOrders:
                 shifted_a = tuple(x + y for x, y in zip(a, c))
                 shifted_b = tuple(x + y for x, y in zip(b, c))
                 assert key(shifted_a) > key(shifted_b)
+
+    def test_descending_key_reverses_grevlex(self, rng):
+        for n in (1, 2, 3, 4):
+            for _ in range(30):
+                exponents = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 12))]
+                assert sorted(exponents, key=grevlex_desc) == sorted(exponents, key=grevlex_key, reverse=True)
 
 
 class TestBuchberger:

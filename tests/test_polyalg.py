@@ -153,6 +153,10 @@ class TestDivision:
                 assert not any(_divides(lead, e) for e in r.terms for lead in leads)
 
     def test_fraction_free_division_returns_the_rationals_of_division_over_q(self, rng):
+        # The first case cancels w*z^2 at the step on w^3 and re-creates it at
+        # the step on w^2*z, so a stale heap entry for it surfaces after the
+        # live one; the remainder is z^3.
+        cases = [(P("w^3 + w^2*z - 3/2*w*z^2"), [P("w*z - z^2"), P("2*w^2 - 3*z^2")])]
         for chart in (CHART2, CHART3):
             for _ in range(30):
                 # Products carry integral Fractions; the divisors mix ints and Fractions.
@@ -161,12 +165,16 @@ class TestDivision:
                     random_poly(rng, chart, max_degree=2, max_terms=3, allow_zero=False)
                     for _ in range(rng.randint(1, 3))
                 ]
-                quotients, r = division(p, divisors)
-                expected_quotients, expected_r = division_over_q(p, divisors, grevlex_key)
-                assert [q.terms for q in quotients] == expected_quotients
-                assert r.terms == expected_r
-                for c in (*r.terms.values(), *(c for q in quotients for c in q.terms.values())):
-                    assert type(c) is int or c.denominator > 1
+                cases.append((p, divisors))
+        for p, divisors in cases:
+            quotients, r = division(p, divisors)
+            expected_quotients, expected_r = division_over_q(p, divisors, grevlex_key)
+            assert [q.terms for q in quotients] == expected_quotients
+            assert r.terms == expected_r
+            for c in (*r.terms.values(), *(c for q in quotients for c in q.terms.values())):
+                assert type(c) is int or c.denominator > 1
+        assert cases[0][0] == P("(w + z)*(w*z - z^2) + 1/2*w*(2*w^2 - 3*z^2) + z^3")
+        assert division(*cases[0])[1] == P("z^3")
 
 
 class TestArithmetic:

@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import sympy
 
-from poissonkit import INFINITE, gcd_multi, jacobian_ideal_basis, parse_poly, tjurina_global
+from poissonkit import INFINITE, buchberger, gcd_multi, groebner, jacobian_ideal_basis, parse_poly, tjurina_global
 from poissonkit.cli import main
-from poissonkit.groebner import division
+from poissonkit.groebner import _positive_primitive, division
+from poissonkit.polyalg import grevlex_key
 from conftest import CHART2, CHART3, random_poly
-from oracles import standard_monomial_count
+from oracles import division_over_q, standard_monomial_count
 
 W, Z = sympy.symbols("w z")
 
@@ -94,6 +95,39 @@ class TestGroebnerAgainstSympy:
             tau = standard_monomial_count(leads, 2)
             got = tjurina_global(f.shift(point))
             assert (got is INFINITE) if tau is None else (got == tau), (text, point)
+
+    def test_negative_leading_coefficients(self, monkeypatch):
+        # Every generator's leading coefficient is negative, so a reduction by
+        # it scales the fraction-free multiplier by a negative number.
+        ideals = [
+            ["-2*w^2*z + 3*z^2 - 1", "-3*w*z^2 + 2*w + 1"],
+            ["-w^3 + 2*w*z", "-3*z^3 + w^2 - 5"],
+            ["-w^4 - z^5 + 3*w^2*z", "-4*w^3 + 6*w*z", "-5*z^4 + 3*w^2"],
+            ["-1/2*w^2 + z", "-2/3*z^2 + w*z - 1"],
+        ]
+        calls = []
+        reduce = groebner._reduce
+
+        def spy(*args, **kwargs):
+            remainder, m = reduce(*args, **kwargs)
+            calls.append((remainder, m))
+            return remainder, m
+
+        monkeypatch.setattr(groebner, "_reduce", spy)
+        for texts in ideals:
+            gens = [parse_poly(t, CHART2) for t in texts]
+            expected, _ = sympy_reduced_basis([to_sympy(t) for t in texts])
+            assert canonical(g.terms for g in buchberger(gens).gens) == canonical(expected), texts
+            for p in (gens[0] * gens[1], gens[0] ** 2 + gens[1], parse_poly("w^5*z^3 - 7*w*z + 2", CHART2)):
+                quotients, r = division(p, gens)
+                expected_quotients, expected_r = division_over_q(p, gens, grevlex_key)
+                assert [q.terms for q in quotients] == expected_quotients and r.terms == expected_r
+        negative = [(remainder, m) for remainder, m in calls if m < 0 and remainder]
+        assert negative
+        # Buchberger keeps the positive multiple of the rational remainder.
+        for remainder, m in negative:
+            primitive = _positive_primitive(remainder, m)
+            assert all((primitive[e] > 0) == (c * m > 0) for e, c in remainder.items())
 
 
 # The report-mix surfaces whose gcd(f, df/dw, df/dz) never finished in 20 s
