@@ -15,7 +15,6 @@ from .polyalg import (
     parse_poly,
 )
 from .multivec import (
-    OneForm,
     Polyvector,
     SIGN_CONVENTIONS,
     apply_vector_field,

@@ -8,7 +8,8 @@ The JSON output validates against the schema shipped as
 ``poissonkit/schema.json``.
 
 Exit codes: 0 success, 2 parse error, 3 violated mathematical precondition,
-4 resource budget exceeded.
+4 resource budget exceeded.  A reader that closes stdout early
+(``... --json | head -c 50``) ends the command with exit 0, no traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -431,10 +433,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(envelope, indent=2))
-    else:
-        print(_render_human(envelope))
+    text = json.dumps(envelope, indent=2) if args.json else _render_human(envelope)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point fd 1 at devnull so that the
+        # interpreter's exit flush of what is still buffered cannot raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

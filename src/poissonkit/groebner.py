@@ -176,14 +176,11 @@ def division(
     p: Poly,
     divisors: list[Poly],
     counter: _StepCounter | None = None,
-    leads: list[Exponent] | None = None,
 ):
     """Multivariate division: p = sum quotients[i] * divisors[i] + remainder.
 
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
-    ``leads`` are the divisors' grevlex leading exponents, for a
-    caller that already holds them.
 
     The reduction is the fraction-free heap loop :func:`_reduce`: p is
     scaled once to integer coefficients and each divisor to its primitive
@@ -194,8 +191,7 @@ def division(
     same rationals a reduction over Q produces.
     """
     chart = p.chart
-    if leads is None:
-        leads = [d.leading()[0] for d in divisors]
+    leads = [d.leading()[0] for d in divisors]
     m = math.lcm(*(c.denominator for c in p.terms.values()))
     work = {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
     steps: list = []

@@ -17,12 +17,12 @@ Sign conventions (pinned by the test suite, recorded in ``SIGN_CONVENTIONS``):
   ``lie_derivative(xi, covolume) = -bv(xi) * covolume``;
 * consequently ``schouten(pi, f) = -hamiltonian(f)`` for a bivector pi, the
   sign that makes the homotopy formula
-  ``L_{H_f} = d_pi o i_df + i_df o d_pi`` hold with the contraction below.
+  ``L_{H_f} = d_pi o i_df + i_df o d_pi`` hold with the contraction
+  ``contract(f, a) = i_df(a)`` below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, ParseError
@@ -219,40 +219,36 @@ def wedge(a: Polyvector, b: Polyvector) -> Polyvector:
     return Polyvector(a.chart, degree, acc)
 
 
-def _theta_diff(a: Polyvector, i: int) -> Polyvector:
-    """Left derivative with respect to the odd frame symbol d_i (degree k-1)."""
-    acc: dict[MultiIndex, Poly] = {}
-    for index, coeff in a.terms.items():
-        if i not in index:
-            continue
-        pos = index.index(i)
-        rest = index[:pos] + index[pos + 1 :]
-        _add_term(acc, rest, coeff if pos % 2 == 0 else -coeff)
-    return Polyvector(a.chart, a.k - 1, acc)
+def _theta_diff(a: Polyvector, i: int):
+    """Left derivative by the odd frame symbol d_i, term by term.
 
-
-def _x_diff(a: Polyvector, i: int) -> Polyvector:
-    return Polyvector(a.chart, a.k, {index: c.diff(i) for index, c in a.terms.items()})
-
-
-def _interior(a: Polyvector, b: Polyvector) -> Polyvector:
-    """sum_i (left d-derivative of a w.r.t. d_i) ^ (db/dx_i).
-
-    Callers guarantee 0 <= a.k - 1 + b.k <= n.
+    Yields ``(sign, rest, coeff)`` for each term ``coeff d_index`` of a whose
+    index holds i: the derivative is ``sign * coeff d_rest``.
     """
-    chart = a.chart
-    result = Polyvector.zero(chart, a.k - 1 + b.k)
-    if a.k == 0:
-        return result
-    for i in range(chart.n):
-        da = _theta_diff(a, i)
-        if da.is_zero:
-            continue
-        db = _x_diff(b, i)
-        if db.is_zero:
-            continue
-        result = result + wedge(da, db)
-    return result
+    for index, coeff in a.terms.items():
+        if i in index:
+            pos = index.index(i)
+            yield (-1 if pos % 2 else 1), index[:pos] + index[pos + 1 :], coeff
+
+
+def _add_odd_sum(
+    acc: dict[MultiIndex, Poly], a: Polyvector, b_terms: dict[MultiIndex, Poly], sign: int
+):
+    """Add ``sign * sum_i (left d-derivative of a by d_i) ^ (db/dx_i)`` into acc.
+
+    One of the two sums of the odd-coordinate Schouten formula; ``b_terms``
+    is the term map of b.
+    """
+    for i in range(a.chart.n):
+        b_diffs = [(ib, d) for ib, cb in b_terms.items() if not (d := cb.diff(i)).is_zero]
+        for theta_sign, rest, ca in _theta_diff(a, i):
+            for ib, db in b_diffs:
+                merged = _merge_sign(rest, ib)
+                if merged is None:
+                    continue
+                merge_sign, index = merged
+                product = ca * db
+                _add_term(acc, index, product if sign * theta_sign * merge_sign > 0 else -product)
 
 
 def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
@@ -261,7 +257,8 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
     Extends the Lie bracket of vector fields and the action of vector fields
     on functions, with graded antisymmetry
     ``[a, b] = -(-1)^((|a|-1)(|b|-1)) [b, a]`` and the graded Leibniz rule
-    ``[a, b^c] = [a, b]^c + (-1)^((|a|-1)|b|) b^[a, c]``.
+    ``[a, b^c] = [a, b]^c + (-1)^((|a|-1)|b|) b^[a, c]``.  Both sums of the
+    odd-coordinate formula add into one term map.
     """
     a._check_chart(b)
     ka, kb = a.k, b.k
@@ -271,32 +268,25 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
         return Polyvector.zero(a.chart, a.chart.n)
     sign_ab = -1 if (ka - 1) % 2 else 1
     sign_ba = -1 if ((ka - 1) * (kb - 1) + (kb - 1)) % 2 == 0 else 1
-    result = _interior(a, b) * sign_ab
-    back = _interior(b, a)
-    if not back.is_zero:
-        result = result + back * sign_ba
-    return result
+    acc: dict[MultiIndex, Poly] = {}
+    _add_odd_sum(acc, a, b.terms, sign_ab)
+    _add_odd_sum(acc, b, a.terms, sign_ba)
+    return Polyvector(a.chart, ka + kb - 1, acc)
 
 
-def contract(alpha: OneForm, a: Polyvector) -> Polyvector:
-    """Contraction of a polyvector with a one-form; degree |a| - 1.
+def contract(f: Poly, a: Polyvector) -> Polyvector:
+    """Contraction i_df(a) of a polyvector with the exact one-form df; degree |a| - 1.
 
-    A graded derivation of the wedge product; on a vector field xi and an
-    exact form df it returns xi(f).  Contracting a function gives the zero
-    function.
+    A graded derivation of the wedge product; on a vector field xi it
+    returns xi(f).  Contracting a function gives the zero function.
     """
-    if alpha.chart != a.chart:
-        raise ChartMismatchError("one-form and polyvector live on different charts")
+    if f.chart != a.chart:
+        raise ChartMismatchError("function and polyvector live on different charts")
     if a.k == 0:
         return Polyvector.zero(a.chart, 0)
-    result = Polyvector.zero(a.chart, a.k - 1)
-    for i, component in enumerate(alpha.components):
-        if component.is_zero:
-            continue
-        part = _theta_diff(a, i)
-        if not part.is_zero:
-            result = result + part * component
-    return result
+    acc: dict[MultiIndex, Poly] = {}
+    _add_odd_sum(acc, a, {(): f}, 1)
+    return Polyvector(a.chart, a.k - 1, acc)
 
 
 def lie_derivative(xi: Polyvector, a: Polyvector) -> Polyvector:
@@ -329,40 +319,6 @@ def bv(a: Polyvector) -> Polyvector:
             rest = index[:pos] + index[pos + 1 :]
             _add_term(acc, rest, d if pos % 2 == 0 else -d)
     return Polyvector(a.chart, a.k - 1, acc)
-
-
-# ---------------------------------------------------------------------------
-# One-forms (exact forms and coordinate differentials only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OneForm:
-    """A one-form given by its n components (the coefficient of each dx_i)."""
-
-    chart: Chart
-    components: tuple[Poly, ...]
-
-    def __post_init__(self):
-        components = tuple(self.components)
-        if len(components) != self.chart.n:
-            raise ValueError("a one-form needs one component per chart variable")
-        for c in components:
-            if c.chart != self.chart:
-                raise ChartMismatchError("one-form component on the wrong chart")
-        object.__setattr__(self, "components", components)
-
-    @classmethod
-    def differential(cls, f: Poly) -> OneForm:
-        """The exact one-form df."""
-        return cls(f.chart, tuple(f.diff(i) for i in range(f.chart.n)))
-
-    @classmethod
-    def coordinate(cls, chart: Chart, i: int) -> OneForm:
-        """The coordinate differential dx_i."""
-        one = Poly.constant(chart, 1)
-        zero = Poly.zero(chart)
-        return cls(chart, tuple(one if j == i else zero for j in range(chart.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, JacobiFailure, PreconditionError
-from .multivec import OneForm, Polyvector, apply_vector_field, bv, contract, schouten, wedge
+from .multivec import Polyvector, apply_vector_field, bv, contract, schouten, wedge
 from .polyalg import Chart, Poly
 
 
@@ -61,9 +61,7 @@ def new_poisson(pi: Polyvector) -> PoissonStructure:
 
 def hamiltonian(P: PoissonStructure, f: Poly) -> Polyvector:
     """The Hamiltonian vector field H_f = i_df(pi), so L_{H_f} g = {f, g}."""
-    if f.chart != P.chart:
-        raise ChartMismatchError("function lives on a different chart")
-    return contract(OneForm.differential(f), P.pi)
+    return contract(f, P.pi)
 
 
 def poisson_bracket(P: PoissonStructure, f: Poly, g: Poly) -> Poly:

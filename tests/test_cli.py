@@ -444,6 +444,32 @@ class TestExitCodeContract:
         assert done.stderr == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
 
 
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the command with exit 0, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "hesse_cubic.poisson", "--wmax", "3", "--json"],
+            ["check", "surface_node.poisson"],
+        ],
+        ids=["json", "human"],
+    )
+    def test_closed_pipe_exits_0(self, argv):
+        command, fixture, *rest = argv
+        src = str(Path(poissonkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "poissonkit", command, str(FIXTURES / fixture), *rest],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()  # before the child can print
+        _, err = child.communicate(timeout=60)
+        assert b"Traceback" not in err, err.decode()
+        assert child.returncode == 0, err.decode()
+
 class TestHumanOutput:
     @pytest.mark.parametrize(
         "argv,key_line",

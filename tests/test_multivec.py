@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from poissonkit import (
     ChartMismatchError,
-    OneForm,
     ParseError,
     Poly,
     Polyvector,
@@ -12,6 +13,7 @@ from poissonkit import (
     bv,
     contract,
     covolume,
+    jacobiator,
     lie_derivative,
     parse_poly,
     parse_polyvector,
@@ -79,25 +81,74 @@ class TestSchouten:
         assert schouten(xi, eta) == -DZ
 
 
+class TestBracketOracle:
+    """The bracket against closed forms written out in components."""
+
+    def test_vector_fields_bracket_is_the_commutator(self, rng):
+        # [X, Y]^j = X(Y^j) - Y(X^j), with X(g) = sum_i X^i dg/dx_i.
+        for chart in (CHART2, CHART3, CHART4):
+            zero = Poly.zero(chart)
+
+            def component(xi, j):
+                return xi.terms.get((j,), zero)
+
+            def act(xi, g):
+                return sum((component(xi, i) * g.diff(i) for i in range(chart.n)), zero)
+
+            for _ in range(30):
+                x = random_polyvector(rng, chart, k=1, max_terms=3)
+                y = random_polyvector(rng, chart, k=1, max_terms=3)
+                bracket = schouten(x, y)
+                assert bracket.k == 1
+                for j in range(chart.n):
+                    expected = act(x, component(y, j)) - act(y, component(x, j))
+                    assert component(bracket, j) == expected
+
+    def test_jacobiator_components(self, rng):
+        # [pi, pi]^{ijk} = 2 sum_l (pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij)
+        # for i < j < k, with pi_ji = -pi_ij.
+        non_poisson = 0
+        for chart in (CHART3, CHART4):
+            zero = Poly.zero(chart)
+            for _ in range(25):
+                pi = random_polyvector(rng, chart, k=2, max_terms=3)
+
+                def entry(i, j):
+                    if i <= j:
+                        return pi.terms.get((i, j), zero)
+                    return -pi.terms.get((j, i), zero)
+
+                def cyclic_term(i, j, k):
+                    return sum((entry(i, l) * entry(j, k).diff(l) for l in range(chart.n)), zero)
+
+                obstruction = jacobiator(pi)
+                assert obstruction.k == 3
+                non_poisson += not obstruction.is_zero
+                for i, j, k in itertools.combinations(range(chart.n), 3):
+                    expected = 2 * (cyclic_term(i, j, k) + cyclic_term(j, k, i) + cyclic_term(k, i, j))
+                    assert obstruction.terms.get((i, j, k), zero) == expected
+        assert non_poisson > 0  # the draws include bivectors that are not Poisson
+
+
 class TestContract:
     def test_coordinate_contraction(self):
-        assert contract(OneForm.coordinate(CHART2, 0), wedge(DW, DZ)) == DZ
+        assert contract(W, wedge(DW, DZ)) == DZ
 
     def test_annihilates_complementary_frame(self):
-        assert contract(OneForm.coordinate(CHART2, 1), DW).is_zero
+        assert contract(Z, DW).is_zero
 
     def test_exact_form_against_covolume(self):
-        assert contract(OneForm.differential(W), covolume(CHART2)) == DZ
+        assert contract(W, covolume(CHART2)) == DZ
 
     def test_contracting_a_function_gives_zero(self):
-        assert contract(OneForm.differential(W), Polyvector.function(Z)).is_zero
+        assert contract(W, Polyvector.function(Z)).is_zero
 
     def test_vector_field_pairing(self, rng):
         for chart in (CHART2, CHART3):
             for _ in range(25):
                 xi = random_polyvector(rng, chart, k=1)
                 f = random_poly(rng, chart)
-                assert contract(OneForm.differential(f), xi) == Polyvector.function(
+                assert contract(f, xi) == Polyvector.function(
                     apply_vector_field(xi, f)
                 )
 
@@ -108,10 +159,10 @@ class TestContract:
                 c = random_polyvector(rng, chart)
                 if b.k + c.k > chart.n:
                     continue
-                alpha = OneForm.differential(random_poly(rng, chart))
+                f = random_poly(rng, chart)
                 sign = -1 if b.k % 2 else 1
-                assert contract(alpha, wedge(b, c)) == wedge(contract(alpha, b), c) + sign * wedge(
-                    b, contract(alpha, c)
+                assert contract(f, wedge(b, c)) == wedge(contract(f, b), c) + sign * wedge(
+                    b, contract(f, c)
                 )
 
 
