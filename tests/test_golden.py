@@ -1,10 +1,12 @@
 """Golden digests of every CLI ``result`` payload on the shipped fixtures.
 
 Each fixture runs through ``check``, ``modular``, ``report``,
-``cohomology --wmax 3`` and ``tjurina``.  A case records the exit code and
-the SHA-256 of ``json.dumps(result, sort_keys=True)``; the rest of the
-envelope (``timing_ms`` above all) is left out.  A failing exit code has no
-result and records ``null``.
+``cohomology --wmax 3`` and ``tjurina``.  A ``--json`` case records the
+exit code and the SHA-256 of ``json.dumps(result, sort_keys=True)``; the
+rest of the envelope (``timing_ms`` above all) is left out.  A human case,
+keyed ``human <command> <fixture>``, records the exit code and the SHA-256
+of the whole human-readable output, which holds no timing.  A failing exit
+code has no output and records ``null``.
 
 The digests in ``golden_digests.json`` were recorded before the diagnostics
 were rebuilt around one analysis per structure, so any change to a payload
@@ -43,20 +45,21 @@ CASES = [
 ]
 
 
-def golden_entry(command: str, fixture: str) -> dict:
-    """Exit code and result digest of one CLI run, made in this process."""
+def golden_entry(command: str, fixture: str, human: bool = False) -> dict:
+    """Exit code and output digest of one CLI run, made in this process."""
     out = io.StringIO()
+    argv = [command, str(FIXTURES / fixture), *COMMANDS[command]]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, str(FIXTURES / fixture), *COMMANDS[command], "--json"])
+        code = main(argv if human else [*argv, "--json"])
     digest = None
     if code == 0:
-        result = json.loads(out.getvalue())["result"]
-        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        text = out.getvalue() if human else json.dumps(json.loads(out.getvalue())["result"], sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
     return {"exit": code, "sha256": digest}
 
 
-def _key(command: str, fixture: str) -> str:
-    return f"{command} {fixture}"
+def _key(command: str, fixture: str, human: bool = False) -> str:
+    return f"human {command} {fixture}" if human else f"{command} {fixture}"
 
 
 @pytest.mark.parametrize("command,fixture", CASES)
@@ -67,11 +70,24 @@ def test_result_matches_golden_digest(command, fixture):
     )
 
 
+@pytest.mark.parametrize("command,fixture", CASES)
+def test_human_output_matches_golden_digest(command, fixture):
+    expected = json.loads(DIGESTS.read_text())[_key(command, fixture, human=True)]
+    assert golden_entry(command, fixture, human=True) == expected, (
+        f"`poissonkit {command}` on {fixture} no longer prints its golden human output"
+    )
+
+
 def test_every_case_has_a_digest():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(_key(*c) for c in CASES)
+    keys = [_key(*case, human=human) for case in CASES for human in (False, True)]
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(keys)
 
 
 if __name__ == "__main__":
-    table = {_key(*case): golden_entry(*case) for case in CASES}
+    table = {
+        _key(*case, human=human): golden_entry(*case, human=human)
+        for case in CASES
+        for human in (False, True)
+    }
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
