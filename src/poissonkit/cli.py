@@ -44,17 +44,6 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _envelope(command: str, digest: str, result: dict, started: float) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "input_digest": digest,
-        "conventions": dict(SIGN_CONVENTIONS),
-        "result": result,
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
-
-
 def _structure_payload(pi: Polyvector) -> dict:
     chart = pi.chart
     brackets = {
@@ -97,25 +86,22 @@ def _finite_or_marker(value):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns the input digest and the envelope's result payload
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> dict:
-    started = time.perf_counter()
+def cmd_check(args) -> tuple[str, dict]:
     spec, digest = _load_spec(args.file)
-    pi = spec.bivector()
-    obstruction = jacobiator(pi)
+    obstruction = jacobiator(spec.pi)
     result = {
         "jacobi_ok": obstruction.is_zero,
         "jacobiator": str(obstruction),
-        "structure": _structure_payload(pi),
+        "structure": _structure_payload(spec.pi),
     }
-    return _envelope("check", digest, result, started)
+    return digest, result
 
 
-def cmd_modular(args) -> dict:
-    started = time.perf_counter()
+def cmd_modular(args) -> tuple[str, dict]:
     spec, digest = _load_spec(args.file)
     P = spec.build()
     zeta = modular_field(P)
@@ -125,11 +111,10 @@ def cmd_modular(args) -> dict:
         "lie_zeta_pi_is_zero": symmetry.is_zero,
         "structure": _structure_payload(P.pi),
     }
-    return _envelope("modular", digest, result, started)
+    return digest, result
 
 
-def cmd_report(args) -> dict:
-    started = time.perf_counter()
+def cmd_report(args) -> tuple[str, dict]:
     spec, digest = _load_spec(args.file)
     P = spec.build()
     analysis = StructureAnalysis(P, args.budget)
@@ -182,11 +167,10 @@ def cmd_report(args) -> dict:
         "modular_field": str(analysis.modular_field),
         "dmodule_generators": generators,
     }
-    return _envelope("report", digest, result, started)
+    return digest, result
 
 
-def cmd_cohomology(args) -> dict:
-    started = time.perf_counter()
+def cmd_cohomology(args) -> tuple[str, dict]:
     spec, digest = _load_spec(args.file)
     P = spec.build()
     k_max = args.kmax if args.kmax is not None else P.chart.n
@@ -229,7 +213,7 @@ def cmd_cohomology(args) -> dict:
         "euler_consistent": table.euler_consistent(),
         "table_text": table.render_text(),
     }
-    return _envelope("cohomology", digest, result, started)
+    return digest, result
 
 
 def _exponent_past(literal: str, limit: int) -> bool:
@@ -243,8 +227,7 @@ def _exponent_past(literal: str, limit: int) -> bool:
     return len(x) > len(str(limit + len(literal))) or int(x or 0) - len(literal) >= limit
 
 
-def cmd_tjurina(args) -> dict:
-    started = time.perf_counter()
+def cmd_tjurina(args) -> tuple[str, dict]:
     source = args.file_or_poly
     path = Path(source)
     if _is_file(path):
@@ -289,7 +272,7 @@ def cmd_tjurina(args) -> dict:
         "tjurina": _finite_or_marker(tau),
         "groebner_basis": [str(g) for g in basis.gens],
     }
-    return _envelope("tjurina", digest, result, started)
+    return digest, result
 
 
 def _poly_from_text(text: str) -> tuple[Poly, Chart]:
@@ -419,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        envelope = args.func(args)
+        digest, result = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -433,6 +417,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    envelope = {
+        "version": __version__,
+        "command": args.command,
+        "input_digest": digest,
+        "conventions": dict(SIGN_CONVENTIONS),
+        "result": result,
+        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
+    }
     text = json.dumps(envelope, indent=2) if args.json else _render_human(envelope)
     try:
         print(text, flush=True)

@@ -27,10 +27,13 @@ denominators and runs one fraction-free sparse elimination
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
 
-The per-weight Euler-characteristic identity is checked along the diagonals
+The per-weight Euler-characteristic sums are taken along the diagonals
 the differential actually follows, i.e. over the finite complexes
 ``C^0_{w0} -> C^1_{w0+m} -> ... -> C^n_{w0+nm}``; for m = 0 this is the
-plain fixed-weight alternating-sum identity.
+plain fixed-weight alternating sum.  Since dim H^k = dim C^k - r_k - r_{k-1},
+with r_k the rank out of degree k, the alternating sums of dim H^k and of
+dim C^k agree for any ranks: the identity confirms the table's bookkeeping
+(each piece and incoming rank read along the right diagonal), not the ranks.
 
 Two scope notes.  These tables are affine-chart data: for a structure that
 is the cone over a projective one, the graded table is related to, but not
@@ -44,17 +47,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import BasisSizeExceededError, PreconditionError
-from .multivec import MultiIndex, Polyvector
+from .multivec import MultiIndex
 from .poisson import PoissonStructure
-from .polyalg import Chart, Exponent, Poly, _div
+from .polyalg import Chart, Exponent, _div
 
 DEFAULT_BASIS_CAP = 20000
-
-Key = tuple[MultiIndex, Exponent]
 
 
 def homogeneity_weight(P: PoissonStructure) -> int:
@@ -96,19 +96,6 @@ class GradedBasis:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def keys(self) -> tuple[Key, ...]:
-        """The basis as ``(multi-index, exponent)`` pairs, in order."""
-        return tuple((index, exponent) for index, exponents in self.groups for exponent in exponents)
-
-    @cached_property
-    def elements(self) -> tuple[Polyvector, ...]:
-        """The basis as monomial polyvectors, built from ``keys`` on first use."""
-        return tuple(
-            Polyvector.term(self.chart, index, Poly.monomial(self.chart, exponent, 1))
-            for index, exponent in self.keys
-        )
 
 
 def _pack(exponent: Exponent, radix: int) -> int:
@@ -443,22 +430,22 @@ def cohomology_table(
     P: PoissonStructure,
     k_max: int,
     w_max: int,
-    w_min: int | None = None,
     cap: int = DEFAULT_BASIS_CAP,
 ) -> CohomologyTable:
     """Dimension table of graded Lichnerowicz cohomology.
 
-    dim H^k_w = nullity of d_pi on (k, w) minus the rank of d_pi entering
-    from (k-1, w-m).  The Euler identity is verified on every diagonal whose
-    k=0 weight lies in the displayed window (this may evaluate pieces just
-    outside the window; those are computed, not displayed).
+    The weights run from w_min = -sum(weights), the lowest weight of a
+    nonzero piece, to ``w_max``.  dim H^k_w = nullity of d_pi on (k, w)
+    minus the rank of d_pi entering from (k-1, w-m).  The Euler sums are
+    taken on every diagonal whose k=0 weight lies in the displayed window
+    (this may evaluate pieces just outside the window; those are computed,
+    not displayed); they confirm the bookkeeping, not the ranks.
     """
     chart = P.chart
     n = chart.n
     m = homogeneity_weight(P)
     k_max = min(k_max, n)
-    if w_min is None:
-        w_min = -sum(chart.weights)
+    w_min = -sum(chart.weights)
 
     # Every piece touched below has weight at most w_max + n|m|.
     table = _DerivativeTable(P, w_max + n * abs(m))

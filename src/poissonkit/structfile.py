@@ -7,9 +7,10 @@ Line-oriented format with '#' comments::
     poisson:
     {w,z} = w*z
 
-The poisson block holds either explicit bracket lines ``{v1,v2} = expr``
-with v1 before v2 in chart order (unlisted pairs default to 0), or exactly
-one builder directive::
+Each of the three header lines appears at most once, and a ``weights:``
+line lists one weight per variable.  The poisson block holds either
+explicit bracket lines ``{v1,v2} = expr`` with v1 before v2 in chart order
+(unlisted pairs default to 0), or exactly one builder directive::
 
     jacobian3 F = 1/3*(x^3 + y^3 + z^3) + x*y*z
     diagonal lambda = 0 1; -1 0
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError
 from .poisson import (
@@ -44,46 +46,29 @@ _DIAGONAL_RE = re.compile(r"^diagonal\s+lambda\s*=\s*(.+)$")
 
 @dataclass(frozen=True)
 class StructureSpec:
-    """Parsed structure file: a chart plus brackets or one builder directive."""
+    """Parsed structure file: the bivector it describes, not yet checked for Jacobi."""
 
-    chart: Chart
-    brackets: tuple[tuple[int, int, Poly], ...]
-    builder: tuple[str, object] | None = None
-
-    def bivector(self) -> Polyvector:
-        """The bivector this file describes, not yet checked for Jacobi."""
-        if self.builder is not None:
-            kind, payload = self.builder
-            if kind == "jacobian3":
-                return jacobian_bivector_3(payload)
-            if kind == "diagonal":
-                return diagonal_quadratic_bivector(payload, chart=self.chart)
-            raise AssertionError(f"unknown builder {kind!r}")
-        terms = {(i, j): p for i, j, p in self.brackets if not p.is_zero}
-        return Polyvector(self.chart, 2, terms)
+    pi: Polyvector
 
     def build(self) -> PoissonStructure:
         """Construct and validate the Poisson structure this file describes."""
-        return new_poisson(self.bivector())
+        return new_poisson(self.pi)
+
+
+def _tokens(text: str) -> list[str]:
+    return [t for t in re.split(r"[\s,]+", text.strip()) if t]
 
 
 def parse_structure_file(text: str) -> StructureSpec:
-    """Parse file text; errors carry 1-based line (and column) positions."""
-    chart: Chart | None = None
-    names: tuple[str, ...] | None = None
-    weights: tuple[int, ...] | None = None
-    in_poisson = False
-    raw_brackets: list[tuple[int, int, Poly]] = []
-    builder: tuple[str, object] | None = None
-    seen_pairs: set[tuple[int, int]] = set()
+    """Parse file text; errors carry 1-based line (and column) positions.
 
-    def current_chart(lineno: int) -> Chart:
-        nonlocal chart
-        if names is None:
-            raise ParseError("the poisson block needs a preceding chart: line", line=lineno)
-        if chart is None:
-            chart = Chart(names, weights or ())
-        return chart
+    The bivector is made after the last line, so a parse error anywhere in
+    the file wins over a builder's precondition (a non-skew lambda).
+    """
+    chart: Chart | None = None
+    weighted = in_poisson = False
+    brackets: dict[tuple[int, int], Poly] = {}
+    builder: partial[Polyvector] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -91,90 +76,88 @@ def parse_structure_file(text: str) -> StructureSpec:
             continue
         indent = len(raw) - len(raw.lstrip())
         if line.startswith("chart:"):
-            if names is not None:
+            if chart is not None:
                 raise ParseError("duplicate chart: line", line=lineno)
-            tokens = [t for t in re.split(r"[\s,]+", line[len("chart:") :].strip()) if t]
+            tokens = _tokens(line[len("chart:") :])
             if not tokens:
                 raise ParseError("chart: needs at least one variable name", line=lineno)
             try:
-                names = tuple(tokens)
-                Chart(names)
+                chart = Chart(tuple(tokens))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             continue
         if line.startswith("weights:"):
-            if names is None:
+            if chart is None:
                 raise ParseError("weights: must follow chart:", line=lineno)
             if in_poisson:
                 raise ParseError("weights: must precede the poisson block", line=lineno)
-            tokens = [t for t in re.split(r"[\s,]+", line[len("weights:") :].strip()) if t]
+            if weighted:
+                raise ParseError("duplicate weights: line", line=lineno)
+            tokens = _tokens(line[len("weights:") :])
+            if not tokens:
+                raise ParseError("weights: needs one positive integer per variable", line=lineno)
             try:
-                weights = tuple(int(t) for t in tokens)
-                Chart(names, weights)
+                chart = Chart(chart.names, tuple(int(t) for t in tokens))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            weighted = True
             continue
         if line == "poisson:":
             if in_poisson:
                 raise ParseError("duplicate poisson: line", line=lineno)
-            current_chart(lineno)
+            if chart is None:
+                raise ParseError("the poisson block needs a preceding chart: line", line=lineno)
             in_poisson = True
             continue
         if not in_poisson:
             raise ParseError(f"unexpected line before the poisson block: {line!r}", line=lineno)
 
-        ch = current_chart(lineno)
         m = _BRACKET_RE.match(line)
         if m:
             if builder is not None:
                 raise ParseError("bracket lines cannot follow a builder directive", line=lineno)
             v1, v2, expr = m.group(1), m.group(2), m.group(3)
             for v in (v1, v2):
-                if v not in ch.names:
+                if v not in chart.names:
                     raise ParseError(f"unknown chart variable {v!r}", line=lineno)
-            i, j = ch.index(v1), ch.index(v2)
+            i, j = chart.index(v1), chart.index(v2)
             if i >= j:
                 raise ParseError(
                     f"bracket pair must be listed in chart order with {v1!r} before {v2!r}",
                     line=lineno,
                 )
-            if (i, j) in seen_pairs:
+            if (i, j) in brackets:
                 raise ParseError(f"duplicate bracket pair {{{v1},{v2}}}", line=lineno)
-            seen_pairs.add((i, j))
-            raw_brackets.append((i, j, _parse_expr(expr, ch, lineno, indent + m.start(3))))
+            brackets[(i, j)] = _parse_expr(expr, chart, lineno, indent + m.start(3))
             continue
-        m = _JACOBIAN_RE.match(line)
-        if m:
-            if raw_brackets or builder is not None:
-                raise ParseError("a builder directive must be the only poisson entry", line=lineno)
-            if ch.n != 3:
+        m = _JACOBIAN_RE.match(line) or _DIAGONAL_RE.match(line)
+        if not m:
+            raise ParseError(f"unrecognized poisson entry: {line!r}", line=lineno)
+        if brackets or builder is not None:
+            raise ParseError("a builder directive must be the only poisson entry", line=lineno)
+        if m.re is _JACOBIAN_RE:
+            if chart.n != 3:
                 raise ParseError("jacobian3 needs a 3-variable chart", line=lineno)
-            builder = ("jacobian3", _parse_expr(m.group(1), ch, lineno, indent + m.start(1)))
+            F = _parse_expr(m.group(1), chart, lineno, indent + m.start(1))
+            builder = partial(jacobian_bivector_3, F)
             continue
-        m = _DIAGONAL_RE.match(line)
-        if m:
-            if raw_brackets or builder is not None:
-                raise ParseError("a builder directive must be the only poisson entry", line=lineno)
-            rows = []
-            for row_text in m.group(1).split(";"):
-                entries = [t for t in re.split(r"[\s,]+", row_text.strip()) if t]
-                try:
-                    rows.append([Fraction(t) for t in entries])
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(f"bad rational entry in lambda row: {row_text.strip()!r}", line=lineno) from None
-            if len(rows) != ch.n or any(len(r) != ch.n for r in rows):
-                raise ParseError(
-                    f"lambda must be a {ch.n}x{ch.n} row-major matrix", line=lineno
-                )
-            builder = ("diagonal", rows)
-            continue
-        raise ParseError(f"unrecognized poisson entry: {line!r}", line=lineno)
+        rows = []
+        for row_text in m.group(1).split(";"):
+            try:
+                rows.append([Fraction(t) for t in _tokens(row_text)])
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational entry in lambda row: {row_text.strip()!r}", line=lineno) from None
+        if len(rows) != chart.n or any(len(r) != chart.n for r in rows):
+            raise ParseError(f"lambda must be a {chart.n}x{chart.n} row-major matrix", line=lineno)
+        builder = partial(diagonal_quadratic_bivector, rows, chart)
 
-    if names is None:
+    if chart is None:
         raise ParseError("missing chart: line", line=1)
     if not in_poisson:
         raise ParseError("missing poisson: block", line=1)
-    return StructureSpec(current_chart(0), tuple(raw_brackets), builder)
+    if builder is not None:
+        return StructureSpec(builder())
+    return StructureSpec(Polyvector(chart, 2, {pair: p for pair, p in brackets.items() if not p.is_zero}))
 
 
 def _parse_expr(expr: str, chart: Chart, lineno: int, offset: int) -> Poly:

@@ -208,6 +208,44 @@ class TestStructureFileParsing:
         with pytest.raises(ParseError):
             parse_structure_file("chart: w z\npoisson:\n{w,z} = 1\n{w,z} = 2\n")
 
+    def test_zero_bracket_still_counts_for_duplicates(self):
+        with pytest.raises(ParseError) as info:
+            parse_structure_file("chart: w z\npoisson:\n{w,z} = 0\n{w,z} = 1\n")
+        assert info.value.message == "duplicate bracket pair {w,z}"
+        assert info.value.line == 4
+
+    def test_empty_weights_line(self, capsys, tmp_path):
+        text = "chart: w z\nweights:   # none given\npoisson:\n{w,z} = w*z\n"
+        with pytest.raises(ParseError) as info:
+            parse_structure_file(text)
+        assert info.value.line == 2
+        path = tmp_path / "empty_weights.poisson"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: weights: needs one positive integer per variable\n"
+
+    def test_duplicate_weights_line(self, capsys, tmp_path):
+        text = "chart: w z\nweights: 1 2\nweights: 2 1\npoisson:\n{w,z} = w*z\n"
+        with pytest.raises(ParseError) as info:
+            parse_structure_file(text)
+        assert info.value.line == 3
+        path = tmp_path / "two_weights.poisson"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: duplicate weights: line\n"
+
+    def test_parse_error_wins_over_a_non_skew_lambda(self, capsys, tmp_path):
+        path = tmp_path / "nonskew.poisson"
+        path.write_text("chart: a b\npoisson:\ndiagonal lambda = 0 1; 1 0\n{a,b} = a\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: bracket lines cannot follow a builder directive\n"
+
+    def test_lone_non_skew_lambda_is_3(self, capsys, tmp_path):
+        path = tmp_path / "nonskew.poisson"
+        path.write_text("chart: a b\npoisson:\ndiagonal lambda = 0 1; 1 0\n")
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err == "precondition violated: lambda must be skew-symmetric\n"
+
     def test_builder_must_be_alone(self):
         text = "chart: x y z\npoisson:\n{x,y} = 1\njacobian3 F = x\n"
         with pytest.raises(ParseError):
