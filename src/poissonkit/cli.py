@@ -4,7 +4,8 @@ Every command reads a declarative structure file (tjurina also accepts a
 bare polynomial expression), computes, and prints either a human-readable
 summary or, with ``--json``, a report envelope with the keys ``version``,
 ``command``, ``input_digest``, ``conventions``, ``result``, ``timing_ms``.
-The JSON output validates against the schema shipped as
+The envelope prints as one compact line (``python -m json.tool``
+pretty-prints it), and it validates against the schema shipped as
 ``poissonkit/schema.json``.
 
 Exit codes: 0 success, 2 parse error, 3 violated mathematical precondition,
@@ -425,7 +426,8 @@ def main(argv=None) -> int:
         "result": result,
         "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
-    text = json.dumps(envelope, indent=2) if args.json else _render_human(envelope)
+    # One compact line: the C encoder serves json.dumps only without indent.
+    text = json.dumps(envelope) if args.json else _render_human(envelope)
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -24,6 +24,8 @@ class ParseError(ValueError):
             where = f" (line {line}, column {column})"
         elif column is not None:
             where = f" (column {column})"
+        elif line is not None:
+            where = f" (line {line})"
         super().__init__(message + where)
 
 

@@ -14,15 +14,17 @@ can reach, so the codes of a piece are distinct and an exponent shift is
 one int addition.  Each column, the image of one basis element, comes
 straight from its code and a table of s pi's derivatives by the odd frame
 symbols and by the chart variables, built once per structure: the image
-terms are code offsets with int coefficients, tabulated once per
-multi-index, so a key costs int additions and products and one
-``{code: row}`` lookup per term.  No polyvector is built and no Schouten
-bracket is evaluated per basis element.  Sparse columns ``{row: value}``
-are the one representation of d_pi on a piece: :func:`dpi_matrix` divides
-the table's int columns by s again and returns those of d_pi itself, and
-:func:`rank_exact`, the rank of every piece, clears a column's
-denominators and runs one fraction-free sparse elimination
-(:func:`_echelon`), which keeps each reduced column primitive.
+terms are code offsets with int coefficients, merged by offset and
+tabulated once per multi-index, so a key costs int additions and products
+and one ``{code: row}`` lookup per nonzero entry.  The pieces of one table
+also share one enumeration of each weighted degree's monomials and codes.
+No polyvector is built and no Schouten bracket is evaluated per basis
+element.  Sparse columns ``{row: value}`` are the one representation of
+d_pi on a piece: :func:`dpi_matrix` divides the table's int columns by s
+again and returns those of d_pi itself, and :func:`rank_exact`, the rank
+of every piece, clears a column's denominators and runs one fraction-free
+sparse elimination (:func:`_echelon`), which keeps each reduced column
+primitive.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -129,20 +131,30 @@ def _monomials_of_weighted_degree(chart: Chart, degree: int) -> list[Exponent]:
 
 
 def graded_basis(
-    chart: Chart, k: int, w: int, cap: int = DEFAULT_BASIS_CAP, radix: int | None = None
+    chart: Chart,
+    k: int,
+    w: int,
+    cap: int = DEFAULT_BASIS_CAP,
+    radix: int | None = None,
+    by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] | None = None,
 ) -> GradedBasis:
     """Enumerate the monomial polyvectors of degree k and weight w.
 
     ``radix`` must exceed every exponent of the piece; by default it is
     ``w + sum(weights) + 1``, past the largest weighted degree of a monomial.
+    ``by_degree`` maps a weighted degree to its monomials and their packed
+    codes; it is filled as degrees are enumerated, so the pieces of one
+    table that pass the same dict, made for the same chart and radix,
+    enumerate each degree once.
     """
     n = chart.n
     if radix is None:
         radix = max(w + sum(chart.weights), 0) + 1
+    if by_degree is None:
+        by_degree = {}
     groups: list[tuple[MultiIndex, tuple[Exponent, ...]]] = []
     codes: list[int] = []
     if 0 <= k <= n:
-        by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] = {}
         for index in itertools.combinations(range(n), k):
             target = w + sum(chart.weights[i] for i in index)
             if target not in by_degree:
@@ -210,34 +222,37 @@ class _DerivativeTable:
             for i, power in enumerate(exponent):
                 if power:
                     self.by_x[i].append(((a, b), packed - (radix**i << n), power * c))
-        self._moves: dict[MultiIndex, tuple[list, list]] = {}
+        self._moves: dict[MultiIndex, list[tuple[int, tuple[tuple[int, int], ...], int]]] = {}
 
-    def moves(self, index: MultiIndex) -> tuple[list, list]:
-        """The signed moves of [pi, x^e d_index] as code offsets, computed once per index.
+    def moves(self, index: MultiIndex) -> list[tuple[int, tuple[tuple[int, int], ...], int]]:
+        """The moves of [pi, x^e d_index] as code offsets, computed once per index.
 
-        ``by_var[i]`` lists ``(delta, c)`` for the terms that differentiate
-        x^e by x_i: each adds ``c * e_i`` at code ``+ delta``, with the -1 of
-        the derivative already in ``delta``.  ``fixed`` lists ``(delta, c)``
-        for the terms that differentiate pi: each adds ``c`` at code
-        ``+ delta``.  A delta moves the multi-index bits and the exponent
-        digits at once.
+        Each move ``(delta, slope, constant)`` adds ``constant + sum c * e_i``
+        over the pairs ``(i, c)`` of ``slope`` at code ``+ delta``.  The
+        slope collects the terms that differentiate x^e by x_i, with the -1
+        of the derivative already in ``delta``, and lists only the variables
+        with a nonzero c; the constant collects the terms that differentiate
+        pi.  A delta moves the multi-index bits and the exponent digits at
+        once, and terms that reach the same code share one move, so the
+        offsets of one index are distinct.  A move whose value is nonzero
+        lands on a code of the target piece: a slope term counts only where
+        e_i > 0.
         """
         cached = self._moves.get(index)
         if cached is not None:
             return cached
         n = len(self.by_theta)
-        by_var: list[list[tuple[int, int]]] = []
+        # delta -> [slope_0, ..., slope_{n-1}, constant]
+        merged: dict[int, list[int]] = {}
         for i, terms in enumerate(self.by_theta):
             # -(dpi/dtheta_i) ^ (e_i x^(e - delta_i) d_I)
             unit = self.radix**i << n
-            out = []
             for j, packed, value in terms:
                 if j in index:
                     continue
                 below = sum(1 for r in index if r < j)
-                out.append(((1 << j) + packed - unit, value if below % 2 else -value))
-            by_var.append(out)
-        fixed: list[tuple[int, int]] = []
+                move = merged.setdefault((1 << j) + packed - unit, [0] * (n + 1))
+                move[i] += value if below % 2 else -value
         for pos, i in enumerate(index):
             rest = index[:pos] + index[pos + 1 :]
             # -((-1)^pos x^e d_rest) ^ (dpi/dx_i)
@@ -246,9 +261,15 @@ class _DerivativeTable:
                     continue
                 inversions = sum(1 for r in rest for q in (a, b) if r > q)
                 delta = (1 << a) + (1 << b) - (1 << i) + packed
-                fixed.append((delta, value if (pos + inversions) % 2 else -value))
-        self._moves[index] = (by_var, fixed)
-        return by_var, fixed
+                move = merged.setdefault(delta, [0] * (n + 1))
+                move[n] += value if (pos + inversions) % 2 else -value
+        moves = [
+            (delta, tuple((i, c) for i, c in enumerate(move[:n]) if c), move[n])
+            for delta, move in merged.items()
+            if any(move)
+        ]
+        self._moves[index] = moves
+        return moves
 
 
 def _dpi_columns(
@@ -260,20 +281,15 @@ def _dpi_columns(
     codes = iter(source.codes)
     try:
         for index, exponents in source.groups:
-            by_var, fixed = table.moves(index)
+            moves = table.moves(index)
             # zip draws from ``exponents`` first, so ``codes`` stays in step with the groups.
             for exponent, code in zip(exponents, codes):
                 column: dict[int, int] = {}
-                for power, terms in zip(exponent, by_var):
-                    if power:
-                        for delta, c in terms:
-                            row = rows[code + delta]
-                            column[row] = column.get(row, 0) + power * c
-                for delta, c in fixed:
-                    row = rows[code + delta]
-                    column[row] = column.get(row, 0) + c
-                if 0 in column.values():
-                    column = {row: value for row, value in column.items() if value}
+                for delta, slope, value in moves:
+                    for i, c in slope:
+                        value += c * exponent[i]
+                    if value:
+                        column[rows[code + delta]] = value
                 columns.append(column)
     except KeyError:
         raise AssertionError("image leaves the expected graded piece; homogeneity is broken") from None
@@ -293,8 +309,9 @@ def dpi_matrix(
     """
     m = homogeneity_weight(P)
     table = _DerivativeTable(P, max(w, w + m))
-    source = graded_basis(P.chart, k, w, cap, table.radix)
-    target = graded_basis(P.chart, k + 1, w + m, cap, table.radix)
+    by_degree: dict = {}
+    source = graded_basis(P.chart, k, w, cap, table.radix, by_degree)
+    target = graded_basis(P.chart, k + 1, w + m, cap, table.radix, by_degree)
     columns = _dpi_columns(table, source, target)
     if table.scale == 1:
         return columns
@@ -450,12 +467,13 @@ def cohomology_table(
     # Every piece touched below has weight at most w_max + n|m|.
     table = _DerivativeTable(P, w_max + n * abs(m))
     bases: dict[tuple[int, int], GradedBasis] = {}
+    by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] = {}
     ranks: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def basis(k: int, w: int) -> GradedBasis:
         key = (k, w)
         if key not in bases:
-            bases[key] = graded_basis(chart, k, w, cap, table.radix)
+            bases[key] = graded_basis(chart, k, w, cap, table.radix, by_degree)
         return bases[key]
 
     def rank_of(k: int, w: int) -> tuple[int, int, int]:

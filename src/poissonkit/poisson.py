@@ -11,12 +11,14 @@ equals ``-hamiltonian(P, f)`` on functions, which is the choice that makes
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, JacobiFailure, PreconditionError
 from .multivec import Polyvector, apply_vector_field, bv, contract, schouten, wedge
-from .polyalg import Chart, Poly
+from .polyalg import Chart, Poly, _exact
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,46 @@ class DIdealGenerator:
 
 
 def jacobiator(pi: Polyvector) -> Polyvector:
-    """schouten(pi, pi): the trivector obstructing the Jacobi identity."""
+    """schouten(pi, pi): the trivector obstructing the Jacobi identity.
+
+    It is summed directly on term maps: for i < j < k the component is
+    ``2 sum_l (pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij)``, with
+    pi_ba = -pi_ab, and each d_l pi_ab is taken once.  On a 2-chart it is
+    the zero polyvector of degree 2, the degree :func:`schouten` clamps to.
+    """
     if pi.k != 2:
         raise PreconditionError(f"jacobiator needs a bivector, got degree {pi.k}")
-    return schouten(pi, pi)
+    chart = pi.chart
+    n = chart.n
+    if n < 3:
+        return Polyvector.zero(chart, n)
+    # pi_al = sign * terms for each (l, sign, terms) in row[a], and
+    # 2 d_l pi_ab = twice * by_var[l] for (twice, by_var) = derivatives[(a, b)].
+    row: list[list[tuple[int, int, dict]]] = [[] for _ in range(n)]
+    derivatives: dict[tuple[int, int], tuple[int, list[dict]]] = {}
+    for (a, b), coeff in pi.terms.items():
+        row[a].append((b, 1, coeff.terms))
+        row[b].append((a, -1, coeff.terms))
+        by_var = [coeff.diff(l).terms for l in range(n)]
+        derivatives[(a, b)] = (2, by_var)
+        derivatives[(b, a)] = (-2, by_var)
+    components = {}
+    for i, j, k in itertools.combinations(range(n), 3):
+        acc: dict = {}
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            if (q, r) not in derivatives:
+                continue
+            twice, by_var = derivatives[(q, r)]
+            for l, sign, terms in row[p]:
+                for ed, cd in by_var[l].items():
+                    factor = twice * sign * cd
+                    for e, c in terms.items():
+                        key = tuple(map(operator.add, e, ed))
+                        acc[key] = acc.get(key, 0) + factor * c
+        terms = {e: _exact(c) for e, c in acc.items() if c}
+        if terms:
+            components[(i, j, k)] = Poly._of(chart, terms)
+    return Polyvector(chart, 3, components)
 
 
 def new_poisson(pi: Polyvector) -> PoissonStructure:

@@ -96,8 +96,16 @@ def parse_structure_file(text: str) -> StructureSpec:
             tokens = _tokens(line[len("weights:") :])
             if not tokens:
                 raise ParseError("weights: needs one positive integer per variable", line=lineno)
+            weights = []
+            for t in tokens:
+                try:
+                    weights.append(int(t))
+                except ValueError:
+                    raise ParseError(
+                        f"weights: needs one positive integer per variable, got {t!r}", line=lineno
+                    ) from None
             try:
-                chart = Chart(chart.names, tuple(int(t) for t in tokens))
+                chart = Chart(chart.names, tuple(weights))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             weighted = True

@@ -222,7 +222,7 @@ class TestStructureFileParsing:
         path = tmp_path / "empty_weights.poisson"
         path.write_text(text)
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err == "parse error: weights: needs one positive integer per variable\n"
+        assert capsys.readouterr().err == "parse error: weights: needs one positive integer per variable (line 2)\n"
 
     def test_duplicate_weights_line(self, capsys, tmp_path):
         text = "chart: w z\nweights: 1 2\nweights: 2 1\npoisson:\n{w,z} = w*z\n"
@@ -232,13 +232,41 @@ class TestStructureFileParsing:
         path = tmp_path / "two_weights.poisson"
         path.write_text(text)
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err == "parse error: duplicate weights: line\n"
+        assert capsys.readouterr().err == "parse error: duplicate weights: line (line 3)\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("chart: w z\nchart: w z\npoisson:\n{w,z} = w*z\n", "duplicate chart: line (line 2)"),
+            ("chart: w z\npoisson:\n{w,z} = w\n{w,z} = z\n", "duplicate bracket pair {w,z} (line 4)"),
+            ("chart: w z\nweights: 1 0\npoisson:\n{w,z} = w*z\n", "weights must be positive integers: (1, 0) (line 2)"),
+        ],
+        ids=["duplicate-chart", "duplicate-pair", "weights"],
+    )
+    def test_line_only_error_prints_its_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.poisson"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_non_integer_weight_names_the_weights_line(self, capsys, tmp_path):
+        text = "chart: w z\nweights: 1 x\npoisson:\n{w,z} = w*z\n"
+        with pytest.raises(ParseError) as info:
+            parse_structure_file(text)
+        assert info.value.line == 2
+        assert info.value.message == "weights: needs one positive integer per variable, got 'x'"
+        path = tmp_path / "letter_weight.poisson"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: weights: needs one positive integer per variable, got 'x' (line 2)\n"
+        )
 
     def test_parse_error_wins_over_a_non_skew_lambda(self, capsys, tmp_path):
         path = tmp_path / "nonskew.poisson"
         path.write_text("chart: a b\npoisson:\ndiagonal lambda = 0 1; 1 0\n{a,b} = a\n")
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err == "parse error: bracket lines cannot follow a builder directive\n"
+        assert capsys.readouterr().err == "parse error: bracket lines cannot follow a builder directive (line 4)\n"
 
     def test_lone_non_skew_lambda_is_3(self, capsys, tmp_path):
         path = tmp_path / "nonskew.poisson"

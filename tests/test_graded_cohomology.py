@@ -24,7 +24,15 @@ from poissonkit import (
     rank_exact,
 )
 from poissonkit.graded_cohomology import _DerivativeTable, _dpi_columns, _echelon, _pack
-from conftest import CHART2, CHART3, CHART4, FIXTURES, random_diagonal_structure, random_poly
+from conftest import (
+    CHART2,
+    CHART3,
+    CHART4,
+    FIXTURES,
+    random_diagonal_structure,
+    random_poly,
+    random_skew_matrix,
+)
 from oracles import bruteforce_dimension_table, gaussian_rank
 
 
@@ -645,6 +653,32 @@ class TestMonomialCodes:
             for basis in seen:
                 top = max((x for _, e in basis_keys(basis) for x in e), default=0)
                 assert top + degree < basis.radix - 1, (name, basis.k, basis.w)
+
+    def test_table_bases_equal_bases_built_alone(self, monkeypatch, rng):
+        # A table shares one {degree: (monomials, codes)} dict among its
+        # pieces; every piece must come out as graded_basis builds it alone.
+        import poissonkit.graded_cohomology as module
+
+        seen = []
+
+        def recording(chart, k, w, cap, radix, by_degree):
+            assert type(by_degree) is dict
+            basis = graded_basis(chart, k, w, cap, radix, by_degree)
+            seen.append(basis)
+            return basis
+
+        chart = Chart(("a", "b", "c", "d"), tuple(rng.randint(1, 3) for _ in range(4)))
+        weighted4 = diagonal_quadratic_poisson(random_skew_matrix(rng), chart=chart)
+        structures = [fixture_structure("hesse_cubic"), fixture_structure("weighted_surface"), weighted4]
+        monkeypatch.setattr(module, "graded_basis", recording)
+        for P in structures:
+            seen.clear()
+            cohomology_table(P, P.chart.n, 4)
+            assert len(seen) > P.chart.n
+            for basis in seen:
+                alone = graded_basis(P.chart, basis.k, basis.w, radix=basis.radix)
+                assert basis.groups == alone.groups, (P.chart, basis.k, basis.w)
+                assert basis.codes == alone.codes, (P.chart, basis.k, basis.w)
 
     @pytest.mark.parametrize("name", ["hesse_cubic", "sklyanin4", "weighted_surface"])
     def test_wrong_shift_breaks_homogeneity(self, name):

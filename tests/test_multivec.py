@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from poissonkit import (
+    Chart,
     ChartMismatchError,
     ParseError,
     Poly,
@@ -128,6 +129,30 @@ class TestBracketOracle:
                     expected = 2 * (cyclic_term(i, j, k) + cyclic_term(j, k, i) + cyclic_term(k, i, j))
                     assert obstruction.terms.get((i, j, k), zero) == expected
         assert non_poisson > 0  # the draws include bivectors that are not Poisson
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_jacobiator_is_the_schouten_square(self, rng, n):
+        # jacobiator sums [pi, pi] without calling schouten, which is its oracle
+        # here: every component, and the degree (2 on a 2-chart, where both are zero).
+        chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+        non_poisson = rational = 0
+        for draw in range(30):
+            pi = random_polyvector(rng, chart, k=2, max_terms=4)
+            if draw % 2:
+                # random coefficients have denominators 1 or 2
+                doubled = {i: Poly(chart, {e: 2 * c for e, c in p.terms.items()}) for i, p in pi.terms.items()}
+                pi = Polyvector(chart, 2, doubled)
+                assert all(type(c) is int for coeff in pi.terms.values() for c in coeff.terms.values())
+            else:
+                rational += any(type(c) is not int for coeff in pi.terms.values() for c in coeff.terms.values())
+            obstruction = jacobiator(pi)
+            expected = schouten(pi, pi)
+            assert obstruction.k == expected.k == min(3, n)
+            assert obstruction == expected, str(pi)
+            assert str(obstruction) == str(expected)
+            non_poisson += not obstruction.is_zero
+        assert rational > 0
+        assert (non_poisson > 0) == (n >= 3)
 
 
 class TestContract:
