@@ -232,7 +232,7 @@ def test_criterion_8_euler_consistency():
     zero = new_poisson(Polyvector.zero(CHART2, 2))
     EMITTED_TABLES.append(cohomology_table(zero, 2, 4))
     for table in EMITTED_TABLES:
-        assert table.euler_consistent(), f"Euler check failed for {table.structure}"
+        assert table.euler_consistent(), f"Euler check failed on {table.chart} with weight shift {table.weight_shift}"
         for check in table.euler_checks:
             assert check.chain_sum == check.cohomology_sum
     _pass(8, started, 30.0, f"per-weight Euler identity on {len(EMITTED_TABLES)} emitted tables")

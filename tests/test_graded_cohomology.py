@@ -347,20 +347,25 @@ class TestCohomologyTable:
             dpi_matrix(rational, 1, 1)
 
     def test_every_piece_is_ranked_through_rank_exact(self, monkeypatch):
-        # One rank_exact call per ranked piece, on that piece's list of
-        # columns, and no elimination besides the one rank_exact runs.
+        # Each piece with a nonempty source and target is one rank_exact call
+        # on exactly the columns assembled for it, those left after clearing,
+        # and no elimination runs besides the one rank_exact runs.  A piece
+        # with an empty source or target is neither assembled nor ranked.
         import poissonkit.graded_cohomology as module
 
         events = []
+        assembled = []
         assemble, rank, echelon = module._dpi_columns, module.rank_exact, module._echelon
 
-        def assembling(table, source, target):
-            columns = assemble(table, source, target)
-            events.append(("piece", source.k, source.w, len(target), len(columns)))
+        def assembling(table, source, target, cleared):
+            assert all(0 <= position < len(source) for position in cleared)
+            columns = assemble(table, source, target, cleared)
+            events.append(("piece", source.k, source.w, len(target), len(source), len(cleared), len(columns)))
+            assembled.append(columns)
             return columns
 
         def ranking(columns):
-            assert type(columns) is list
+            assert columns is assembled[-1]
             result = rank(columns)
             events.append(("rank", len(columns), result))
             return result
@@ -372,19 +377,32 @@ class TestCohomologyTable:
         monkeypatch.setattr(module, "_dpi_columns", assembling)
         monkeypatch.setattr(module, "rank_exact", ranking)
         monkeypatch.setattr(module, "_echelon", eliminating)
+        total_cleared = 0
         for P in (fixture_structure("hesse_cubic"), fixture_structure("sklyanin4"), symplectic2()):
             events.clear()
-            n = P.chart.n
+            n, m = P.chart.n, homogeneity_weight(P)
             table = cohomology_table(P, n, 3)
             assert len(events) % 3 == 0
             ranked = {}
             for start in range(0, len(events), 3):
-                (kind, k, w, rows, cols), inner, outer = events[start : start + 3]
-                assert (kind, inner[0], outer[:2]) == ("piece", "echelon", ("rank", cols))
+                (kind, k, w, rows, cols, cleared, kept), inner, outer = events[start : start + 3]
+                assert (kind, inner[0], outer[:2]) == ("piece", "echelon", ("rank", kept))
+                assert rows and cols and kept == cols - cleared
+                # Only an already ranked incoming piece clears, by its rank.
+                assert cleared == 0 or cleared == ranked[(k - 1, w - m)][2]
                 assert (k, w) not in ranked
                 ranked[(k, w)] = (rows, cols, outer[2])
+                total_cleared += cleared
             for (k, w), entry in table.entries.items():
-                assert ranked[(k, w)] == entry.rank_certificate
+                if (k, w) in ranked:
+                    assert ranked[(k, w)] == entry.rank_certificate
+                else:
+                    rows = len(graded_basis(P.chart, k + 1, w + m))
+                    assert entry.rank_certificate == (rows, entry.dim_chain, 0)
+                    assert not (rows and entry.dim_chain)
+                incoming = ranked.get((k - 1, w - m), (0, 0, 0))
+                assert entry.dim_image_incoming == incoming[2]
+        assert total_cleared > 0
 
     def test_render_text_is_aligned(self):
         table = cohomology_table(symplectic2(), 2, 2)
@@ -589,7 +607,8 @@ class TestSparseElimination:
             pivots = _echelon(integer_columns(dense, size, size))
             assert len(pivots) == size
             for r, (a, rest) in pivots.items():
-                assert a and all(row > r and v for row, v in rest.items())
+                # Each pivot sits at its column's largest row.
+                assert a and all(row < r and v for row, v in rest.items())
                 assert max(abs(v) for v in (a, *rest.values())) <= bound
 
     def test_dense_large_entries_agree_with_gaussian_oracle(self, rng):
@@ -718,6 +737,47 @@ class TestOracleOnLargerCharts:
 
     def test_seeded_diagonal_chart(self, rng):
         self.assert_matches_bruteforce(random_diagonal_structure(rng), 4, 1)
+
+
+class TestClearing:
+    """Ranks of cleared pieces against the full columns of each piece, built afresh."""
+
+    def assert_ranks_match_full_columns(self, P, w_max):
+        # dpi_matrix assembles every column of a piece on its own, so no
+        # pivot row of another piece can leave one out.
+        n, m = P.chart.n, homogeneity_weight(P)
+        table = cohomology_table(P, n, w_max)
+        for (k, w), entry in table.entries.items():
+            assert entry.rank_certificate[2] == rank_exact(dpi_matrix(P, k, w)), (k, w)
+            incoming = rank_exact(dpi_matrix(P, k - 1, w - m)) if k else 0
+            assert entry.dim_image_incoming == incoming, (k, w)
+
+    def test_homogeneous_fixtures(self):
+        for name, P in homogeneous_fixture_structures():
+            self.assert_ranks_match_full_columns(P, -sum(P.chart.weights) + 7)
+
+    def test_seeded_diagonal_and_weighted_charts(self, rng):
+        for _ in range(2):
+            self.assert_ranks_match_full_columns(random_diagonal_structure(rng), 3)
+            chart = Chart(("a", "b", "c", "d"), tuple(rng.randint(1, 3) for _ in range(4)))
+            self.assert_ranks_match_full_columns(diagonal_quadratic_poisson(random_skew_matrix(rng), chart=chart), 3)
+
+    def test_sklyanin4_eliminates_half_the_columns(self, monkeypatch):
+        # Without clearing, --wmax 9 eliminates 22,569 columns; clearing
+        # drops those at the pivot rows of the incoming pieces.
+        import poissonkit.graded_cohomology as module
+
+        eliminated = []
+        echelon = module._echelon
+
+        def counting(columns):
+            eliminated.append(len(columns))
+            return echelon(columns)
+
+        monkeypatch.setattr(module, "_echelon", counting)
+        table = cohomology_table(fixture_structure("sklyanin4"), 4, 9)
+        assert table.euler_consistent()
+        assert sum(eliminated) <= 11600
 
 
 class TestClosedForms:
