@@ -524,13 +524,10 @@ def cohomology_table(
         """(rows, cols, rank) of d_pi from (k, w) to (k+1, w+m).
 
         A piece with an empty source or target has rank 0 and is neither
-        assembled nor eliminated.  Otherwise the columns at the pivot rows
-        of (k-1, w-m), when that piece is already ranked, are cleared: d_pi
-        kills the image it spans, which meets the other columns' span only
-        in 0 and fills the source with it, so the other columns have the
-        same rank.  Pivots are taken only from ranked pieces; asking for
-        (k-1, w-m) here would climb its diagonal into pieces the table
-        never needs.
+        assembled nor eliminated.  Otherwise its columns at the pivot rows
+        of (k-1, w-m) are cleared, as the module docstring explains, when
+        that piece is already ranked; ranking it here instead would climb
+        its diagonal into pieces the table never needs.
         """
         if not 0 <= k <= n:
             return (0, 0, 0)
@@ -543,6 +540,7 @@ def cohomology_table(
                 cleared = pivot_rows.pop((k - 1, w - m), frozenset())
                 rank = rank_exact(_dpi_columns(table, source, target, cleared))
                 pivot_rows[key] = rank.pivot_rows
+            # A plain int: the certificate outlives the piece, its pivot rows need not.
             ranks[key] = (len(target), len(source), int(rank))
         return ranks[key]
 
