@@ -248,7 +248,7 @@ def cmd_tjurina(args) -> tuple[str, dict]:
         digest = _digest(source.encode("utf-8"))
         f, chart = _poly_from_text(source)
     point = None
-    if args.point:
+    if args.point is not None:
         digits = _digit_limit()
         coordinates = args.point.split(",")
         if digits and any(_exponent_past(t, digits) for t in coordinates):

@@ -26,13 +26,13 @@ of every piece with a nonempty source and target, runs one fraction-free
 sparse elimination (:func:`_echelon`), which pivots on each column's
 largest row and keeps each reduced column primitive.
 
-A table ranks only the columns a piece can still use.  It ranks the
-incoming piece (k-1, w-m) before the outgoing piece (k, w), and the
-columns of (k, w) at the incoming piece's pivot rows are neither
-assembled nor eliminated: the pivot rows of an echelon of the image of
-d_{k-1} index basis elements whose span meets that image only in 0 and
-fills C^k_w with it, and d_pi kills the image, so the other columns have
-the same rank.  This is the clearing, or "twist", of persistent homology
+A table walks each diagonal C^0_{w0} -> C^1_{w0+m} -> ... once, upward
+in k.  The target basis of one step is the source of the next, and each
+step ranks only the columns it can still use: those at the pivot rows of
+the step before are neither assembled nor eliminated.  The pivot rows of
+an echelon of the image of d_{k-1} index basis elements whose span meets
+that image only in 0 and fills C^k_w with it, and d_pi kills the image,
+so the other columns have the same rank.  This is the clearing, or "twist", of persistent homology
 (Chen and Kerber, EuroCG 2011; Bauer, J. Appl. Comput. Topol. 2021).  A
 piece whose source or target basis is empty has rank 0 and is neither
 assembled nor eliminated.  Each rank certificate ``(rows, cols, rank)``
@@ -52,10 +52,9 @@ dim C^k agree for any ranks: the identity confirms the table's bookkeeping
 
 Two scope notes.  These tables are affine-chart data: for a structure that
 is the cone over a projective one, the graded table is related to, but not
-equal to, the cohomology of the projective quotient.  And each (k, w) piece
-is independent of the others, so a caller may evaluate pieces concurrently;
-the builder here runs them sequentially, which is what lets one piece's
-pivot rows clear the next piece's columns.
+equal to, the cohomology of the projective quotient.  And diagonals are
+independent: a caller may walk them concurrently; one table walks them in
+turn and shares its degree enumeration among them.
 """
 
 from __future__ import annotations
@@ -322,9 +321,7 @@ def _dpi_columns(
     return columns
 
 
-def dpi_matrix(
-    P: PoissonStructure, k: int, w: int, cap: int = DEFAULT_BASIS_CAP
-) -> list[dict[int, int | Fraction]]:
+def dpi_matrix(P: PoissonStructure, k: int, w: int) -> list[dict[int, int | Fraction]]:
     """Sparse columns ``{row: value}`` of d_pi from the (k, w) piece to the (k+1, w+m) piece.
 
     Column j holds the coordinates of d_pi applied to the j-th source basis
@@ -336,8 +333,8 @@ def dpi_matrix(
     m = homogeneity_weight(P)
     table = _DerivativeTable(P, max(w, w + m))
     by_degree: dict = {}
-    source = graded_basis(P.chart, k, w, cap, table.radix, by_degree)
-    target = graded_basis(P.chart, k + 1, w + m, cap, table.radix, by_degree)
+    source = graded_basis(P.chart, k, w, radix=table.radix, by_degree=by_degree)
+    target = graded_basis(P.chart, k + 1, w + m, radix=table.radix, by_degree=by_degree)
     columns = _dpi_columns(table, source, target)
     if table.scale == 1:
         return list(columns)
@@ -485,12 +482,7 @@ class CohomologyTable:
         return "\n".join(lines)
 
 
-def cohomology_table(
-    P: PoissonStructure,
-    k_max: int,
-    w_max: int,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> CohomologyTable:
+def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyTable:
     """Dimension table of graded Lichnerowicz cohomology.
 
     The weights run from w_min = -sum(weights), the lowest weight of a
@@ -499,86 +491,63 @@ def cohomology_table(
     taken on every diagonal whose k=0 weight lies in the displayed window
     (this may evaluate pieces just outside the window; those are computed,
     not displayed); they confirm the bookkeeping, not the ranks.
+
+    Each diagonal w0 is walked once, upward in k over the span the table
+    reads: 0..n for an Euler diagonal, k-1..k for each displayed (k, w)
+    with w - km = w0.  The target basis of one step is the source of the
+    next, and each step's pivot rows clear the next step's columns.
     """
     chart = P.chart
     n = chart.n
     m = homogeneity_weight(P)
     k_max = min(k_max, n)
     w_min = -sum(chart.weights)
+    window = range(w_min, w_max + 1)
 
     # Every piece touched below has weight at most w_max + n|m|.
     table = _DerivativeTable(P, w_max + n * abs(m))
-    bases: dict[tuple[int, int], GradedBasis] = {}
     by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] = {}
-    ranks: dict[tuple[int, int], tuple[int, int, int]] = {}
-    # The pivot rows of a ranked piece, held until the next piece on its diagonal clears with them.
-    pivot_rows: dict[tuple[int, int], frozenset[int]] = {}
-
-    def basis(k: int, w: int) -> GradedBasis:
-        key = (k, w)
-        if key not in bases:
-            bases[key] = graded_basis(chart, k, w, cap, table.radix, by_degree)
-        return bases[key]
-
-    def rank_of(k: int, w: int) -> tuple[int, int, int]:
-        """(rows, cols, rank) of d_pi from (k, w) to (k+1, w+m).
-
-        A piece with an empty source or target has rank 0 and is neither
-        assembled nor eliminated.  Otherwise its columns at the pivot rows
-        of (k-1, w-m) are cleared, as the module docstring explains, when
-        that piece is already ranked; ranking it here instead would climb
-        its diagonal into pieces the table never needs.
-        """
-        if not 0 <= k <= n:
-            return (0, 0, 0)
-        key = (k, w)
-        if key not in ranks:
-            source = basis(k, w)
-            target = basis(k + 1, w + m)
-            rank = 0
-            if len(source) and len(target):
-                cleared = pivot_rows.pop((k - 1, w - m), frozenset())
-                rank = rank_exact(_dpi_columns(table, source, target, cleared))
-                pivot_rows[key] = rank.pivot_rows
-            # A plain int: the certificate outlives the piece, its pivot rows need not.
-            ranks[key] = (len(target), len(source), int(rank))
-        return ranks[key]
+    # The pieces (k, w0 + km) that the table reads, as a k span per diagonal w0.
+    spans = {w0: [0, n] for w0 in window}
+    for k in range(k_max + 1):
+        for w in window:
+            span = spans.setdefault(w - k * m, [k, k])
+            span[0], span[1] = min(span[0], k), max(span[1], k)
 
     pieces: dict[tuple[int, int], TableEntry] = {}
+    for w0, (lo, hi) in spans.items():
+        # Walk from the piece that feeds the span's first one.
+        start = max(lo - 1, 0)
+        source = graded_basis(chart, start, w0 + start * m, DEFAULT_BASIS_CAP, table.radix, by_degree)
+        rank_in, cleared = 0, frozenset()
+        for k in range(start, hi + 1):
+            w = w0 + k * m
+            target = graded_basis(chart, k + 1, w + m, DEFAULT_BASIS_CAP, table.radix, by_degree)
+            # A piece with an empty source or target has rank 0 and is neither assembled nor ranked.
+            if len(source) and len(target):
+                rank = rank_exact(_dpi_columns(table, source, target, cleared))
+                cleared = rank.pivot_rows
+            else:
+                rank, cleared = 0, frozenset()
+            if k >= lo:
+                kernel = len(source) - rank
+                pieces[(k, w)] = TableEntry(
+                    k=k,
+                    w=w,
+                    dim_chain=len(source),
+                    dim_kernel=kernel,
+                    dim_image_incoming=rank_in,
+                    dim_h=kernel - rank_in,
+                    # A plain int: the certificate outlives the piece, its pivot rows need not.
+                    rank_certificate=(len(target), len(source), int(rank)),
+                )
+            rank_in, source = int(rank), target
 
-    def piece(k: int, w: int) -> TableEntry:
-        """Dimensions of (k, w), for the table and the Euler sums alike.
-
-        The incoming piece is ranked first, so its pivot rows clear columns
-        of the outgoing one.
-        """
-        key = (k, w)
-        if key not in pieces:
-            dim_chain = len(basis(k, w))
-            rank_in = rank_of(k - 1, w - m)[2]
-            cert = rank_of(k, w)
-            kernel = dim_chain - cert[2]
-            pieces[key] = TableEntry(
-                k=k,
-                w=w,
-                dim_chain=dim_chain,
-                dim_kernel=kernel,
-                dim_image_incoming=rank_in,
-                dim_h=kernel - rank_in,
-                rank_certificate=cert,
-            )
-        return pieces[key]
-
-    entries = {(k, w): piece(k, w) for k in range(k_max + 1) for w in range(w_min, w_max + 1)}
     checks = []
-    for w0 in range(w_min, w_max + 1):
-        chain_sum = 0
-        cohomology_sum = 0
-        for k in range(n + 1):
-            entry = piece(k, w0 + k * m)
-            sign = -1 if k % 2 else 1
-            chain_sum += sign * entry.dim_chain
-            cohomology_sum += sign * entry.dim_h
+    for w0 in window:
+        walked = [pieces[(k, w0 + k * m)] for k in range(n + 1)]
+        chain_sum = sum((-1) ** k * entry.dim_chain for k, entry in enumerate(walked))
+        cohomology_sum = sum((-1) ** k * entry.dim_h for k, entry in enumerate(walked))
         checks.append(EulerCheck(w0=w0, chain_sum=chain_sum, cohomology_sum=cohomology_sum))
 
     return CohomologyTable(
@@ -587,6 +556,6 @@ def cohomology_table(
         k_max=k_max,
         w_min=w_min,
         w_max=w_max,
-        entries=entries,
+        entries={(k, w): pieces[(k, w)] for k in range(k_max + 1) for w in window},
         euler_checks=tuple(checks),
     )

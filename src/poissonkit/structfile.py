@@ -7,10 +7,11 @@ Line-oriented format with '#' comments::
     poisson:
     {w,z} = w*z
 
-Each of the three header lines appears at most once, and a ``weights:``
-line lists one weight per variable.  The poisson block holds either
-explicit bracket lines ``{v1,v2} = expr`` with v1 before v2 in chart order
-(unlisted pairs default to 0), or exactly one builder directive::
+Each of the three header lines appears at most once, ``chart:`` names at
+least two variables, and a ``weights:`` line lists one weight per variable.
+The poisson block holds either explicit bracket lines ``{v1,v2} = expr``
+with v1 before v2 in chart order (unlisted pairs default to 0), or exactly
+one builder directive::
 
     jacobian3 F = 1/3*(x^3 + y^3 + z^3) + x*y*z
     diagonal lambda = 0 1; -1 0
@@ -85,6 +86,8 @@ def parse_structure_file(text: str) -> StructureSpec:
                 chart = Chart(tuple(tokens))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            if chart.n < 2:
+                raise ParseError("a Poisson structure needs at least two variables", line=lineno)
             continue
         if line.startswith("weights:"):
             if chart is None:

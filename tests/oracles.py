@@ -6,13 +6,14 @@ from truncated-jet linear algebra instead of Groebner bases, standard
 monomials are counted one by one instead of slice by slice, multivariate
 division reduces over Q in ``Fraction`` arithmetic instead of fraction-free
 over Z, and the cohomology table is rebuilt densely with fresh matrices and
-no caching.
+no caching, or, for diagonal structures, counted from a closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from poissonkit import Chart, Poly, Polyvector, schouten
 from poissonkit.poisson import PoissonStructure
@@ -210,6 +211,39 @@ def diagonal_modular_coefficients(lam) -> list[Fraction]:
         value -= sum((Fraction(lam[k][j]) for j in range(k + 1, n)), Fraction(0))
         out.append(value)
     return out
+
+
+def diagonal_dimension_table(lam, k_max: int, w_max: int) -> dict[tuple[int, int], int]:
+    """dim H^k_w in closed form for pi = sum_{i<j} lam[i][j] x_i x_j d_i^d_j, unit weights.
+
+    With E_i = x_i d_i, a monomial polyvector x^a d_J is x^e E_J for
+    e = a - 1_J: every e_i >= -1, e_i = -1 only for i in J, and its weight
+    is w = sum e_i.  The E_i commute and E_i(x^e) = e_i x^e, so d_pi maps
+    x^e E_J to a multiple of x^e v(e)^E_J, v(e)_j = sum_i lam[i][j] e_i.
+    On multidegree e the sets J are those containing S(e) = {i : e_i = -1},
+    so the complex is the Koszul complex of wedging with v(e) off S(e):
+    acyclic unless v(e)_j = 0 for every j outside S(e), and otherwise of
+    dimension C(n - |S(e)|, k - |S(e)|) in degree k.  Summing over e:
+
+        dim H^k_w = sum over e >= -1 with sum e = w and v(e) = 0 off S(e)
+                    of C(n - |S(e)|, k - |S(e)|).
+
+    Weights run from -n, the lowest weight of a nonzero piece, to ``w_max``.
+    """
+    n = len(lam)
+    table = {}
+    for w in range(-n, w_max + 1):
+        dims = [0] * (n + 1)
+        # e + 1 is a composition of w + n into n parts >= 0: stars and bars.
+        for bars in itertools.combinations(range(w + 2 * n - 1), n - 1):
+            e = [b - a - 2 for a, b in zip((-1, *bars), (*bars, w + 2 * n - 1))]
+            s = e.count(-1)
+            if all(sum(lam[i][j] * e[i] for i in range(n)) == 0 for j in range(n) if e[j] != -1):
+                for k in range(s, n + 1):
+                    dims[k] += comb(n - s, k - s)
+        for k in range(k_max + 1):
+            table[(k, w)] = dims[k]
+    return table
 
 
 def _dense_basis(chart: Chart, k: int, w: int):

@@ -509,6 +509,28 @@ class TestExitCodeContract:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
 
+    def test_empty_point_is_2(self, capsys):
+        # An empty --point is a malformed point, not an absent one.
+        assert main(["tjurina", "w^2+z^3", "--point", "", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: bad --point value ''\n"
+
+    @pytest.mark.parametrize("command", ["check", "modular", "report", "cohomology", "tjurina"])
+    @pytest.mark.parametrize(
+        "text",
+        ["chart: x\npoisson:\n", "# one variable\nchart: x\npoisson:\ndiagonal lambda = 0\n"],
+        ids=["brackets", "diagonal"],
+    )
+    def test_one_variable_chart_is_2(self, capsys, tmp_path, command, text):
+        path = tmp_path / "one.poisson"
+        path.write_text(text)
+        assert main([command, str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = text.splitlines().index("chart: x") + 1
+        assert captured.err == f"parse error: a Poisson structure needs at least two variables (line {line})\n"
+
 
 class TestClosedStdout:
     """A reader that closes the pipe early ends the command with exit 0, not a traceback."""

@@ -33,7 +33,7 @@ from conftest import (
     random_poly,
     random_skew_matrix,
 )
-from oracles import bruteforce_dimension_table, gaussian_rank
+from oracles import bruteforce_dimension_table, diagonal_dimension_table, gaussian_rank
 
 
 def symplectic2():
@@ -778,6 +778,32 @@ class TestClearing:
         table = cohomology_table(fixture_structure("sklyanin4"), 4, 9)
         assert table.euler_consistent()
         assert sum(eliminated) <= 11600
+
+
+class TestDiagonalClosedForm:
+    """Seeded diagonal structures against ``oracles.diagonal_dimension_table``.
+
+    Diagonal pieces split into blocks by multidegree and do not fill in, so
+    this checks the assembly's signs, the bookkeeping and the ranks at
+    sizes the brute-force oracle cannot reach, not fill-heavy elimination.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_seeded_diagonal_charts(self, rng, n):
+        chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+        for denominators in ((1,), (1, 2, 3, 4)):
+            lam = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    lam[i][j] = Fraction(rng.randint(-3, 3), rng.choice(denominators))
+                    lam[j][i] = -lam[i][j]
+            table = cohomology_table(diagonal_quadratic_poisson(lam, chart=chart), n, 3)
+            oracle = diagonal_dimension_table(lam, n, 3)
+            assert table.entries.keys() == oracle.keys()
+            for (k, w), dim in oracle.items():
+                assert table.dim_h(k, w) == dim, (lam, k, w)
+            if n == 6:
+                assert max(entry.dim_chain for entry in table.entries.values()) > 10000
 
 
 class TestClosedForms:
