@@ -37,7 +37,7 @@ from .graded_cohomology import cohomology_table
 from .groebner import DEFAULT_BUDGET, INFINITE, jacobian_ideal_basis, quotient_dimension
 from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
 from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
-from .polyalg import Chart, Poly, _digit_limit, _exceeds_digit_limit, _tokenize, parse_poly
+from .polyalg import Chart, Poly, _digit_limit, _exceeds_digit_limit, _parse_tokens, _tokenize
 from .structfile import StructureSpec, parse_structure_file
 
 
@@ -261,7 +261,10 @@ def cmd_tjurina(args) -> tuple[str, dict]:
             raise ParseError(
                 f"--point needs {chart.n} coordinates in chart order {chart.names}"
             )
-        f = f.shift(point)
+        try:
+            f = f.shift(point)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"--point {args.point!r}: {exc}") from None
         if _exceeds_digit_limit([*point, *f.terms.values()], digits):
             raise ParseError(f"--point {args.point!r} gives a coefficient of more than {digits} digits")
     basis = jacobian_ideal_basis(f, include_f=True, budget=args.budget)
@@ -278,11 +281,12 @@ def cmd_tjurina(args) -> tuple[str, dict]:
 
 def _poly_from_text(text: str) -> tuple[Poly, Chart]:
     """Parse a bare polynomial; the chart is its identifiers sorted by name."""
-    names = sorted({value for kind, value, _ in _tokenize(text) if kind == "ident"})
+    tokens = _tokenize(text)
+    names = sorted({value for kind, value, _ in tokens if kind == "ident"})
     if not names:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
     chart = Chart(tuple(names))
-    f = parse_poly(text, chart)
+    f = _parse_tokens(tokens, chart)
     if f.is_zero or f.is_constant:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
     return f, chart

@@ -121,11 +121,18 @@ def _pack(exponent: Exponent, radix: int) -> int:
     return packed
 
 
-def _monomials_of_weighted_degree(chart: Chart, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given weighted degree, grevlex descending."""
+def _monomials_of_weighted_degree(chart: Chart, degree: int, limit: int) -> list[Exponent]:
+    """All exponent tuples of the given weighted degree, grevlex descending.
+
+    When there are more than ``limit``, the enumeration stops at ``limit + 1``
+    of them, so the caller sees the excess without listing the rest.
+    """
     if degree < 0:
         return []
     weights = chart.weights
+    # gcds[i] divides the weighted degree of every monomial in x_0..x_{i-1}, so
+    # only the e_i with gcds[i] | remaining - e_i * weights[i] can lead to one.
+    gcds = [0, *itertools.accumulate(weights[:-1], gcd)]
     out: list[Exponent] = []
 
     def rec(i: int, remaining: int, suffix: tuple[int, ...]):
@@ -133,8 +140,19 @@ def _monomials_of_weighted_degree(chart: Chart, degree: int) -> list[Exponent]:
             if remaining % weights[0] == 0:
                 out.append((remaining // weights[0],) + suffix)
             return
-        for e in range(remaining // weights[i] + 1):
-            rec(i - 1, remaining - e * weights[i], (e,) + suffix)
+        w, g = weights[i], gcds[i]
+        if g == 1:
+            exponents = range(remaining // w + 1)
+        else:
+            h = gcd(w, g)
+            if remaining % h:
+                return
+            step = g // h
+            exponents = range(remaining // h * pow(w // h, -1, step) % step, remaining // w + 1, step)
+        for e in exponents:
+            rec(i - 1, remaining - e * w, (e,) + suffix)
+            if len(out) > limit:
+                return
 
     # e_{n-1} ascending, then e_{n-2}, ...: grevlex descending within one
     # total degree; the stable sort then puts higher total degrees first.
@@ -171,7 +189,7 @@ def graded_basis(
         for index in itertools.combinations(range(n), k):
             target = w + sum(chart.weights[i] for i in index)
             if target not in by_degree:
-                monomials = tuple(_monomials_of_weighted_degree(chart, target))
+                monomials = tuple(_monomials_of_weighted_degree(chart, target, cap))
                 by_degree[target] = (monomials, [_pack(e, radix) << n for e in monomials])
             monomials, packed = by_degree[target]
             if not monomials:
@@ -502,6 +520,11 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
     m = homogeneity_weight(P)
     k_max = min(k_max, n)
     w_min = -sum(chart.weights)
+    # Each entry is a piece to enumerate, so a window this wide is refused before any is built.
+    if (k_max + 1) * (w_max - w_min + 1) > DEFAULT_BASIS_CAP:
+        raise BasisSizeExceededError(
+            f"the table's {k_max + 1} x {w_max - w_min + 1} entries exceed the basis cap {DEFAULT_BASIS_CAP}"
+        )
     window = range(w_min, w_max + 1)
 
     # Every piece touched below has weight at most w_max + n|m|.

@@ -152,7 +152,7 @@ def _reduce(
         if c is None:
             continue
         for i, lead_exp in enumerate(leads):
-            if _divides(lead_exp, exp):
+            if all(map(operator.le, lead_exp, exp)):  # _divides, inlined in the hot loop
                 if counter is not None:
                     counter.spend()
                 q_exp = _monomial_quotient(exp, lead_exp)
@@ -307,7 +307,10 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         remainder, m = _reduce(dict(g), 1, minimal_leads[:idx] + minimal_leads[idx + 1 :], others, counter)
         reduced[idx] = _positive_primitive(remainder, m)
         counter.done += 1
-    monic = (Poly._of(chart, g) * _div(1, g[lead]) for g, lead in zip(reduced, minimal_leads))
+    monic = []
+    for g, lead in zip(reduced, minimal_leads):
+        a = g[lead]
+        monic.append(Poly._of(chart, g if a == 1 else {e: _div(c, a) for e, c in g.items()}))
     return GroebnerBasis(chart, tuple(monic))
 
 

@@ -152,6 +152,45 @@ def _sub_mul(work: dict, c, shift: Exponent, terms: dict) -> list[Exponent]:
     return inserted
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term maps: a one-term factor shifts the other's exponents, sums multiply term by term."""
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {tuple(map(operator.add, ea, eb)): ca * cb for ea, ca in a.items()}
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {tuple(map(operator.add, ea, eb)): ca * cb for eb, cb in b.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            acc = out.get(e, 0) + ca * cb
+            if acc:
+                out[e] = acc
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _pow_terms(terms: dict, k: int, one: Exponent) -> dict:
+    """terms^k for k >= 0, ``one`` the zero exponent.
+
+    A one-term base multiplies its exponent and raises its coefficient; a
+    sum is squared and multiplied by :func:`_mul_terms`.
+    """
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        return {tuple(x * k for x in e): c**k}
+    result, base = {one: 1}, terms
+    while k:
+        if k & 1:
+            result = _mul_terms(result, base)
+        if k > 1:
+            base = _mul_terms(base, base)
+        k >>= 1
+    return result
+
+
 # The one monomial order: grevlex, for leading terms, printing and every
 # Groebner computation.  Key sorts ascending (1 minimal); the tiebreak negates
 # reversed exponents.
@@ -296,31 +335,14 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_chart(other)
-        out: dict[Exponent, Coeff] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(map(operator.add, ea, eb))
-                acc = out.get(e, 0) + ca * cb
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        return Poly._of(self.chart, out)
+        return Poly._of(self.chart, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power needs a nonnegative integer, got {exponent!r}")
-        result = Poly.constant(self.chart, 1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Poly._of(self.chart, _pow_terms(self.terms, exponent, (0,) * self.chart.n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -348,18 +370,47 @@ class Poly:
         return Poly._of(self.chart, out)
 
     def shift(self, point) -> Poly:
-        """Substitute x_i -> x_i + a_i (translate the point a to the origin)."""
+        """Substitute x_i -> x_i + a_i (translate the point a to the origin).
+
+        Each x_i^e becomes one binomial row of (x_i + a_i)^e, the terms
+        C(e, j) a_i^(e-j) x_i^j, built once per (variable, exponent).  The
+        expansion has at most sum over terms of prod (e_i + 1) terms, over
+        the variables with a_i != 0; past MAX_TERMS, BudgetExceededError is
+        raised before anything is expanded.
+        """
         values = [_exact(v) for v in point]
         if len(values) != self.chart.n:
             raise ValueError("translation point must supply one value per variable")
-        result = Poly.zero(self.chart)
+        moved = [i for i, a in enumerate(values) if a]
+        bound = 0
+        for exponent in self.terms:
+            size = 1
+            for i in moved:
+                size *= exponent[i] + 1
+            bound += size
+            if bound > MAX_TERMS:
+                raise BudgetExceededError(
+                    f"translation: the translated polynomial may have more than {MAX_TERMS} terms"
+                )
+        rows: dict[tuple[int, int], list[tuple[int, Coeff]]] = {}
+        out: dict[Exponent, Coeff] = {}
         for exponent, coeff in self.terms.items():
-            term = Poly.constant(self.chart, coeff)
-            for i, e in enumerate(exponent):
+            expanded = [(exponent, coeff)]
+            for i in moved:
+                e = exponent[i]
                 if e:
-                    term = term * (Poly.variable(self.chart, i) + values[i]) ** e
-            result = result + term
-        return result
+                    row = rows.get((i, e))
+                    if row is None:
+                        a = values[i]
+                        row = rows[(i, e)] = [(j, _exact(math.comb(e, j) * a ** (e - j))) for j in range(e + 1)]
+                    expanded = [(x[:i] + (j,) + x[i + 1 :], c * b) for x, c in expanded for j, b in row]
+            for e, c in expanded:
+                acc = out.get(e, 0) + c
+                if acc:
+                    out[e] = acc
+                else:
+                    del out[e]
+        return Poly._of(self.chart, out)
 
     # -- printing ----------------------------------------------------------
 
@@ -375,38 +426,30 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def _format_monomial(chart: Chart, exponent: Exponent) -> str:
-    parts = []
-    for name, e in zip(chart.names, exponent):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
 def format_poly(p: Poly) -> str:
     """Normal-form text: terms in descending grevlex order.
 
     ``parse_poly(format_poly(p), p.chart) == p`` holds for every p.
     """
-    if p.is_zero:
+    terms = p.terms
+    if not terms:
         return "0"
+    names = p.chart.names
     pieces = []
-    for exponent in sorted(p.terms, key=grevlex_key, reverse=True):
-        coeff = p.terms[exponent]
-        mono = _format_monomial(p.chart, exponent)
-        mag = abs(coeff)
+    for exponent in sorted(terms, key=grevlex_desc):
+        coeff = terms[exponent]
+        mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e])
+        mag = -coeff if coeff < 0 else coeff
         if not mono:
             body = str(mag)
         elif mag == 1:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+        if pieces:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(body if coeff > 0 else "-" + body)
     return " ".join(pieces)
 
 
@@ -431,24 +474,17 @@ MAX_NESTING = 100
 MAX_TERMS = 2000
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", column=bad_at + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", column=m.start(kind) + 1)
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -469,25 +505,25 @@ def _exceeds_digit_limit(values, digits: int) -> bool:
 
 
 class _PolyParser:
-    def __init__(self, text: str, chart: Chart):
-        self.text = text
+    """Recursive descent over a token list; every rule returns a fresh term map.
+
+    A number or an identifier is a one-term map, a product or power goes
+    through :func:`_mul_terms` / :func:`_pow_terms`, and :meth:`parse` wraps
+    the one result in a ``Poly``.
+    """
+
+    def __init__(self, tokens: list, chart: Chart):
+        self.tokens = tokens
         self.chart = chart
-        self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.digits = _digit_limit()
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        n = chart.n
+        self.one = (0,) * n
+        self.units = {name: tuple(int(j == i) for j in range(n)) for i, name in enumerate(chart.names)}
 
     def fail(self, message: str):
-        _, _, pos = self.peek()
-        raise ParseError(message, column=pos + 1)
+        raise ParseError(message, column=self.tokens[self.i][2] + 1)
 
     def integer(self, value: str, pos: int) -> int:
         """An int token as an int; one past the interpreter's digit limit is a parse error."""
@@ -499,121 +535,133 @@ class _PolyParser:
     def too_long(self, pos: int):
         raise ParseError(f"a coefficient has more than {self.digits} digits", column=pos + 1)
 
-    def printable(self, p: Poly, pos: int) -> Poly:
-        """p, unless a coefficient has more digits than the interpreter converts to str."""
-        if _exceeds_digit_limit(p.terms.values(), self.digits):
+    def printable(self, terms: dict, pos: int) -> dict:
+        """terms, unless a coefficient has more digits than the interpreter converts to str."""
+        if _exceeds_digit_limit(terms.values(), self.digits):
             self.too_long(pos)
-        return p
+        return terms
 
     def check_terms(self, bound: int, what: str):
         if bound > MAX_TERMS:
             raise BudgetExceededError(f"expression parser: {what} may have {bound} terms, more than {MAX_TERMS}")
 
-    def expect_op(self, op: str):
-        kind, value, _ = self.peek()
-        if kind != "op" or value != op:
-            self.fail(f"expected {op!r}")
-        self.advance()
-
     def parse(self) -> Poly:
-        p = self.expr()
-        kind, value, _ = self.peek()
+        terms = self.expr()
+        kind, value, _ = self.tokens[self.i]
         if kind != "end":
             self.fail(f"unexpected token {value!r}")
-        return p
+        return Poly._of(self.chart, terms)
 
-    def expr(self) -> Poly:
-        start = self.peek()[2]
+    def expr(self) -> dict:
+        tokens = self.tokens
+        start = tokens[self.i][2]
         result = self.signed_term()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.signed_term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
+            kind, value, _ = tokens[self.i]
+            if kind != "op" or (value != "+" and value != "-"):
                 return self.printable(result, start)
+            self.i += 1
+            rhs = self.signed_term()
+            if value == "-":
+                rhs = {e: -c for e, c in rhs.items()}
+            for e, c in rhs.items():
+                acc = result.get(e, 0) + c
+                if acc:
+                    result[e] = acc
+                else:
+                    result.pop(e, None)
 
-    def signed_term(self) -> Poly:
-        kind, value, _ = self.peek()
+    def signed_term(self) -> dict:
+        kind, value, _ = self.tokens[self.i]
         if kind == "op" and value == "-":
-            self.advance()
-            return -self.term()
+            self.i += 1
+            return {e: -c for e, c in self.term().items()}
         return self.term()
 
-    def term(self) -> Poly:
-        start = self.peek()[2]
+    def term(self) -> dict:
+        tokens = self.tokens
+        start = tokens[self.i][2]
         result = self.factor()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                rhs = self.factor()
-                self.check_terms(len(result.terms) * len(rhs.terms), "a product")
-                result = result * rhs
-            else:
+            kind, value, _ = tokens[self.i]
+            if kind != "op" or value != "*":
                 return self.printable(result, start)
+            self.i += 1
+            rhs = self.factor()
+            self.check_terms(len(result) * len(rhs), "a product")
+            result = _mul_terms(result, rhs)
 
-    def factor(self) -> Poly:
-        start = self.peek()[2]
+    def factor(self) -> dict:
+        tokens = self.tokens
+        start = tokens[self.i][2]
         base = self.base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                self.fail("expected a nonnegative integer exponent after '^'")
-            self.advance()
-            k, t, n = self.integer(value, pos), len(base.terms), self.chart.n
-            if t > 1:
-                d = base.total_degree()
-                self.check_terms(min(math.comb(t - 1 + k, t - 1), math.comb(n + k * d, n)), f"a power ^{k}")
-            if base.terms and self.digits:
-                # The lex-largest term of base^k has the coefficient c^k, and
-                # |c^k| >= 2^(k * bits) > 10^digits once 3 * k * bits > 10 * digits.
-                c = base.terms[max(base.terms)]
-                bits = max(abs(c.numerator), c.denominator).bit_length() - 1
-                if 3 * k * bits > 10 * self.digits:
-                    self.too_long(start)
-            return base**k
-        return base
+        kind, value, _ = tokens[self.i]
+        if kind != "op" or value != "^":
+            return base
+        self.i += 1
+        kind, value, pos = tokens[self.i]
+        if kind != "int":
+            self.fail("expected a nonnegative integer exponent after '^'")
+        self.i += 1
+        k, t, n = self.integer(value, pos), len(base), self.chart.n
+        if t > 1:
+            d = max(map(sum, base))
+            self.check_terms(min(math.comb(t - 1 + k, t - 1), math.comb(n + k * d, n)), f"a power ^{k}")
+        if base and self.digits:
+            # The lex-largest term of base^k has the coefficient c^k, and
+            # |c^k| >= 2^(k * bits) > 10^digits once 3 * k * bits > 10 * digits.
+            c = base[max(base)]
+            bits = max(abs(c.numerator), c.denominator).bit_length() - 1
+            if 3 * k * bits > 10 * self.digits:
+                self.too_long(start)
+        return _pow_terms(base, k, self.one)
 
-    def base(self) -> Poly:
-        kind, value, pos = self.peek()
+    def base(self) -> dict:
+        kind, value, pos = self.tokens[self.i]
+        if kind == "ident":
+            self.i += 1
+            unit = self.units.get(value)
+            if unit is None:
+                raise UnknownIdentifierError(f"unknown identifier {value!r}", column=pos + 1)
+            return {unit: 1}
         if kind == "int":
-            self.advance()
+            self.i += 1
             numerator = self.integer(value, pos)
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tokens[self.i]
             if kind == "op" and value == "/":
-                self.advance()
-                kind, value, denominator_pos = self.peek()
+                self.i += 1
+                kind, value, denominator_pos = self.tokens[self.i]
                 if kind != "int":
                     self.fail("expected an integer denominator after '/'")
-                self.advance()
+                self.i += 1
                 denominator = self.integer(value, denominator_pos)
                 if denominator == 0:
                     raise ParseError("zero denominator", column=pos + 1)
-                return Poly.constant(self.chart, Fraction(numerator, denominator))
-            return Poly.constant(self.chart, numerator)
-        if kind == "ident":
-            self.advance()
-            if value not in self.chart.names:
-                raise UnknownIdentifierError(f"unknown identifier {value!r}", column=pos + 1)
-            return Poly.variable(self.chart, value)
+                numerator = _exact(Fraction(numerator, denominator))
+            return {self.one: numerator} if numerator else {}
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", column=pos + 1)
-            self.advance()
+            self.i += 1
             self.depth += 1
             inner = self.expr()
-            self.expect_op(")")
+            kind, value, _ = self.tokens[self.i]
+            if kind != "op" or value != ")":
+                self.fail("expected ')'")
+            self.i += 1
             self.depth -= 1
             return inner
         self.fail("expected a rational, identifier, or parenthesized expression")
 
+
+def _parse_tokens(tokens: list, chart: Chart) -> Poly:
+    """Parse the tokens of one expression (:func:`_tokenize`) to normal form."""
+    return _PolyParser(tokens, chart).parse()
+
+
 def parse_poly(text: str, chart: Chart) -> Poly:
     """Parse an expression in the chart's variables to normal form."""
-    return _PolyParser(text, chart).parse()
+    return _parse_tokens(_tokenize(text), chart)
 
 
 # ---------------------------------------------------------------------------

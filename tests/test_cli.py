@@ -40,6 +40,14 @@ def run_json(capsys, *argv):
     return envelope
 
 
+def run_subprocess(*argv):
+    """``python -m poissonkit *argv`` in a child process, so that a 20 s timeout stops a run that never ends."""
+    src = str(Path(poissonkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "poissonkit", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=20, env=env)
+
+
 class TestFixtures:
     def test_every_fixture_parses_and_roundtrips(self):
         fixture_files = sorted(FIXTURES.glob("*.poisson"))
@@ -508,6 +516,45 @@ class TestExitCodeContract:
         done = subprocess.run(argv, capture_output=True, text=True, timeout=5, env=env)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
+
+    @pytest.mark.parametrize("literal", ["w^20000 + z^2", "w^2000 + z^2"])
+    def test_translation_past_the_term_bound_is_4(self, literal):
+        # (w + 1)^20000 would be expanded before anything else ran; the
+        # translation is bounded like the literal "(w+1)^2000 + z^2" is.
+        done = run_subprocess("tjurina", literal, "--point=1,0", "--json")
+        assert done.returncode == 4 and done.stdout == ""
+        assert done.stderr == (
+            "budget exceeded: --point '1,0': translation: the translated polynomial may have more than 2000 terms\n"
+        )
+
+    def test_translation_bound_counts_only_translated_variables(self, capsys):
+        # z^2 moves to (z - 1)^2; w^1999 stays one term.
+        result = run_json(capsys, "tjurina", "w^1999 + z^2", "--point=0,-1")["result"]
+        assert result["poly"] == "w^1999 + z^2 - 2*z + 1" and result["tjurina"] == 1998
+
+    @pytest.mark.parametrize(
+        "text, wmax",
+        [
+            ("chart: w z\npoisson:\n{w,z} = w^999999999999\n", "6"),
+            ("chart: w z\npoisson:\n{w,z} = w^3000000\n", "6"),
+            ("chart: x y z\npoisson:\njacobian3 F = x^99999\n", "6"),
+            ("chart: w z\nweights: 20000 1\npoisson:\n{w,z} = w\n", "3"),
+            ("chart: w z\nweights: 5000 1\npoisson:\n{w,z} = z^999999999999\n", "3"),
+        ],
+        ids=["huge-m", "large-m", "jacobian3", "wide-window", "weighted-huge-m"],
+    )
+    def test_cohomology_past_the_basis_cap_ends_at_once(self, tmp_path, text, wmax):
+        # Each used to enumerate a piece's monomials, or the weight window,
+        # in full before the cap was compared; a subprocess lets the timeout
+        # stop a run that does.
+        path = tmp_path / "big.poisson"
+        path.write_text(text)
+        started = time.perf_counter()
+        done = run_subprocess("cohomology", str(path), "--wmax", wmax, "--json")
+        assert done.returncode == 4 and done.stdout == ""
+        assert done.stderr.startswith("budget exceeded: ") and "exceed" in done.stderr
+        assert "the basis cap 20000" in done.stderr
+        assert time.perf_counter() - started < 3
 
     def test_empty_point_is_2(self, capsys):
         # An empty --point is a malformed point, not an absent one.

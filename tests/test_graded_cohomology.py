@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -23,7 +24,7 @@ from poissonkit import (
     parse_structure_file,
     rank_exact,
 )
-from poissonkit.graded_cohomology import _DerivativeTable, _dpi_columns, _echelon, _pack
+from poissonkit.graded_cohomology import _DerivativeTable, _dpi_columns, _echelon, _monomials_of_weighted_degree, _pack
 from conftest import (
     CHART2,
     CHART3,
@@ -139,6 +140,30 @@ class TestGradedBasis:
     def test_cap(self):
         with pytest.raises(BasisSizeExceededError):
             graded_basis(CHART3, 1, 12, cap=10)
+
+    def test_cap_stops_the_enumeration(self):
+        # w^e z^f of weight 10^12 under weights (5000, 1): 2 * 10^8
+        # monomials, of which only the first cap + 1 are listed, and the z
+        # exponents that leave a weight 5000 does not divide are skipped.
+        with pytest.raises(BasisSizeExceededError, match="exceeds the basis cap 20000"):
+            graded_basis(Chart(("w", "z"), (5000, 1)), 0, 10**12)
+        with pytest.raises(BasisSizeExceededError, match="exceeds the basis cap 20000"):
+            graded_basis(CHART2, 1, 10**12)
+
+    def test_enumeration_matches_brute_force(self, rng):
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            weights = tuple(rng.choice((1, 2, 3, 4, 6, 10, 15)) for _ in range(n))
+            chart = Chart(tuple(f"x{i}" for i in range(n)), weights)
+            for degree in range(-1, 25):
+                box = itertools.product(*(range(degree // w + 1) for w in weights))
+                expected = sorted(
+                    (e for e in box if chart.weighted_degree(e) == degree),
+                    key=lambda e: (-sum(e), e[::-1]),
+                )
+                assert _monomials_of_weighted_degree(chart, degree, len(expected)) == expected, (weights, degree)
+                if expected:
+                    assert len(_monomials_of_weighted_degree(chart, degree, len(expected) - 1)) == len(expected)
 
 
 class TestDpiMatrix:

@@ -1,7 +1,9 @@
 """sympy as an independent oracle for the polynomial, Groebner and gcd kernels.
 
 sympy is a test-only dependency: the engine never imports it.  The ring
-operations are checked on seeded ``conftest.random_poly`` inputs.  The curves
+operations and ``Poly.shift`` are checked on seeded ``conftest.random_poly``
+inputs, and the parser on seeded expressions that ``sympy.expand`` expands
+independently.  The curves
 are the ``tjurina-ladder`` family of the benchmark (``w^a + z^b`` plus up to
 three monomials, some translated to a point), and the surfaces are the
 ``report-mix`` inputs whose gcd ran away before the PRS was made primitive.
@@ -18,7 +20,7 @@ from poissonkit import INFINITE, buchberger, gcd_multi, groebner, jacobian_ideal
 from poissonkit.cli import main
 from poissonkit.groebner import _positive_primitive, division
 from poissonkit.polyalg import grevlex_key
-from conftest import CHART2, CHART3, random_poly
+from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import division_over_q, standard_monomial_count
 
 W, Z = sympy.symbols("w z")
@@ -79,6 +81,73 @@ class TestRingOperationsAgainstSympy:
                 assert remainder.is_zero and sympy_poly(quotient, gens) == sympy.exquo(P * Q, Q)
                 for i, x in enumerate(gens):
                     assert sympy_poly(p.diff(i), gens) == P.diff(x)
+
+
+def random_expression(rng, names, depth=0) -> tuple[str, str]:
+    """A seeded expression, as the parser's text and as sympy's.
+
+    Terms may carry a unary minus, also right after '+' or '-'; bases are
+    integers, rationals p/q, variables and, two levels deep, parenthesized
+    sums, any of them raised to a power up to 3.  In sympy's text a rational
+    is parenthesized, so that p/q^k stays (p/q)^k.
+    """
+    ours, theirs = [], []
+    for n in range(rng.randint(1, 3)):
+        if n:
+            op = rng.choice("+-")
+            ours.append(f" {op} ")
+            theirs.append(f" {op} ")
+        if rng.random() < 0.3:
+            ours.append("-")
+            theirs.append("-")
+        for m in range(rng.randint(1, 2)):
+            if m:
+                ours.append("*")
+                theirs.append("*")
+            kind = rng.choice(("int", "rational", "name", "name", "sum") if depth < 2 else ("int", "rational", "name"))
+            if kind == "int":
+                a = b = str(rng.randint(0, 5))
+            elif kind == "rational":
+                a = f"{rng.randint(0, 7)}/{rng.randint(1, 6)}"
+                b = f"({a})"
+            elif kind == "name":
+                a = b = rng.choice(names)
+            else:
+                inner_a, inner_b = random_expression(rng, names, depth + 1)
+                a, b = f"({inner_a})", f"({inner_b})"
+            if rng.random() < 0.4:
+                k = rng.randint(0, 3)
+                a, b = f"{a}^{k}", f"{b}**{k}"
+            ours.append(a)
+            theirs.append(b)
+    return "".join(ours), "".join(theirs)
+
+
+class TestParserAgainstSympy:
+    def test_expressions_expand_to_the_sympy_terms(self, rng):
+        unary_after_operator = 0
+        for chart in (CHART2, CHART3, CHART4):
+            gens = sympy.symbols(chart.names)
+            for _ in range(150):
+                text, sympy_text = random_expression(rng, chart.names)
+                unary_after_operator += ("+ -" in text) + ("- -" in text)
+                expected = sympy.Poly(
+                    sympy.expand(sympy.sympify(sympy_text, locals=dict(zip(chart.names, gens)))), *gens, domain="QQ"
+                )
+                assert sympy_poly(parse_poly(text, chart), gens) == expected, text
+        assert unary_after_operator > 20
+
+
+class TestShiftAgainstSympy:
+    def test_translation_matches_sympy_substitution(self, rng):
+        for chart in (CHART2, CHART3, CHART4):
+            gens = sympy.symbols(chart.names)
+            for _ in range(40):
+                p = random_poly(rng, chart, max_degree=5, max_terms=4)
+                point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in gens]
+                moved = {x: x + sympy.Rational(a.numerator, a.denominator) for x, a in zip(gens, point)}
+                expected = sympy.expand(sympy_poly(p, gens).as_expr().subs(moved, simultaneous=True))
+                assert sympy_poly(p.shift(point), gens) == sympy.Poly(expected, *gens, domain="QQ"), (p, point)
 
 
 class TestGroebnerAgainstSympy:
