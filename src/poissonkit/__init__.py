@@ -7,7 +7,6 @@ arithmetic.  See README.md for the CLI and the file format.
 """
 
 from .polyalg import (
-    MINUS_INFINITY,
     Chart,
     Poly,
     format_poly,
@@ -30,16 +29,14 @@ from .multivec import (
 from .poisson import (
     DIdealGenerator,
     PoissonStructure,
-    diagonal_quadratic_poisson,
+    diagonal_quadratic_bivector,
     dmodule_generators,
     hamiltonian,
-    jacobian_poisson_3,
+    jacobian_bivector_3,
     jacobiator,
-    lichnerowicz,
     modular_field,
     new_poisson,
     pfaffian,
-    pfaffian_bivector,
     poisson_bracket,
 )
 from .groebner import (
@@ -50,7 +47,6 @@ from .groebner import (
     jacobian_ideal_basis,
     normal_form,
     quotient_dimension,
-    tjurina_global,
 )
 from .diagnostics import StructureAnalysis, Verdict
 from .graded_cohomology import (
@@ -73,6 +69,6 @@ from .errors import (
     PreconditionError,
     UnknownIdentifierError,
 )
-from .structfile import StructureSpec, parse_structure_file, serialize_structure
+from .structfile import StructureSpec, parse_structure_file
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .graded_cohomology import cohomology_table
 from .groebner import DEFAULT_BUDGET, INFINITE, jacobian_ideal_basis, quotient_dimension
 from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
 from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
-from .polyalg import Chart, Poly, _digit_limit, _exceeds_digit_limit, _parse_tokens, _tokenize
+from .polyalg import Chart, Poly, _PolyParser, _digit_limit, _exceeds_digit_limit, _tokenize
 from .structfile import StructureSpec, parse_structure_file
 
 
@@ -285,8 +285,11 @@ def _poly_from_text(text: str) -> tuple[Poly, Chart]:
     names = sorted({value for kind, value, _ in tokens if kind == "ident"})
     if not names:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
-    chart = Chart(tuple(names))
-    f = _parse_tokens(tokens, chart)
+    try:
+        chart = Chart(tuple(names))
+    except ValueError as exc:  # more variables than a chart holds
+        raise ParseError(str(exc)) from None
+    f = _PolyParser(tokens, chart).parse()
     if f.is_zero or f.is_constant:
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
     return f, chart

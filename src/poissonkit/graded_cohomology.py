@@ -165,7 +165,6 @@ def graded_basis(
     chart: Chart,
     k: int,
     w: int,
-    cap: int = DEFAULT_BASIS_CAP,
     radix: int | None = None,
     by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] | None = None,
 ) -> GradedBasis:
@@ -176,7 +175,9 @@ def graded_basis(
     ``by_degree`` maps a weighted degree to its monomials and their packed
     codes; it is filled as degrees are enumerated, so the pieces of one
     table that pass the same dict, made for the same chart and radix,
-    enumerate each degree once.
+    enumerate each degree once.  When w plus the k heaviest weights is
+    below 0, no multi-index reaches a monomial, and the piece is empty
+    without a multi-index visited.
     """
     n = chart.n
     if radix is None:
@@ -185,18 +186,18 @@ def graded_basis(
         by_degree = {}
     groups: list[tuple[MultiIndex, tuple[Exponent, ...]]] = []
     codes: list[int] = []
-    if 0 <= k <= n:
+    if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
         for index in itertools.combinations(range(n), k):
             target = w + sum(chart.weights[i] for i in index)
             if target not in by_degree:
-                monomials = tuple(_monomials_of_weighted_degree(chart, target, cap))
+                monomials = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP))
                 by_degree[target] = (monomials, [_pack(e, radix) << n for e in monomials])
             monomials, packed = by_degree[target]
             if not monomials:
                 continue
-            if len(codes) + len(monomials) > cap:
+            if len(codes) + len(monomials) > DEFAULT_BASIS_CAP:
                 raise BasisSizeExceededError(
-                    f"graded piece (k={k}, w={w}) exceeds the basis cap {cap}"
+                    f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}"
                 )
             mask = sum(1 << i for i in index)
             codes.extend([mask + p for p in packed])
@@ -418,19 +419,16 @@ def rank_exact(columns: list[dict[int, int | Fraction]]) -> Rank:
     are that run's pivot rows: the image of the columns meets the span of
     the other rows' unit vectors only in 0.  Columns that
     :func:`_dpi_columns` built go straight to the elimination, which
-    consumes them.  A plain list is checked first: when every value is a
-    nonzero int it is ranked as it is too, so pass copies to keep it;
-    otherwise each column is copied into ints, scaled by the lcm of its
-    denominators, which does not change the rank, and without its zeros.
+    consumes them.  A plain list is left as it is: its columns are copied
+    into ints, each scaled by the lcm of its denominators, which does not
+    change the rank, and without its zeros.
     """
     if type(columns) is not _IntColumns:
-        values = list(itertools.chain.from_iterable(map(dict.values, columns)))
-        if not all(values) or not {int}.issuperset(map(type, values)):
-            integral = []
-            for column in columns:
-                scale = lcm(*(value.denominator for value in column.values()))
-                integral.append({row: v.numerator * (scale // v.denominator) for row, v in column.items() if v})
-            columns = integral
+        integral = []
+        for column in columns:
+            scale = lcm(*(value.denominator for value in column.values()))
+            integral.append({row: v.numerator * (scale // v.denominator) for row, v in column.items() if v})
+        columns = integral
     pivot_rows = frozenset(_echelon(columns))
     rank = Rank(len(pivot_rows))
     rank.pivot_rows = pivot_rows
@@ -541,11 +539,11 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
     for w0, (lo, hi) in spans.items():
         # Walk from the piece that feeds the span's first one.
         start = max(lo - 1, 0)
-        source = graded_basis(chart, start, w0 + start * m, DEFAULT_BASIS_CAP, table.radix, by_degree)
+        source = graded_basis(chart, start, w0 + start * m, table.radix, by_degree)
         rank_in, cleared = 0, frozenset()
         for k in range(start, hi + 1):
             w = w0 + k * m
-            target = graded_basis(chart, k + 1, w + m, DEFAULT_BASIS_CAP, table.radix, by_degree)
+            target = graded_basis(chart, k + 1, w + m, table.radix, by_degree)
             # A piece with an empty source or target has rank 0 and is neither assembled nor ranked.
             if len(source) and len(target):
                 rank = rank_exact(_dpi_columns(table, source, target, cleared))

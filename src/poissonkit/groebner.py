@@ -36,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, ChartMismatchError, PreconditionError
+from .errors import BudgetExceededError, ChartMismatchError
 from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul, grevlex_desc, grevlex_key
 
 DEFAULT_BUDGET = 10**6
@@ -379,21 +379,12 @@ def ideal_dimension(G: GroebnerBasis) -> int:
 
 
 def jacobian_ideal_basis(f: Poly, include_f: bool = True, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
-    """Groebner basis of (f, df/dx_1, ..., df/dx_n), or of the partials only."""
+    """Groebner basis of (f, df/dx_1, ..., df/dx_n), or of the partials only.
+
+    With f, its :func:`quotient_dimension` is the Tjurina number, INFINITE at a non-isolated singular point.
+    """
     gens = [f] if include_f else []
     gens.extend(f.diff(i) for i in range(f.chart.n))
     if all(g.is_zero for g in gens):
         return GroebnerBasis(f.chart, ())
     return buchberger(gens, budget)
-
-
-def tjurina_global(f: Poly, budget: int = DEFAULT_BUDGET):
-    """Vector-space dimension of O/(f, df/dx_1, ..., df/dx_n), or INFINITE.
-
-    Equals the sum of the local Tjurina numbers when all singular points of
-    the affine hypersurface f = 0 are isolated; non-isolated singular loci
-    give INFINITE.
-    """
-    if f.is_zero or f.is_constant:
-        raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
-    return quotient_dimension(jacobian_ideal_basis(f, budget=budget))

@@ -4,20 +4,23 @@ Construction always verifies the integrability condition ``[pi, pi] = 0``;
 every downstream diagnostic assumes it, so an invalid bivector is rejected
 at the door with the offending trivector attached.
 
-Sign conventions follow :mod:`poissonkit.multivec`: ``lichnerowicz(P, f)``
-equals ``-hamiltonian(P, f)`` on functions, which is the choice that makes
-``L_{H_f} = d_pi o i_df + i_df o d_pi`` hold.
+Sign conventions follow :mod:`poissonkit.multivec`: d_pi = [pi, -] is
+``schouten(P.pi, -)``, and ``schouten(P.pi, f)`` equals
+``-hamiltonian(P, f)`` on functions, which is the choice that makes
+``L_{H_f} = d_pi o i_df + i_df o d_pi`` hold.  Each family of structures has
+one builder, which returns its bivector; :func:`new_poisson` checks it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, JacobiFailure, PreconditionError
-from .multivec import Polyvector, apply_vector_field, bv, contract, schouten, wedge
+from .multivec import Polyvector, apply_vector_field, bv, contract, wedge
 from .polyalg import Chart, Poly, _exact
 
 
@@ -107,34 +110,17 @@ def poisson_bracket(P: PoissonStructure, f: Poly, g: Poly) -> Poly:
     return apply_vector_field(hamiltonian(P, f), g)
 
 
-def lichnerowicz(P: PoissonStructure, a: Polyvector) -> Polyvector:
-    """The differential d_pi = [pi, -]; degree +1 and squares to zero."""
-    if a.chart != P.chart:
-        raise ChartMismatchError("polyvector lives on a different chart")
-    return schouten(P.pi, a)
-
-
-def pfaffian_bivector(pi: Polyvector) -> Poly:
-    """Coefficient of the covolume in pi^(n/2) / (n/2)! for any bivector."""
-    n = pi.chart.n
+def pfaffian(P: PoissonStructure) -> Poly:
+    """Coefficient of the covolume in pi^(n/2) / (n/2)!; its zero locus is the degeneracy divisor."""
+    n = P.chart.n
     if n % 2:
         raise PreconditionError(f"the Pfaffian needs an even-dimensional chart, got n={n}")
-    if pi.k != 2:
-        raise PreconditionError(f"the Pfaffian needs a bivector, got degree {pi.k}")
     half = n // 2
-    power = Polyvector.function(Poly.constant(pi.chart, 1))
+    power = Polyvector.function(Poly.constant(P.chart, 1))
     for _ in range(half):
-        power = wedge(power, pi)
-    top = power.terms.get(tuple(range(n)), Poly.zero(pi.chart))
-    factorial = 1
-    for j in range(2, half + 1):
-        factorial *= j
-    return top * Fraction(1, factorial)
-
-
-def pfaffian(P: PoissonStructure) -> Poly:
-    """Pfaffian of a validated structure; its zero locus is the degeneracy divisor."""
-    return pfaffian_bivector(P.pi)
+        power = wedge(power, P.pi)
+    top = power.terms.get(tuple(range(n)), Poly.zero(P.chart))
+    return top * Fraction(1, math.factorial(half))
 
 
 def modular_field(P: PoissonStructure) -> Polyvector:
@@ -146,20 +132,15 @@ def modular_field(P: PoissonStructure) -> Polyvector:
     return bv(P.pi)
 
 
-def jacobian_poisson_3(F: Poly) -> PoissonStructure:
+def jacobian_bivector_3(F: Poly) -> Polyvector:
     """The Jacobian structure on a 3-chart: {x,y} = dF/dz cyclically.
 
-    F is automatically a Casimir (``lichnerowicz(P, F) = 0``); the Jacobi
-    identity holds for every F and is still checked by ``new_poisson``.
+    F is a Casimir (``schouten(pi, F) = 0``), and the Jacobi identity holds
+    for every F; ``new_poisson`` still checks it.
     """
-    return new_poisson(jacobian_bivector_3(F))
-
-
-def jacobian_bivector_3(F: Poly) -> Polyvector:
-    """The bivector of ``jacobian_poisson_3``, before the Jacobi check."""
     chart = F.chart
     if chart.n != 3:
-        raise PreconditionError(f"jacobian_poisson_3 needs a 3-chart, got n={chart.n}")
+        raise PreconditionError(f"jacobian_bivector_3 needs a 3-chart, got n={chart.n}")
     return Polyvector(
         chart,
         2,
@@ -171,17 +152,11 @@ def jacobian_bivector_3(F: Poly) -> Polyvector:
     )
 
 
-def diagonal_quadratic_poisson(lam, chart: Chart | None = None) -> PoissonStructure:
+def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:
     """pi = sum_{i<j} lam[i][j] (x_i d_i)^(x_j d_j) for a skew rational matrix.
 
-    Jacobi holds automatically for this family; the construction still runs
-    the check through ``new_poisson``.
+    Jacobi holds for every such matrix; ``new_poisson`` still checks it.
     """
-    return new_poisson(diagonal_quadratic_bivector(lam, chart))
-
-
-def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:
-    """The bivector of ``diagonal_quadratic_poisson``, before the Jacobi check."""
     rows = [list(row) for row in lam]
     n = len(rows)
     if any(len(row) != n for row in rows):

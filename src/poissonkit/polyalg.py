@@ -42,30 +42,6 @@ Coeff = int | Fraction
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-class _MinusInfinity:
-    """Degree of the zero polynomial: below every integer."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "MINUS_INFINITY"
-
-    def __lt__(self, other) -> bool:
-        return other is not MINUS_INFINITY
-
-    def __le__(self, other) -> bool:
-        return True
-
-    def __gt__(self, other) -> bool:
-        return False
-
-    def __ge__(self, other) -> bool:
-        return other is MINUS_INFINITY
-
-
-MINUS_INFINITY = _MinusInfinity()
-
-
 @dataclass(frozen=True)
 class Chart:
     """An affine coordinate chart: variable names plus positive weights.
@@ -81,6 +57,8 @@ class Chart:
         names = tuple(self.names)
         if not names:
             raise ValueError("a chart needs at least one variable")
+        if len(names) > MAX_VARIABLES:
+            raise ValueError(f"a chart has at most {MAX_VARIABLES} variables, got {len(names)}")
         for name in names:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid variable identifier: {name!r}")
@@ -271,18 +249,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def weighted_degree(self):
-        """Total weighted degree; MINUS_INFINITY for the zero polynomial."""
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(self.chart.weighted_degree(e) for e in self.terms)
-
-    def total_degree(self):
-        """Plain total degree (all weights 1); MINUS_INFINITY for zero."""
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(sum(e) for e in self.terms)
-
     def leading(self) -> tuple[Exponent, Coeff]:
         """Leading (exponent, coefficient) under grevlex."""
         if not self.terms:
@@ -440,12 +406,15 @@ def format_poly(p: Poly) -> str:
         coeff = terms[exponent]
         mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e])
         mag = -coeff if coeff < 0 else coeff
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
+        try:
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+        except ValueError:  # str() refuses an int past the interpreter's digit limit
+            raise BudgetExceededError(f"a computed coefficient has more than {_digit_limit()} digits") from None
         if pieces:
             pieces.append(("+ " if coeff > 0 else "- ") + body)
         else:
@@ -467,10 +436,12 @@ def format_poly(p: Poly) -> str:
 # Parentheses nest at most MAX_NESTING deep, so that the recursive descent
 # stays well inside the interpreter's recursion limit.  Before a product or
 # power is expanded, its term count is bounded from above; past MAX_TERMS the
-# parser raises BudgetExceededError instead of expanding it.
+# parser raises BudgetExceededError instead of expanding it.  A chart has at
+# most MAX_VARIABLES variables: several algorithms recurse once per variable.
 # ---------------------------------------------------------------------------
 
 MAX_NESTING = 100
+MAX_VARIABLES = 100
 MAX_TERMS = 2000
 
 _TOKEN_RE = re.compile(
@@ -654,14 +625,9 @@ class _PolyParser:
         self.fail("expected a rational, identifier, or parenthesized expression")
 
 
-def _parse_tokens(tokens: list, chart: Chart) -> Poly:
-    """Parse the tokens of one expression (:func:`_tokenize`) to normal form."""
-    return _PolyParser(tokens, chart).parse()
-
-
 def parse_poly(text: str, chart: Chart) -> Poly:
     """Parse an expression in the chart's variables to normal form."""
-    return _parse_tokens(_tokenize(text), chart)
+    return _PolyParser(_tokenize(text), chart).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ one builder directive::
     diagonal lambda = 0 1; -1 0
 
 The diagonal matrix is row-major, rows separated by ';', entries by spaces
-or commas.  Example files double as regression fixtures: parsing and then
-re-serializing a structure reproduces the same bracket polynomials.
+or commas.  Example files double as regression fixtures: the bracket lines
+that ``check --json`` reports for a file parse back to the same bivector.
 """
 
 from __future__ import annotations
@@ -179,16 +179,3 @@ def _parse_expr(expr: str, chart: Chart, lineno: int, offset: int) -> Poly:
         column = (exc.column or 1) + offset
         # Same class as the inner error, so an unknown identifier stays an UnknownIdentifierError.
         raise type(exc)(f"in polynomial expression: {exc.message}", line=lineno, column=column) from None
-
-
-def serialize_structure(P: PoissonStructure) -> str:
-    """Canonical file text for a validated structure (explicit brackets)."""
-    chart = P.chart
-    lines = [
-        "chart: " + " ".join(chart.names),
-        "weights: " + " ".join(str(w) for w in chart.weights),
-        "poisson:",
-    ]
-    for (i, j), coeff in sorted(P.pi.terms.items()):
-        lines.append(f"{{{chart.names[i]},{chart.names[j]}}} = {coeff}")
-    return "\n".join(lines) + "\n"

@@ -11,8 +11,8 @@ from poissonkit import (
     Chart,
     Poly,
     Polyvector,
-    diagonal_quadratic_poisson,
-    jacobian_poisson_3,
+    diagonal_quadratic_bivector,
+    jacobian_bivector_3,
     new_poisson,
 )
 
@@ -82,7 +82,7 @@ def random_surface_structure(rng, chart=CHART2, max_degree=3):
 def random_cubic_structure(rng, chart=CHART3):
     """Jacobian structure of a random (not necessarily homogeneous) cubic."""
     f = random_poly(rng, chart, max_degree=3, max_terms=4, allow_zero=False)
-    return jacobian_poisson_3(f)
+    return new_poisson(jacobian_bivector_3(f))
 
 
 def random_skew_matrix(rng, n=4):
@@ -96,7 +96,18 @@ def random_skew_matrix(rng, n=4):
 
 
 def random_diagonal_structure(rng, chart=CHART4):
-    return diagonal_quadratic_poisson(random_skew_matrix(rng, chart.n), chart=chart)
+    return new_poisson(diagonal_quadratic_bivector(random_skew_matrix(rng, chart.n), chart=chart))
+
+
+def structure_text(structure: dict) -> str:
+    """Structure-file text with explicit brackets for the ``structure`` payload of a ``--json`` result."""
+    lines = [
+        "chart: " + " ".join(structure["chart"]),
+        "weights: " + " ".join(map(str, structure["weights"])),
+        "poisson:",
+        *(f"{pair} = {expr}" for pair, expr in structure["brackets"].items()),
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def so3_structure():

@@ -105,7 +105,7 @@ def tjurina_jet_oracle(f: Poly, jet_order: int | None = None):
     responsible for the isolatedness hypothesis.
     """
     chart = f.chart
-    degree = f.total_degree()
+    degree = max(map(sum, f.terms))
     low = 2 * degree if jet_order is None else jet_order
     high = low + 2 * degree
     gens = [f] + [f.diff(i) for i in range(chart.n)]
@@ -113,7 +113,7 @@ def tjurina_jet_oracle(f: Poly, jet_order: int | None = None):
     index = {m: i for i, m in enumerate(_monomials_up_to(chart, high))}
     echelon = _SparseEchelon()
     for g in gens:
-        gdeg = g.total_degree()
+        gdeg = max(map(sum, g.terms))
         for m in _monomials_up_to(chart, high - gdeg):
             product = g * Poly.monomial(chart, m, 1)
             echelon.insert({index[exponent]: coeff for exponent, coeff in product.terms.items()})

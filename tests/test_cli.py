@@ -14,9 +14,9 @@ import jsonschema
 import pytest
 
 import poissonkit
-from poissonkit import ParseError, UnknownIdentifierError, parse_structure_file, serialize_structure
+from poissonkit import ParseError, UnknownIdentifierError, parse_structure_file
 from poissonkit.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, structure_text
 
 SCHEMA = json.loads(files("poissonkit").joinpath("schema.json").read_text())
 
@@ -49,13 +49,14 @@ def run_subprocess(*argv):
 
 
 class TestFixtures:
-    def test_every_fixture_parses_and_roundtrips(self):
+    def test_every_fixture_parses_and_roundtrips(self, capsys):
         fixture_files = sorted(FIXTURES.glob("*.poisson"))
         assert len(fixture_files) >= 5
         for path in fixture_files:
             spec = parse_structure_file(path.read_text())
             P = spec.build()
-            again = parse_structure_file(serialize_structure(P)).build()
+            structure = run_json(capsys, "check", str(path))["result"]["structure"]
+            again = parse_structure_file(structure_text(structure)).build()
             assert again.pi == P.pi
             assert again.chart == P.chart
 
@@ -577,6 +578,57 @@ class TestExitCodeContract:
         assert captured.out == ""
         line = text.splitlines().index("chart: x") + 1
         assert captured.err == f"parse error: a Poisson structure needs at least two variables (line {line})\n"
+
+
+    @pytest.mark.parametrize("literal", ["7", "w - w"])
+    def test_tjurina_of_a_constant_is_3(self, capsys, literal):
+        assert main(["tjurina", literal, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "precondition violated: the Tjurina number needs a nonconstant polynomial\n"
+
+    @pytest.mark.parametrize("command", ["report", "tjurina"])
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "human"])
+    def test_computed_coefficient_past_the_digit_limit_is_4(self, tmp_path, command, flags):
+        # Each literal has 2501 digits, within the limit; the Pfaffian's
+        # coefficient 10^5000 has 5001 and reaches the printer.
+        path = tmp_path / "big.poisson"
+        path.write_text("chart: a b c d\npoisson:\n{a,b} = 10^2500*a*b\n{c,d} = 10^2500*c*d\n")
+        done = run_subprocess(command, str(path), *flags)
+        assert done.returncode == 4 and done.stdout == ""
+        assert done.stderr == "budget exceeded: a computed coefficient has more than 4300 digits\n"
+
+    def test_wide_chart_skips_the_multi_indices_below_weight_0(self, tmp_path):
+        # At weight -23 only the pieces of degree 23 and 24 of a 24-variable
+        # chart are nonempty; the 2^24 multi-indices of the others are never visited.
+        names = " ".join(f"x{i}" for i in range(24))
+        path = tmp_path / "wide.poisson"
+        path.write_text(f"chart: {names}\npoisson:\n{{x0,x1}} = x0*x1\n")
+        done = run_subprocess("cohomology", str(path), "--kmax", "0", "--wmax", "-23", "--json")
+        assert done.returncode == 0, done.stderr
+        assert [e["dim_h"] for e in json.loads(done.stdout)["result"]["entries"]] == [0, 0]
+
+    @pytest.mark.parametrize("command", ["check", "modular", "report", "cohomology", "tjurina"])
+    def test_chart_past_the_variable_bound_is_2(self, tmp_path, command):
+        names = " ".join(f"x{i}" for i in range(101))
+        path = tmp_path / "wide.poisson"
+        path.write_text(f"chart: {names}\npoisson:\n{{x0,x1}} = x0*x1\n")
+        done = run_subprocess(command, str(path), "--json")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "parse error: a chart has at most 100 variables, got 101 (line 1)\n"
+
+    def test_tjurina_literal_past_the_variable_bound_is_2(self):
+        done = run_subprocess("tjurina", " + ".join(f"x{i}^2" for i in range(101)), "--json")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "parse error: a chart has at most 100 variables, got 101\n"
+
+    def test_chart_at_the_variable_bound_is_checked(self, capsys, tmp_path):
+        names = " ".join(f"x{i}" for i in range(100))
+        path = tmp_path / "wide.poisson"
+        path.write_text(f"chart: {names}\npoisson:\n{{x0,x1}} = x0*x1\n")
+        assert run_json(capsys, "check", str(path))["result"]["jacobi_ok"] is True
+        sum_of_squares = " + ".join(f"x{i}^2" for i in range(100))
+        assert run_json(capsys, "tjurina", sum_of_squares)["result"]["tjurina"] == 1
 
 
 class TestClosedStdout:

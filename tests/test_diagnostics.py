@@ -14,14 +14,15 @@ from poissonkit import (
     StructureAnalysis,
     Verdict,
     apply_vector_field,
-    diagonal_quadratic_poisson,
+    diagonal_quadratic_bivector,
     hamiltonian,
+    jacobian_ideal_basis,
     modular_field,
     new_poisson,
     normal_form,
     parse_poly,
+    quotient_dimension,
     schouten,
-    tjurina_global,
 )
 from poissonkit.cli import main
 from poissonkit.groebner import division
@@ -99,7 +100,7 @@ class TestDegeneracyDivisor:
         assert f == W * W and not reduced
 
     def test_diagonal_example(self):
-        f, reduced = degeneracy_divisor(diagonal_quadratic_poisson(LAMBDA_EXAMPLE))
+        f, reduced = degeneracy_divisor(new_poisson(diagonal_quadratic_bivector(LAMBDA_EXAMPLE)))
         assert str(f) == "-2*x1*x2*x3*x4" and reduced
 
     def test_zero_pfaffian(self):
@@ -134,7 +135,7 @@ class TestZeroLeafLocus:
         assert sorted(str(g) for g in basis.gens) == ["w", "z"]
 
     def test_diagonal_example_has_a_curve_of_zero_leaves(self):
-        basis, dimension = StructureAnalysis(diagonal_quadratic_poisson(LAMBDA_EXAMPLE)).zero_leaf_locus
+        basis, dimension = StructureAnalysis(new_poisson(diagonal_quadratic_bivector(LAMBDA_EXAMPLE))).zero_leaf_locus
         assert dimension == 1
         assert sorted(str(g) for g in basis.gens) == ["x1*x4", "x2", "x3"]
 
@@ -149,7 +150,7 @@ class TestHolonomyVerdict:
         assert StructureAnalysis(surface("w*z")).verdict == Verdict.SURFACE_HOLONOMIC
 
     def test_diagonal_example(self):
-        analysis = StructureAnalysis(diagonal_quadratic_poisson(LAMBDA_EXAMPLE))
+        analysis = StructureAnalysis(new_poisson(diagonal_quadratic_bivector(LAMBDA_EXAMPLE)))
         assert analysis.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
         assert analysis.zero_leaf_locus[1] == 1
 
@@ -187,7 +188,7 @@ class TestHolonomyVerdict:
         assert cases == 100
 
     def test_obstruction_witness_validity(self):
-        P = diagonal_quadratic_poisson(LAMBDA_EXAMPLE)
+        P = new_poisson(diagonal_quadratic_bivector(LAMBDA_EXAMPLE))
         analysis = StructureAnalysis(P)
         assert analysis.verdict == Verdict.OBSTRUCTED_BY_MODULAR_LEAVES
         basis, dimension = analysis.zero_leaf_locus
@@ -314,15 +315,15 @@ class TestTjurinaCrossCheck:
         # wz(w - z) = 0 is three lines through the origin; its only singular
         # point is the origin, so the global number equals the local one.
         f = parse_poly("w*z*(w - z)", CHART2)
-        total = tjurina_global(f)
-        local = tjurina_global(f.shift([0, 0]))
+        total = quotient_dimension(jacobian_ideal_basis(f))
+        local = quotient_dimension(jacobian_ideal_basis(f.shift([0, 0])))
         assert total == local == 4
 
     def test_global_counts_separated_nodes(self):
         # wz(w - 1) has ordinary nodes at the origin and at (1, 0); each
         # contributes tau = 1, so the global number is their sum.
         f = parse_poly("w*z*(w - 1)", CHART2)
-        assert tjurina_global(f) == 2
+        assert quotient_dimension(jacobian_ideal_basis(f)) == 2
         # Translation moves the ideal rigidly, so the translated-point
         # variant still sees both singular points (documented limitation).
-        assert tjurina_global(f.shift([1, 0])) == 2
+        assert quotient_dimension(jacobian_ideal_basis(f.shift([1, 0]))) == 2

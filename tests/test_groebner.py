@@ -10,13 +10,12 @@ from poissonkit import (
     Chart,
     INFINITE,
     Poly,
-    PreconditionError,
     buchberger,
     ideal_dimension,
+    jacobian_ideal_basis,
     normal_form,
     parse_poly,
     quotient_dimension,
-    tjurina_global,
 )
 from poissonkit.groebner import GroebnerBasis, division
 from poissonkit.polyalg import grevlex_desc, grevlex_key
@@ -227,27 +226,27 @@ class TestIdealDimension:
         assert ideal_dimension(buchberger([P("x*y - z^2", CHART3)])) == 2
 
 
+def tjurina(f: Poly):
+    return quotient_dimension(jacobian_ideal_basis(f))
+
+
 class TestTjurina:
     def test_node(self):
-        assert tjurina_global(P("w*z")) == 1
+        assert tjurina(P("w*z")) == 1
 
     def test_cusp(self):
-        assert tjurina_global(P("w^2 - z^3")) == 2
+        assert tjurina(P("w^2 - z^3")) == 2
 
     def test_three_concurrent_lines(self):
-        assert tjurina_global(P("w^3 - z^3")) == 4
+        assert tjurina(P("w^3 - z^3")) == 4
 
     def test_double_line_is_infinite(self):
-        assert tjurina_global(P("w^2")) is INFINITE
-
-    def test_rejects_constants(self):
-        with pytest.raises(PreconditionError):
-            tjurina_global(Poly.constant(CHART2, 3))
+        assert tjurina(P("w^2")) is INFINITE
 
     def test_translated_point(self):
         f = P("(w - 1)*(z - 2)")
-        assert tjurina_global(f.shift([1, 2])) == 1
-        assert tjurina_global(f.shift([Fraction(1), Fraction(2)])) == tjurina_global(P("w*z"))
+        assert tjurina(f.shift([1, 2])) == 1
+        assert tjurina(f.shift([Fraction(1), Fraction(2)])) == tjurina(P("w*z"))
 
     def test_jet_oracle_examples(self):
         assert tjurina_jet_oracle(P("w*z")) == 1
@@ -260,7 +259,7 @@ class TestTjurina:
             f = random_poly(rng, CHART2, max_degree=4, max_terms=3, allow_zero=False)
             if f.is_constant:
                 continue
-            tau = tjurina_global(f)
+            tau = tjurina(f)
             if tau is INFINITE:
                 continue  # the jet oracle needs isolated singularities
             assert tau == tjurina_jet_oracle(f)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,24 +8,22 @@ import pytest
 from poissonkit import (
     ChartMismatchError,
     JacobiFailure,
+    PoissonStructure,
     Poly,
     Polyvector,
-    PoissonStructure,
     PreconditionError,
     apply_vector_field,
     bv,
     contract,
-    diagonal_quadratic_poisson,
+    diagonal_quadratic_bivector,
     dmodule_generators,
     hamiltonian,
-    jacobian_poisson_3,
+    jacobian_bivector_3,
     jacobiator,
-    lichnerowicz,
     lie_derivative,
     modular_field,
     new_poisson,
     pfaffian,
-    pfaffian_bivector,
     poisson_bracket,
     schouten,
 )
@@ -106,27 +105,27 @@ class TestHamiltonian:
 class TestLichnerowicz:
     def test_on_functions_is_minus_hamiltonian(self):
         P = surface(W * Z)
-        assert lichnerowicz(P, Polyvector.function(W)) == -hamiltonian(P, W)
-        assert lichnerowicz(P, Polyvector.function(W)) == Polyvector.term(
+        assert schouten(P.pi, Polyvector.function(W)) == -hamiltonian(P, W)
+        assert schouten(P.pi, Polyvector.function(W)) == Polyvector.term(
             CHART2, (1,), -W * Z
         )
 
     def test_pi_is_closed(self, rng):
         P = random_surface_structure(rng)
-        assert lichnerowicz(P, P.pi).is_zero
+        assert schouten(P.pi, P.pi).is_zero
 
     def test_transverse_coordinate_is_casimir(self):
         chart3 = CHART3
         pi = Polyvector.term(chart3, (0, 1), Poly.constant(chart3, 1))
         P = new_poisson(pi)
         t = Poly.variable(chart3, 2)
-        assert lichnerowicz(P, Polyvector.function(t)).is_zero
+        assert schouten(P.pi, Polyvector.function(t)).is_zero
 
     def test_squares_to_zero(self, rng):
         for P in (random_surface_structure(rng), random_cubic_structure(rng)):
             for _ in range(10):
                 a = random_polyvector(rng, P.chart)
-                assert lichnerowicz(P, lichnerowicz(P, a)).is_zero
+                assert schouten(P.pi, schouten(P.pi, a)).is_zero
 
 
 class TestPfaffian:
@@ -134,14 +133,14 @@ class TestPfaffian:
         f = random_poly(rng, CHART2, allow_zero=False)
         assert pfaffian(surface(f)) == f
 
-    def test_four_chart_normalization(self):
-        # This bivector is not Poisson (its jacobiator is -2 dx2^dx3^dx4),
-        # so the normalization is pinned on the raw wedge power.
-        x1 = Poly.variable(CHART4, 0)
-        pi = Polyvector(CHART4, 2, {(0, 1): Poly.constant(CHART4, 1), (2, 3): x1})
-        assert pfaffian_bivector(pi) == x1
-        with pytest.raises(JacobiFailure):
-            new_poisson(pi)
+    def test_four_chart_normalization(self, rng):
+        # A constant bivector is Poisson, and its Pfaffian has the closed form
+        # pi_01 pi_23 - pi_02 pi_13 + pi_03 pi_12.
+        for _ in range(20):
+            c = {pair: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for pair in itertools.combinations(range(4), 2)}
+            pi = Polyvector(CHART4, 2, {pair: Poly.constant(CHART4, v) for pair, v in c.items() if v})
+            expected = c[(0, 1)] * c[(2, 3)] - c[(0, 2)] * c[(1, 3)] + c[(0, 3)] * c[(1, 2)]
+            assert pfaffian(new_poisson(pi)) == Poly.constant(CHART4, expected)
 
     def test_constant_symplectic(self):
         pi = Polyvector(
@@ -164,7 +163,7 @@ class TestModularField:
     def test_diagonal_quadratic_matches_hand_expansion(self, rng):
         for _ in range(10):
             lam = random_skew_matrix(rng, 4)
-            P = diagonal_quadratic_poisson(lam, chart=CHART4)
+            P = new_poisson(diagonal_quadratic_bivector(lam, chart=CHART4))
             coefficients = diagonal_modular_coefficients(lam)
             expected = Polyvector(
                 CHART4,
@@ -184,34 +183,34 @@ class TestModularField:
 
 class TestBuilders:
     def test_jacobian_of_xyz(self):
-        P = jacobian_poisson_3(X3 * Y3 * Z3)
+        P = new_poisson(jacobian_bivector_3(X3 * Y3 * Z3))
         assert P.pi == Polyvector(
             CHART3, 2, {(0, 1): X3 * Y3, (1, 2): Y3 * Z3, (0, 2): -X3 * Z3}
         )
 
     def test_jacobian_of_fermat_cubic(self):
         F = (X3**3 + Y3**3 + Z3**3) * Fraction(1, 3)
-        P = jacobian_poisson_3(F)
+        P = new_poisson(jacobian_bivector_3(F))
         assert P.pi.terms[(0, 1)] == Z3**2
         assert P.pi.terms[(1, 2)] == X3**2
         assert P.pi.terms[(0, 2)] == -(Y3**2)
 
     def test_hesse_pencil_casimir(self):
         F = (X3**3 + Y3**3 + Z3**3) * Fraction(1, 3) + X3 * Y3 * Z3
-        P = jacobian_poisson_3(F)
-        assert lichnerowicz(P, Polyvector.function(F)).is_zero
+        P = new_poisson(jacobian_bivector_3(F))
+        assert schouten(P.pi, Polyvector.function(F)).is_zero
 
     def test_jacobian_needs_three_variables(self):
         with pytest.raises(PreconditionError):
-            jacobian_poisson_3(W)
+            jacobian_bivector_3(W)
 
     def test_diagonal_two_chart(self):
-        P = diagonal_quadratic_poisson([[0, 1], [-1, 0]], chart=CHART2)
+        P = new_poisson(diagonal_quadratic_bivector([[0, 1], [-1, 0]], chart=CHART2))
         assert P.pi == Polyvector.term(CHART2, (0, 1), W * Z)
 
     def test_diagonal_example_modular_and_pfaffian(self):
         lam = [[0, 1, 1, -2], [-1, 0, 1, 1], [-1, -1, 0, 1], [2, -1, -1, 0]]
-        P = diagonal_quadratic_poisson(lam)
+        P = new_poisson(diagonal_quadratic_bivector(lam))
         chart = P.chart
         x = [Poly.variable(chart, i) for i in range(4)]
         assert modular_field(P) == Polyvector(chart, 1, {(1,): -x[1], (2,): x[2]})
@@ -219,7 +218,7 @@ class TestBuilders:
 
     def test_diagonal_rejects_non_skew(self):
         with pytest.raises(PreconditionError):
-            diagonal_quadratic_poisson([[0, 1], [1, 0]])
+            diagonal_quadratic_bivector([[0, 1], [1, 0]])
 
 
 class TestDModuleGenerators:
@@ -265,15 +264,15 @@ def _identity_battery(rng, P, cases):
         # zeta(f) = -bv(H_f)
         assert Polyvector.function(zeta_f) == -bv(hf)
         # L_{H_f} = d_pi i_df + i_df d_pi
-        assert lie_derivative(hf, a) == lichnerowicz(P, contract(f, a)) + contract(
-            f, lichnerowicz(P, a)
+        assert lie_derivative(hf, a) == schouten(P.pi, contract(f, a)) + contract(
+            f, schouten(P.pi, a)
         )
         # bv d_pi + d_pi bv = L_zeta
-        assert bv(lichnerowicz(P, a)) + lichnerowicz(P, bv(a)) == schouten(zeta, a)
+        assert bv(schouten(P.pi, a)) + schouten(P.pi, bv(a)) == schouten(zeta, a)
         # [zeta, H_f] = H_{zeta(f)}
         assert schouten(zeta, hf) == hamiltonian(P, zeta_f)
         # d_pi^2 = 0
-        assert lichnerowicz(P, lichnerowicz(P, a)).is_zero
+        assert schouten(P.pi, schouten(P.pi, a)).is_zero
 
 
 class TestNamedFamilySuites:
@@ -289,9 +288,9 @@ class TestNamedFamilySuites:
     def test_jacobian_family(self, rng):
         for _ in range(25):
             F = random_poly(rng, CHART3, max_degree=3, max_terms=4, allow_zero=False)
-            P = jacobian_poisson_3(F)
+            P = new_poisson(jacobian_bivector_3(F))
             _identity_battery(rng, P, cases=4)
-            assert lichnerowicz(P, Polyvector.function(F)).is_zero
+            assert schouten(P.pi, Polyvector.function(F)).is_zero
 
     def test_diagonal_family(self, rng):
         for _ in range(25):

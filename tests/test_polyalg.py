@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from poissonkit import (
-    MINUS_INFINITY,
     BudgetExceededError,
     Chart,
     ChartMismatchError,
@@ -210,16 +209,10 @@ class TestArithmetic:
                 cases += 1
         assert cases >= 200
 
-    def test_degree_of_zero_is_minus_infinity(self):
-        zero = Poly.zero(CHART2)
-        assert zero.weighted_degree() is MINUS_INFINITY
-        assert MINUS_INFINITY < 0 and MINUS_INFINITY < -10**9
-        assert not MINUS_INFINITY > 0
-        assert P("w*z^2").weighted_degree() == 3
-
     def test_weighted_degree_uses_chart_weights(self):
         chart = Chart(("w", "z"), (2, 3))
-        assert parse_poly("w*z", chart).weighted_degree() == 5
+        assert chart.weighted_degree((1, 1)) == 5
+        assert chart.weighted_degree((2, 0)) == 4
 
 
 class TestDiff:
