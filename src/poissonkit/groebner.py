@@ -15,17 +15,18 @@ before any is formed.  A step budget (one step per reduction) guards against
 blowup: exceeding it raises :class:`BudgetExceededError`; nothing is ever
 silently truncated.
 
-The ideals are rational, but the arithmetic is integer.  One loop,
-:func:`_reduce`, does every reduction: it works on integer term maps,
-fraction-free under one running integer multiplier, and pops each leading
-term from a grevlex heap of the work exponents.  Buchberger keeps its basis
+The ideals are rational, but the arithmetic is integer, on monomials
+packed into ints (:class:`_Packing`, after Monagan and Pearce, CASC 2007).
+One loop, :func:`_reduce`, does every reduction: it works on packed
+integer term maps, fraction-free under one running integer multiplier, and
+takes each leading term as the largest key.  Buchberger keeps its basis
 primitive over Z, reduces its S-polynomials and inter-reduces on that basis
-through :func:`_reduce` directly, builds no rational quotient, and makes
-the basis monic only at output; :func:`division` and :func:`normal_form`
-scale their input to integers and rebuild the rationals from the loop's
-steps.  Every reduction takes the same leading terms in the same order as a
-reduction over Q with a monic basis, so the step counts, the quotients and
-the remainders are the same.
+through :func:`_reduce` directly, and unpacks and makes the basis monic only
+at output; :func:`division` and :func:`normal_form` scale their input to
+integers and rebuild the rationals from the loop's steps.  Every reduction
+takes the same leading terms in the same order as a reduction over Q with a
+monic basis, so the step counts, the quotients and the remainders are the
+same.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError
-from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms, _sub_mul, grevlex_desc, grevlex_key
+from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms
 
 DEFAULT_BUDGET = 10**6
 
@@ -105,10 +106,6 @@ def _divides(d: Exponent, e: Exponent) -> bool:
     return all(map(operator.le, d, e))
 
 
-def _monomial_quotient(e: Exponent, d: Exponent) -> Exponent:
-    return tuple(map(operator.sub, e, d))
-
-
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
@@ -117,55 +114,98 @@ def _is_coprime(a: Exponent, b: Exponent, lcm: Exponent) -> bool:
     return tuple(map(operator.add, a, b)) == lcm
 
 
+# A packing holds total degrees up to 2**_HEADROOM times the inputs' largest,
+# so an S-pair lcm up to that degree needs no re-pack.
+_HEADROOM = 2
+
+
+class _Packing:
+    """Monomials in n variables packed into one int each, for total degrees below ``limit``.
+
+    Field i (bits i*w to i*w + w - 1) holds e_i in its low b = w - 1 bits;
+    its top bit is a guard.  A monomial packs to
+    K(e) = (|e| << n*w) - sum(e_i << i*w), so ascending K is ascending
+    grevlex and K(a + b) = K(a) + K(b).  d divides e iff
+    (K(d) - K(e)) & guards is 0: the packed difference e - d borrows into a
+    guard bit exactly when some d_i > e_i.
+    """
+
+    __slots__ = ("n", "w", "limit", "guards")
+
+    def __init__(self, n: int, degree: int):
+        self.limit = (degree + 1) << _HEADROOM
+        b = (self.limit - 1).bit_length()
+        self.n, self.w = n, b + 1
+        self.guards = sum(1 << (i * self.w + b) for i in range(n))
+
+    def pack(self, e: Exponent) -> int:
+        s = 0
+        for x in reversed(e):
+            s = s << self.w | x
+        return (sum(e) << self.n * self.w) - s
+
+    def unpack(self, k: int) -> Exponent:
+        w = self.w
+        s, low = -k & ((1 << self.n * w) - 1), (1 << w) - 1
+        return tuple(s >> (i * w) & low for i in range(self.n))
+
+    def terms(self, terms: dict) -> dict:
+        return {self.pack(e): c for e, c in terms.items()}
+
+
+def _sub_shift(work: dict, c: int, shift: int, terms: dict):
+    """``work -= c * x^shift * terms`` on packed term maps, in place; cancelled terms are deleted."""
+    for e, coeff in terms.items():
+        e += shift
+        acc = work.get(e, 0) - c * coeff
+        if acc:
+            work[e] = acc
+        else:
+            del work[e]
+
+
 def _reduce(
     work: dict,
     m: int,
-    leads: list[Exponent],
+    leads: list[int],
     divisors: list[dict],
+    guards: int,
     counter: _StepCounter | None = None,
     steps: list | None = None,
 ):
-    """Reduce the integer term map ``work`` (consumed) by the integer ``divisors``.
+    """Reduce the packed integer term map ``work`` (consumed) by the packed ``divisors``.
 
-    ``work`` / ``m`` is the rational polynomial and ``leads`` are the
-    divisors' grevlex leading exponents.  The loop is fraction-free: a step
-    with work lead c and divisor lead A scales the work and m by
-    A / gcd(A, c), then subtracts c / gcd(A, c) times the shifted divisor.
-    It spends one step of ``counter`` and, when ``steps`` is a list,
-    appends ``(i, q_exp, c, m)`` with c and m as before the step.
+    ``work`` / ``m`` is the rational polynomial, ``leads`` are the divisors'
+    packed leading monomials and ``guards`` is their packing's guard mask.
+    The loop is fraction-free: a step with work lead c and divisor lead A
+    scales the work and m by A / gcd(A, c), then subtracts c / gcd(A, c)
+    times the shifted divisor.  It spends one step of ``counter`` and, when
+    ``steps`` is a list, appends ``(i, q, c, m)``: the first divisor in
+    ``leads`` order whose lead divides, the packed quotient monomial, and c
+    and m as before the step.
 
-    The work exponents wait in a heap under :func:`grevlex_desc`, so each
-    lead is popped, not searched for.  A popped exponent that is no longer
-    in ``work`` has cancelled and is skipped; a step inserts only exponents
-    below the current lead, so each term leaves the heap once, in
-    descending order.  Returns ``(remainder, m)``: remainder / m is the
-    rational remainder, its terms in descending grevlex order (a term moved
-    at multiplier m_at is scaled by m / m_at at the end).
+    The work lead is ``max(work)``.  Returns ``(remainder, m)``: remainder /
+    m is the rational remainder, its terms in descending grevlex order (a
+    term moved at multiplier m_at is scaled by m / m_at at the end).
     """
     int_leads = [d[e] for d, e in zip(divisors, leads)]
-    heap = [(grevlex_desc(e), e) for e in work]
-    heapq.heapify(heap)
     moved = []
-    while heap:
-        exp = heapq.heappop(heap)[1]
-        c = work.get(exp)
-        if c is None:
-            continue
-        for i, lead_exp in enumerate(leads):
-            if all(map(operator.le, lead_exp, exp)):  # _divides, inlined in the hot loop
+    while work:
+        exp = max(work)
+        c = work[exp]
+        for i, lead in enumerate(leads):
+            if not (lead - exp) & guards:
                 if counter is not None:
                     counter.spend()
-                q_exp = _monomial_quotient(exp, lead_exp)
                 if steps is not None:
-                    steps.append((i, q_exp, c, m))
+                    steps.append((i, exp - lead, c, m))
                 common = math.gcd(c, int_leads[i])
                 scale = int_leads[i] // common
                 if scale != 1:
                     m *= scale
                     for e in work:
                         work[e] *= scale
-                for e in _sub_mul(work, c // common, q_exp, divisors[i]):
-                    heapq.heappush(heap, (grevlex_desc(e), e))
+                _sub_shift(work, c // common, exp - lead, divisors[i])
                 break
         else:
             moved.append((exp, work.pop(exp), m))
@@ -182,55 +222,61 @@ def division(
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
 
-    The reduction is the fraction-free heap loop :func:`_reduce`: p is
+    The reduction is the fraction-free packed loop :func:`_reduce`: p is
     scaled once to integer coefficients and each divisor to its primitive
-    part over Z.  The leading exponent falls at every step, so each
-    quotient term is set once.  A step with work lead c at multiplier m by a
-    divisor with lead coefficient a has the quotient coefficient c / (a m),
-    and the remainder is the loop's integer remainder over its final m: the
-    same rationals a reduction over Q produces.
+    part over Z, all packed at the width of their largest total degree.  The
+    leading monomial falls at every step, so each quotient term is set once.
+    A step with work lead c at multiplier m by a divisor with lead
+    coefficient a has the quotient coefficient c / (a m), and the remainder
+    is the loop's integer remainder over its final m: the same rationals a
+    reduction over Q produces.
     """
     chart = p.chart
-    leads = [d.leading()[0] for d in divisors]
+    primitive = [_primitive_terms(d.terms) for d in divisors]
+    packing = _Packing(chart.n, max((sum(e) for terms in (p.terms, *primitive) for e in terms), default=0))
     m = math.lcm(*(c.denominator for c in p.terms.values()))
-    work = {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
+    work = {packing.pack(e): c.numerator * (m // c.denominator) for e, c in p.terms.items()}
+    packed = [packing.terms(terms) for terms in primitive]
+    leads = [max(terms) for terms in packed]
     steps: list = []
-    remainder, m = _reduce(work, m, leads, [_primitive_terms(d.terms) for d in divisors], counter, steps)
-    lead_coeffs = [d.terms[e] for d, e in zip(divisors, leads)]
+    remainder, m = _reduce(work, m, leads, packed, packing.guards, counter, steps)
+    lead_coeffs = [d.terms[packing.unpack(e)] for d, e in zip(divisors, leads)]
     quotients: list[dict] = [{} for _ in divisors]
-    for i, q_exp, c, m_at in steps:
-        quotients[i][q_exp] = _div(c, lead_coeffs[i] * m_at)
+    for i, q, c, m_at in steps:
+        quotients[i][packing.unpack(q)] = _div(c, lead_coeffs[i] * m_at)
     return (
         [Poly._of(chart, q) for q in quotients],
-        Poly._of(chart, {e: _div(c, m) for e, c in remainder.items()}),
+        Poly._of(chart, {packing.unpack(e): _div(c, m) for e, c in remainder.items()}),
     )
 
 
 def _positive_primitive(remainder: dict, m: int) -> dict:
     """The primitive part of remainder / m over Z: a positive multiple of it."""
-    return _primitive_terms(remainder if m > 0 else {e: -c for e, c in remainder.items()})
+    content = math.gcd(*remainder.values()) * (-1 if m < 0 else 1)
+    return remainder if content == 1 else {e: c // content for e, c in remainder.items()}
 
 
 def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Critical pairs wait in a heap keyed ``(grevlex_key(lcm), (i, j))``: normal
+    Critical pairs wait in a heap keyed ``(packed lcm, (i, j))``: normal
     selection with index tiebreak, so the run is deterministic for a fixed
     input sequence.  Each new element goes through the Gebauer--Moeller
     update (*On an installation of Buchberger's algorithm*, J. Symb. Comp.
-    1988): of its new pairs, those whose lcm another new lcm properly
-    divides are dropped (M), one pair per lcm is kept (F), and an lcm class
-    holding a pair with coprime leading terms is dropped whole (B); an old
-    pair (i, j) is dropped when the new leading term divides its lcm and
-    neither lcm(i, new) nor lcm(j, new) equals it (B_k); and elements whose
-    leading term the new one divides form no further pairs.  Leading
-    exponents are computed once per element.
+    1988) on leading-exponent tuples: of its new pairs, those whose lcm
+    another new lcm properly divides are dropped (M), one pair per lcm is
+    kept (F), and an lcm class holding a pair with coprime leading terms is
+    dropped whole (B); an old pair (i, j) is dropped when the new leading
+    term divides its lcm and neither lcm(i, new) nor lcm(j, new) equals it
+    (B_k); and elements whose leading term the new one divides form no
+    further pairs.
 
-    Elements are kept as primitive term maps over Z and S-polynomials are
-    formed with integer cofactors; :func:`_reduce` reduces them on that
+    Elements are kept as primitive packed term maps over Z and S-polynomials
+    are formed with integer cofactors; :func:`_reduce` reduces them on that
     basis, and a nonzero remainder joins it as the primitive part of its
-    positive multiple.  No rational quotient is built, and each element is
-    made monic once, at output.
+    positive multiple.  A pair whose lcm is too large for the packing
+    re-packs the run wider first; the order, and so the sequence, stays.
+    Each element is unpacked and made monic once, at output.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -243,15 +289,26 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         if g.chart != chart:
             raise ChartMismatchError("generators live on different charts")
     counter = _StepCounter(budget)
+    packing = _Packing(chart.n, max(sum(e) for g in nonzero for e in g.terms))
 
-    basis: list[dict] = []  # term maps, primitive over Z
+    basis: list[dict] = []  # packed term maps, primitive over Z
+    keys: list[int] = []  # packed leading monomials
     leads: list[Exponent] = []
     live: list[int] = []  # elements that still form pairs, ascending
-    pairs: list = []  # heap of (grevlex_key(lcm), (i, j), lcm)
+    pairs: list = []  # heap of (K(lcm), (i, j), lcm)
 
-    def add(g: dict, lead: Exponent):
+    def repack(degree: int):
+        nonlocal packing
+        old, packing = packing, _Packing(chart.n, degree)
+        basis[:] = [{packing.pack(old.unpack(e)): c for e, c in g.items()} for g in basis]
+        keys[:] = map(packing.pack, leads)
+        pairs[:] = [(packing.pack(lcm), ij, lcm) for _, ij, lcm in pairs]  # same order, still a heap
+
+    def add(g: dict, key: int):
         h = len(basis)
+        lead = packing.unpack(key)
         basis.append(g)
+        keys.append(key)
         leads.append(lead)
         # B_k on the old pairs.
         kept = [
@@ -273,44 +330,47 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
                 continue  # M
             if any(_is_coprime(leads[i], lead, lcm) for i in members):
                 continue  # B
-            heapq.heappush(pairs, (grevlex_key(lcm), (members[0], h), lcm))
+            if sum(lcm) >= packing.limit:
+                repack(sum(lcm))
+            heapq.heappush(pairs, (packing.pack(lcm), (members[0], h), lcm))
         live[:] = [i for i in live if not _divides(lead, leads[i])]
         live.append(h)
 
     for g in nonzero:
-        add(_primitive_terms(g.terms), g.leading()[0])
+        terms = packing.terms(_primitive_terms(g.terms))
+        add(terms, max(terms))
     while pairs:
-        _, (i, j), lcm = heapq.heappop(pairs)
-        a_i, a_j = basis[i][leads[i]], basis[j][leads[j]]
+        key, (i, j), _ = heapq.heappop(pairs)
+        a_i, a_j = basis[i][keys[i]], basis[j][keys[j]]
         common = math.gcd(a_i, a_j)
         s: dict = {}
-        _sub_mul(s, -(a_j // common), _monomial_quotient(lcm, leads[i]), basis[i])
-        _sub_mul(s, a_i // common, _monomial_quotient(lcm, leads[j]), basis[j])
-        remainder, m = _reduce(s, 1, [leads[k] for k in live], [basis[k] for k in live], counter)
+        _sub_shift(s, -(a_j // common), key - keys[i], basis[i])
+        _sub_shift(s, a_i // common, key - keys[j], basis[j])
+        remainder, m = _reduce(s, 1, [keys[k] for k in live], [basis[k] for k in live], packing.guards, counter)
         if remainder:
             add(_positive_primitive(remainder, m), next(iter(remainder)))
         counter.done += 1
 
     # Minimalize: drop generators whose leading term another one divides.
     minimal: list[int] = []
-    for i in sorted(live, key=lambda i: grevlex_key(leads[i])):
+    for i in sorted(live, key=keys.__getitem__):
         if not any(_divides(leads[k], leads[i]) for k in minimal):
             minimal.append(i)
     # Reduce every generator modulo the others; the leading terms stay put.
     counter.enter("inter-reduction", "generators reduced")
     reduced = [basis[i] for i in minimal]
-    minimal_leads = [leads[i] for i in minimal]
+    tops = [keys[i] for i in minimal]
     for idx, g in enumerate(reduced):
         others = reduced[:idx] + reduced[idx + 1 :]
         if not others:
             continue
-        remainder, m = _reduce(dict(g), 1, minimal_leads[:idx] + minimal_leads[idx + 1 :], others, counter)
+        remainder, m = _reduce(dict(g), 1, tops[:idx] + tops[idx + 1 :], others, packing.guards, counter)
         reduced[idx] = _positive_primitive(remainder, m)
         counter.done += 1
     monic = []
-    for g, lead in zip(reduced, minimal_leads):
-        a = g[lead]
-        monic.append(Poly._of(chart, g if a == 1 else {e: _div(c, a) for e, c in g.items()}))
+    for g, key in zip(reduced, tops):
+        a = g[key]
+        monic.append(Poly._of(chart, {packing.unpack(e): c if a == 1 else _div(c, a) for e, c in g.items()}))
     return GroebnerBasis(chart, tuple(monic))
 
 

@@ -12,10 +12,7 @@ polynomial has an empty term map.
 Only the public constructor validates.  Arithmetic wraps the term maps it
 builds with the trusted :meth:`Poly._of`, and division reduces one mutable
 term map in place (:func:`_sub_mul`), so a ``Poly`` is built only for the
-results.  The Groebner reduction keeps that map's exponents in a heap under
-:func:`grevlex_desc` and pushes the exponents :func:`_sub_mul` inserts, so
-it pops each leading term instead of searching for it.  Exponent sums run
-through C-level ``map``.
+results.  Exponent sums run through C-level ``map``.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, and the multivariate gcd over Z behind the
@@ -108,26 +105,19 @@ def _div(a, b):
     return _exact(Fraction(a, b))
 
 
-def _sub_mul(work: dict, c, shift: Exponent, terms: dict) -> list[Exponent]:
-    """``work -= c * x^shift * terms`` in place; cancelled terms are deleted.
-
-    Returns the exponents that were not in ``work`` before, so a caller that
-    indexes the keys of ``work`` can add them.
-    """
-    inserted = []
+def _sub_mul(work: dict, c, shift: Exponent, terms: dict):
+    """``work -= c * x^shift * terms`` in place; cancelled terms are deleted."""
     for exponent, coeff in terms.items():
         e = tuple(map(operator.add, exponent, shift))
         acc = work.get(e)
         if acc is None:
             work[e] = -c * coeff
-            inserted.append(e)
         else:
             acc -= c * coeff
             if acc:
                 work[e] = acc
             else:
                 del work[e]
-    return inserted
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -177,7 +167,7 @@ def grevlex_key(exponent: Exponent):
 
 
 # The same order descending: ascending on this key is descending on
-# grevlex_key, so a min-heap under it pops the grevlex-largest exponent.
+# grevlex_key, so sorting under it lists the grevlex-largest exponent first.
 def grevlex_desc(exponent: Exponent):
     return (-sum(exponent), exponent[::-1])
 

@@ -1,0 +1,176 @@
+"""The Groebner kernel's packed monomials, against tuple exponents and independent oracles.
+
+``groebner._Packing`` packs an exponent vector into one int: its order must
+be grevlex, its sum the monomial product, its guard-bit test divisibility,
+and unpacking must return the vector.  A run whose S-pair lcm outgrows the
+packing re-packs wider and must go on with the same reduction sequence.
+The layout depends on the number of variables, so Buchberger and division
+are also checked against sympy and ``division_over_q`` on 3- and
+4-variable ideals.
+"""
+
+from __future__ import annotations
+
+import json
+import operator
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from poissonkit import buchberger, groebner, modular_field, parse_poly
+from poissonkit.cli import main
+from poissonkit.groebner import _Packing, division
+from poissonkit.polyalg import grevlex_key
+from conftest import CHART3, CHART4, random_diagonal_structure, random_poly
+from oracles import division_over_q
+from test_budget_steps import CURVES, succeeds_exactly_at
+
+
+def exponent_vectors(rng, n: int, count: int) -> list[tuple[int, ...]]:
+    """Seeded vectors in N^n: about a third of the entries 0, the rest small or up to 10**20."""
+    choices = (lambda: 0, lambda: rng.randint(1, 9), lambda: rng.randint(1, 10**20))
+    return [tuple(rng.choice(choices)() for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("headroom", [0, groebner._HEADROOM])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packing_matches_tuple_arithmetic(rng, monkeypatch, n, headroom):
+    monkeypatch.setattr(groebner, "_HEADROOM", headroom)
+    vectors = exponent_vectors(rng, n, 30)
+    top = max(map(sum, vectors))
+    vectors += [tuple(rng.randint(0, x) for x in e) for e in vectors]  # divisors of the first 30
+    vectors += [(0,) * n] + [tuple(top if j == i else 0 for j in range(n)) for i in range(n)]
+    # With the unit and the pure powers of degree `top`: at headroom 0 the
+    # fields hold that degree and no more, so a power fills its field up to
+    # the bit below the guard.
+    packing, wide = _Packing(n, top), _Packing(n, 2 * top + 1)
+    K = packing.pack
+    for a in vectors:
+        assert packing.unpack(K(a)) == a
+        for b in vectors:
+            assert (K(a) < K(b)) == (grevlex_key(a) < grevlex_key(b)), (a, b)
+            assert (K(a) == K(b)) == (a == b)
+            assert (not (K(b) - K(a)) & packing.guards) == all(map(operator.le, b, a)), (b, a)
+            total = tuple(map(operator.add, a, b))
+            assert wide.pack(a) + wide.pack(b) == wide.pack(total)
+            assert wide.pack(total) - wide.pack(b) == wide.pack(a)
+        for i in range(n):
+            over = a[:i] + (a[i] + 1,) + a[i + 1 :]
+            assert (wide.pack(over) - wide.pack(a)) & wide.guards, (over, a)
+
+
+class _CountingPacking(_Packing):
+    made: list = []
+
+    __slots__ = ()
+
+    def __init__(self, n, degree):
+        self.made.append(degree)
+        super().__init__(n, degree)
+
+
+@pytest.mark.parametrize("text,point,budget", CURVES, ids=range(len(CURVES)))
+def test_narrow_start_repacks_to_the_same_run(capsys, monkeypatch, text, point, budget):
+    argv = ["tjurina", text, "--json"] + ([f"--point={point}"] if point else [])
+    assert main(argv) == 0
+    wide = json.loads(capsys.readouterr().out)["result"]
+    monkeypatch.setattr(groebner, "_HEADROOM", 0)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == wide
+    assert succeeds_exactly_at(capsys, argv[:2] + argv[3:], budget)
+
+
+def test_narrow_start_repacks_most_curves(capsys, monkeypatch):
+    # Headroom 0 sizes a run for the input degree only, so every S-pair lcm
+    # of larger degree re-packs it.
+    monkeypatch.setattr(groebner, "_HEADROOM", 0)
+    monkeypatch.setattr(groebner, "_Packing", _CountingPacking)
+    repacked = 0
+    for text, point, _ in CURVES:
+        _CountingPacking.made = []
+        assert main(["tjurina", text] + ([f"--point={point}"] if point else [])) == 0
+        assert _CountingPacking.made == sorted(_CountingPacking.made)
+        repacked += len(_CountingPacking.made) > 1
+    capsys.readouterr()
+    assert repacked >= 10
+
+
+@pytest.mark.parametrize(
+    "literal,tau",
+    [
+        ("w^99999999999999999999 + z^2", 99999999999999999998),
+        ("x^99999999999999999999 + y^2 + z^3", 199999999999999999996),
+    ],
+)
+def test_brieskorn_pham_with_huge_exponents(capsys, literal, tau):
+    # tau(sum x_i^a_i) = prod (a_i - 1): fields wider than a machine word.
+    assert main(["tjurina", literal, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["tjurina"] == tau
+
+
+# Three seeded 3-variable literals and the smallest budget under which
+# ``tjurina`` succeeds, recorded with the tuple-exponent kernel.
+BUDGETS_3 = [
+    ("x^3 + y^4 + z^5 + -3*x^0*y^0*z^4 + -3*x^4*y^1*z^0", 52),
+    ("x^4 + y^5 + z^6 + 1*x^3*y^2*z^0 + -2*x^0*y^3*z^0 + 1*x^2*y^1*z^1", 508),
+    ("x^4 + y^5 + z^6 + -3*x^3*y^1*z^1 + 3*x^1*y^1*z^1 + 2*x^1*y^0*z^3", 394),
+]
+
+
+@pytest.mark.parametrize("text,budget", BUDGETS_3, ids=range(len(BUDGETS_3)))
+def test_three_variable_budget_steps(capsys, text, budget):
+    assert succeeds_exactly_at(capsys, ["tjurina", text], budget)
+
+
+def sympy_basis(gens, chart):
+    """Monic reduced grevlex basis from sympy, as canonical term maps."""
+    symbols = sympy.symbols(chart.names)
+    G = sympy.groebner([sympy.Poly(g.terms, *symbols, domain="QQ") for g in gens], *symbols, order="grevlex")
+    out = []
+    for g in G.polys:
+        g = g.to_field()
+        g = g.quo_ground(g.LC(order="grevlex"))
+        out.append({m: Fraction(int(c.p), int(c.q)) for m, c in g.terms()})
+    return canonical(out)
+
+
+def canonical(term_maps):
+    return sorted(sorted(t.items()) for t in term_maps)
+
+
+def diagonal_chart_ideals(rng, count):
+    """The pi_ij and zeta_i generators of seeded diagonal 4-charts: the report's rank-0 modular-leaf locus."""
+    for _ in range(count):
+        P = random_diagonal_structure(rng)
+        yield [*P.pi.terms.values(), *modular_field(P).terms.values()]
+
+
+def cubic_ideals(rng, count):
+    """Two or three sparse cubics in 3 variables."""
+    for _ in range(count):
+        yield [random_poly(rng, CHART3, max_degree=3, max_terms=3, allow_zero=False) for _ in range(rng.randint(2, 3))]
+
+
+class TestMoreVariablesAgainstOracles:
+    def test_bases_match_sympy(self, rng):
+        for gens in [*diagonal_chart_ideals(rng, 12), *cubic_ideals(rng, 25)]:
+            if not gens:
+                continue  # a zero skew matrix
+            chart = gens[0].chart
+            assert canonical(g.terms for g in buchberger(gens).gens) == sympy_basis(gens, chart), gens
+
+    def test_division_matches_division_over_q(self, rng):
+        for gens in [*diagonal_chart_ideals(rng, 8), *cubic_ideals(rng, 25)]:
+            if not gens:
+                continue  # a zero skew matrix
+            chart = gens[0].chart
+            for p in (gens[0] * gens[-1], random_poly(rng, chart, max_degree=5, max_terms=6)):
+                quotients, r = division(p, gens)
+                expected_quotients, expected_r = division_over_q(p, gens, grevlex_key)
+                assert [q.terms for q in quotients] == expected_quotients and r.terms == expected_r, (p, gens)
+
+
+def test_four_variable_literal_against_sympy():
+    gens = [parse_poly(t, CHART4) for t in ("x1^2*x3 - x2*x4^2 + 1", "x2^3 - x1*x4 + x3^2", "x4^3 - 2*x1*x2*x3")]
+    assert canonical(g.terms for g in buchberger(gens).gens) == sympy_basis(gens, CHART4)
