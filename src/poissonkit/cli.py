@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -37,7 +36,7 @@ from .graded_cohomology import cohomology_table
 from .groebner import DEFAULT_BUDGET, INFINITE, jacobian_ideal_basis, quotient_dimension
 from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
 from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
-from .polyalg import Chart, Poly, _PolyParser, _digit_limit, _exceeds_digit_limit, _tokenize
+from .polyalg import Chart, Poly, _PolyParser, _digit_limit, _exceeds_digit_limit, _rational, _tokenize
 from .structfile import StructureSpec, parse_structure_file
 
 
@@ -217,17 +216,6 @@ def cmd_cohomology(args) -> tuple[str, dict]:
     return digest, result
 
 
-def _exponent_past(literal: str, limit: int) -> bool:
-    """Whether a decimal literal ``m e x`` has |x| - len(literal) >= limit.
-
-    Then a nonzero m e x has a numerator or denominator of more than
-    ``limit`` digits.  Fraction(literal) would build 10**|x| first.
-    """
-    m = re.search(r"[eE][-+]?([\d_]+)\s*$", literal)
-    x = m.group(1).replace("_", "").lstrip("0") if m else ""
-    return len(x) > len(str(limit + len(literal))) or int(x or 0) - len(literal) >= limit
-
-
 def cmd_tjurina(args) -> tuple[str, dict]:
     source = args.file_or_poly
     path = Path(source)
@@ -249,13 +237,12 @@ def cmd_tjurina(args) -> tuple[str, dict]:
         f, chart = _poly_from_text(source)
     point = None
     if args.point is not None:
-        digits = _digit_limit()
-        coordinates = args.point.split(",")
-        if digits and any(_exponent_past(t, digits) for t in coordinates):
-            raise ParseError(f"--point {args.point!r} gives a coefficient of more than {digits} digits")
+        too_long = f"--point {args.point!r} gives a coefficient of more than {_digit_limit()} digits"
         try:
-            point = [Fraction(t.strip()) for t in coordinates]
-        except (ValueError, ZeroDivisionError):
+            point = [_rational(t) for t in args.point.split(",")]
+        except ParseError:
+            raise ParseError(too_long) from None
+        except ValueError:
             raise ParseError(f"bad --point value {args.point!r}") from None
         if len(point) != chart.n:
             raise ParseError(
@@ -265,8 +252,8 @@ def cmd_tjurina(args) -> tuple[str, dict]:
             f = f.shift(point)
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"--point {args.point!r}: {exc}") from None
-        if _exceeds_digit_limit([*point, *f.terms.values()], digits):
-            raise ParseError(f"--point {args.point!r} gives a coefficient of more than {digits} digits")
+        if _exceeds_digit_limit(f.terms.values(), _digit_limit()):
+            raise ParseError(too_long)
     basis = jacobian_ideal_basis(f, include_f=True, budget=args.budget)
     tau = quotient_dimension(basis)
     result = {

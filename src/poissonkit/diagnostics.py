@@ -52,7 +52,7 @@ class StructureAnalysis:
     A read checks its preconditions in one order: odd chart
     (PreconditionError), then zero Pfaffian (DegenerateEverywhereError), then
     non-reduced curve (NonReducedCurveError).  ``budget`` bounds each
-    Groebner basis.
+    Groebner basis and each normal form.
     """
 
     def __init__(self, P: PoissonStructure, budget: int = DEFAULT_BUDGET):
@@ -170,7 +170,7 @@ class StructureAnalysis:
         """f in the ideal of its partials (Saito): the hypothesis of dim H^2 = b_2(U) + tau."""
         self._log_symplectic_tau()
         f = self.pfaffian
-        return f.is_constant or normal_form(f, self.partials_basis).is_zero
+        return f.is_constant or normal_form(f, self.partials_basis, self.budget).is_zero
 
     def dim_h2(self, betti_u: tuple[int, ...]) -> int:
         """b_2(U) + ``tjurina_total`` = dim H^2 of a log-symplectic surface; ``betti_u`` is (b_0, b_1, b_2)."""

@@ -76,9 +76,9 @@ class GroebnerBasis:
 class _StepCounter:
     """Reduction steps left of a budget, and how far the current phase got.
 
-    ``phase`` names the Buchberger phase that spends the steps, and ``done``
-    counts the ``units`` it has finished: S-pairs reduced, then generators
-    inter-reduced.
+    ``phase`` names the phase that spends the steps, and ``done`` counts the
+    ``units`` it has finished: in Buchberger S-pairs reduced, then
+    generators inter-reduced; in :func:`division` the one division.
     """
 
     __slots__ = ("budget", "remaining", "phase", "units", "done")
@@ -170,7 +170,7 @@ def _reduce(
     leads: list[int],
     divisors: list[dict],
     guards: int,
-    counter: _StepCounter | None = None,
+    counter: _StepCounter,
     steps: list | None = None,
 ):
     """Reduce the packed integer term map ``work`` (consumed) by the packed ``divisors``.
@@ -195,8 +195,7 @@ def _reduce(
         c = work[exp]
         for i, lead in enumerate(leads):
             if not (lead - exp) & guards:
-                if counter is not None:
-                    counter.spend()
+                counter.spend()
                 if steps is not None:
                     steps.append((i, exp - lead, c, m))
                 common = math.gcd(c, int_leads[i])
@@ -212,15 +211,12 @@ def _reduce(
     return {e: c * (m // m_at) for e, c, m_at in moved}, m
 
 
-def division(
-    p: Poly,
-    divisors: list[Poly],
-    counter: _StepCounter | None = None,
-):
+def division(p: Poly, divisors: list[Poly], budget: int = DEFAULT_BUDGET):
     """Multivariate division: p = sum quotients[i] * divisors[i] + remainder.
 
     No remainder term is divisible by any divisor's leading term.  The
     quotient trace certifies ideal membership whenever the remainder is 0.
+    Each reduction step spends one step of ``budget``.
 
     The reduction is the fraction-free packed loop :func:`_reduce`: p is
     scaled once to integer coefficients and each divisor to its primitive
@@ -238,6 +234,8 @@ def division(
     work = {packing.pack(e): c.numerator * (m // c.denominator) for e, c in p.terms.items()}
     packed = [packing.terms(terms) for terms in primitive]
     leads = [max(terms) for terms in packed]
+    counter = _StepCounter(budget)
+    counter.enter("division", "divisions finished")
     steps: list = []
     remainder, m = _reduce(work, m, leads, packed, packing.guards, counter, steps)
     lead_coeffs = [d.terms[packing.unpack(e)] for d, e in zip(divisors, leads)]
@@ -374,13 +372,13 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     return GroebnerBasis(chart, tuple(monic))
 
 
-def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
-    """Unique remainder of p modulo G: no term divisible by a leading term."""
+def normal_form(p: Poly, G: GroebnerBasis, budget: int = DEFAULT_BUDGET) -> Poly:
+    """Unique remainder of p modulo G: no term divisible by a leading term; one step of ``budget`` per reduction."""
     if p.chart != G.chart:
         raise ChartMismatchError("polynomial lives on a different chart")
     if not G.gens:
         return p
-    _, remainder = division(p, list(G.gens))
+    _, remainder = division(p, list(G.gens), budget)
     return remainder
 
 

@@ -7,6 +7,10 @@ chart variables and odd frame symbols d_1, ..., d_n, so the Schouten bracket
 and the divergence operator become combinations of the two kinds of partial
 derivatives.
 
+One kernel serves every operation: the bracket, the contraction (one sum of
+the bracket's formula), the wedge, bv and the sum accumulate into
+``{index: {exponent: coeff}}`` term maps and wrap each coefficient once.
+
 Sign conventions (pinned by the test suite, recorded in ``SIGN_CONVENTIONS``):
 
 * ``schouten(xi, f) = xi(f)`` for a vector field xi and function f, and the
@@ -23,10 +27,12 @@ Sign conventions (pinned by the test suite, recorded in ``SIGN_CONVENTIONS``):
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 
 from .errors import ChartMismatchError, ParseError
-from .polyalg import Chart, Poly, _tokenize, parse_poly
+from .polyalg import Chart, Poly, _PolyParser, _tokenize
 
 MultiIndex = tuple[int, ...]
 
@@ -115,10 +121,10 @@ class Polyvector:
             if other.is_zero:
                 return self
             raise ValueError(f"cannot add polyvectors of degrees {self.k} and {other.k}")
-        acc = dict(self.terms)
+        acc = {index: dict(coeff.terms) for index, coeff in self.terms.items()}
         for index, coeff in other.terms.items():
-            _add_term(acc, index, coeff)
-        return Polyvector(self.chart, self.k, acc)
+            _add_scaled(acc.setdefault(index, {}), 1, coeff.terms)
+        return _polyvector(self.chart, self.k, acc)
 
     def __sub__(self, other: Polyvector) -> Polyvector:
         return self + (-other)
@@ -160,22 +166,42 @@ def covolume(chart: Chart) -> Polyvector:
 
 
 def apply_vector_field(xi: Polyvector, f: Poly) -> Poly:
-    """xi(f) for a degree-1 polyvector: the directional derivative."""
+    """xi(f) for a degree-1 polyvector: the directional derivative, the function ``contract(f, xi)``."""
     if xi.k != 1:
         raise ValueError("apply_vector_field needs a degree-1 polyvector")
-    result = Poly.zero(xi.chart)
-    for (i,), coeff in xi.terms.items():
-        result = result + coeff * f.diff(i)
-    return result
+    return contract(f, xi).terms.get((), Poly.zero(xi.chart))
 
 
-def _add_term(acc: dict[MultiIndex, Poly], index: MultiIndex, coeff: Poly):
-    prev = acc.get(index)
-    total = coeff if prev is None else prev + coeff
-    if total.is_zero:
-        acc.pop(index, None)
-    else:
-        acc[index] = total
+# ---------------------------------------------------------------------------
+# The term-map kernel.  A cancelled term stays in its map as a 0 until
+# _polyvector drops it.
+# ---------------------------------------------------------------------------
+
+
+def _add_scaled(target: dict, s, terms: dict):
+    """``target += s * terms`` on term maps."""
+    for e, c in terms.items():
+        target[e] = target.get(e, 0) + s * c
+
+
+def _add_product(target: dict, s, a: dict, b: dict):
+    """``target += s * a * b`` on term maps."""
+    for ea, ca in a.items():
+        ca *= s
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            target[e] = target.get(e, 0) + ca * cb
+
+
+def _diff_terms(terms: dict, i: int) -> dict:
+    """The term map of d/dx_i."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
+
+
+def _polyvector(chart: Chart, k: int, acc: dict) -> Polyvector:
+    """The degree-k polyvector of accumulated term maps, each wrapped once; zeros are dropped."""
+    terms = {index: {e: c for e, c in coeffs.items() if c} for index, coeffs in acc.items()}
+    return Polyvector(chart, k, {index: Poly._of(chart, t) for index, t in terms.items() if t})
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +209,12 @@ def _add_term(acc: dict[MultiIndex, Poly], index: MultiIndex, coeff: Poly):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _merge_sign(left: MultiIndex, right: MultiIndex):
     """Merge two strictly increasing index tuples; None if they collide.
 
-    The sign is the parity of the shuffle that sorts left + right.
+    The sign is the parity of the shuffle that sorts left + right.  Cached:
+    one bracket merges the same few index pairs many times.
     """
     if set(left) & set(right):
         return None
@@ -207,48 +235,36 @@ def wedge(a: Polyvector, b: Polyvector) -> Polyvector:
     degree = a.k + b.k
     if degree > n:
         return Polyvector.zero(a.chart, n)
-    acc: dict[MultiIndex, Poly] = {}
+    acc: dict = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             merged = _merge_sign(ia, ib)
-            if merged is None:
-                continue
-            sign, index = merged
-            product = ca * cb
-            _add_term(acc, index, product if sign > 0 else -product)
-    return Polyvector(a.chart, degree, acc)
+            if merged is not None:
+                _add_product(acc.setdefault(merged[1], {}), merged[0], ca.terms, cb.terms)
+    return _polyvector(a.chart, degree, acc)
 
 
-def _theta_diff(a: Polyvector, i: int):
-    """Left derivative by the odd frame symbol d_i, term by term.
-
-    Yields ``(sign, rest, coeff)`` for each term ``coeff d_index`` of a whose
-    index holds i: the derivative is ``sign * coeff d_rest``.
-    """
-    for index, coeff in a.terms.items():
-        if i in index:
-            pos = index.index(i)
-            yield (-1 if pos % 2 else 1), index[:pos] + index[pos + 1 :], coeff
-
-
-def _add_odd_sum(
-    acc: dict[MultiIndex, Poly], a: Polyvector, b_terms: dict[MultiIndex, Poly], sign: int
-):
+def _add_odd_sum(acc: dict, a: dict[MultiIndex, Poly], b: dict[MultiIndex, Poly], n: int, sign: int):
     """Add ``sign * sum_i (left d-derivative of a by d_i) ^ (db/dx_i)`` into acc.
 
-    One of the two sums of the odd-coordinate Schouten formula; ``b_terms``
-    is the term map of b.
+    One of the two sums of the odd-coordinate Schouten formula, on the term
+    maps a and b of two polyvectors on an n-chart.  The left derivative of
+    ``coeff d_index`` by d_i is ``(-1)^pos coeff d_rest``, i at ``pos``.
     """
-    for i in range(a.chart.n):
-        b_diffs = [(ib, d) for ib, cb in b_terms.items() if not (d := cb.diff(i)).is_zero]
-        for theta_sign, rest, ca in _theta_diff(a, i):
+    for i in range(n):
+        b_diffs = [(ib, d) for ib, cb in b.items() if (d := _diff_terms(cb.terms, i))]
+        if not b_diffs:
+            continue
+        for index, ca in a.items():
+            if i not in index:
+                continue
+            pos = index.index(i)
+            rest = index[:pos] + index[pos + 1 :]
+            theta_sign = -sign if pos % 2 else sign
             for ib, db in b_diffs:
                 merged = _merge_sign(rest, ib)
-                if merged is None:
-                    continue
-                merge_sign, index = merged
-                product = ca * db
-                _add_term(acc, index, product if sign * theta_sign * merge_sign > 0 else -product)
+                if merged is not None:
+                    _add_product(acc.setdefault(merged[1], {}), theta_sign * merged[0], ca.terms, db)
 
 
 def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
@@ -259,19 +275,27 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
     ``[a, b] = -(-1)^((|a|-1)(|b|-1)) [b, a]`` and the graded Leibniz rule
     ``[a, b^c] = [a, b]^c + (-1)^((|a|-1)|b|) b^[a, c]``.  Both sums of the
     odd-coordinate formula add into one term map.
+
+    For ``schouten(a, a)`` the two sums are one sum, with the signs
+    ``-(-1)^|a|`` and ``-1``: it is added twice over for even |a| (the
+    Jacobi check ``[pi, pi]``), and the bracket is 0 for odd |a|.
     """
     a._check_chart(b)
-    ka, kb = a.k, b.k
+    n, ka, kb = a.chart.n, a.k, b.k
     if ka + kb == 0:
         return Polyvector.zero(a.chart, 0)
-    if ka + kb - 1 > a.chart.n:
-        return Polyvector.zero(a.chart, a.chart.n)
+    if ka + kb - 1 > n:
+        return Polyvector.zero(a.chart, n)
     sign_ab = -1 if (ka - 1) % 2 else 1
     sign_ba = -1 if ((ka - 1) * (kb - 1) + (kb - 1)) % 2 == 0 else 1
-    acc: dict[MultiIndex, Poly] = {}
-    _add_odd_sum(acc, a, b.terms, sign_ab)
-    _add_odd_sum(acc, b, a.terms, sign_ba)
-    return Polyvector(a.chart, ka + kb - 1, acc)
+    acc: dict = {}
+    if a is b:
+        if sign_ab + sign_ba:
+            _add_odd_sum(acc, a.terms, a.terms, n, sign_ab + sign_ba)
+    else:
+        _add_odd_sum(acc, a.terms, b.terms, n, sign_ab)
+        _add_odd_sum(acc, b.terms, a.terms, n, sign_ba)
+    return _polyvector(a.chart, ka + kb - 1, acc)
 
 
 def contract(f: Poly, a: Polyvector) -> Polyvector:
@@ -284,9 +308,9 @@ def contract(f: Poly, a: Polyvector) -> Polyvector:
         raise ChartMismatchError("function and polyvector live on different charts")
     if a.k == 0:
         return Polyvector.zero(a.chart, 0)
-    acc: dict[MultiIndex, Poly] = {}
-    _add_odd_sum(acc, a, {(): f}, 1)
-    return Polyvector(a.chart, a.k - 1, acc)
+    acc: dict = {}
+    _add_odd_sum(acc, a.terms, {(): f}, a.chart.n, 1)
+    return _polyvector(a.chart, a.k - 1, acc)
 
 
 def lie_derivative(xi: Polyvector, a: Polyvector) -> Polyvector:
@@ -310,15 +334,13 @@ def bv(a: Polyvector) -> Polyvector:
     """
     if a.k == 0:
         return Polyvector.zero(a.chart, 0)
-    acc: dict[MultiIndex, Poly] = {}
+    acc: dict = {}
     for index, coeff in a.terms.items():
         for pos, i in enumerate(index):
-            d = coeff.diff(i)
-            if d.is_zero:
-                continue
-            rest = index[:pos] + index[pos + 1 :]
-            _add_term(acc, rest, d if pos % 2 == 0 else -d)
-    return Polyvector(a.chart, a.k - 1, acc)
+            d = _diff_terms(coeff.terms, i)
+            if d:
+                _add_scaled(acc.setdefault(index[:pos] + index[pos + 1 :], {}), -1 if pos % 2 else 1, d)
+    return _polyvector(a.chart, a.k - 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +398,21 @@ def parse_polyvector(text: str, chart: Chart) -> Polyvector:
             elif depth == 0 and (is_frame(tokens[i]) or (kind == "op" and value in "+-")):
                 break
             i += 1
-        coeff_text = text[tokens[start][2] : tokens[i][2]].strip()
-        coeff = parse_poly(coeff_text, chart) if coeff_text else Poly.constant(chart, 1)
-        index: list[int] = []
+        # The coefficient's own tokens, closed by an end token where it stops,
+        # so an error in it keeps its column in the text.
+        coeff_tokens = [*tokens[start:i], ("end", "", tokens[i][2])]
+        coeff = _PolyParser(coeff_tokens, chart).parse() if start < i else Poly.constant(chart, 1)
+        index: MultiIndex = ()
         while is_frame(tokens[i]):
-            index.append(frame_tokens[tokens[i][1]])
+            merged = _merge_sign(index, (frame_tokens[tokens[i][1]],))
+            if merged is None:
+                raise ParseError("repeated frame token in polyvector term", column=tokens[i][2] + 1)
+            sign *= merged[0]
+            index = merged[1]
             i += 1
             if tokens[i][0] == "op" and tokens[i][1] == "^" and is_frame(tokens[i + 1]):
                 i += 1
-        if len(set(index)) != len(index):
-            raise ParseError("repeated frame token in polyvector term", column=tokens[i][2] + 1)
-        perm_sign, sorted_index = _sort_sign(index)
-        return Polyvector.term(chart, tuple(sorted_index), coeff * (sign * perm_sign))
+        return Polyvector.term(chart, index, coeff * sign)
 
     result: Polyvector | None = None
     while tokens[i][0] != "end":
@@ -411,14 +436,3 @@ def parse_polyvector(text: str, chart: Chart) -> Polyvector:
         raise ParseError("empty polyvector expression")
     return result
 
-
-def _sort_sign(index: list[int]):
-    """Sort an index list by adjacent swaps, tracking the permutation sign."""
-    index = list(index)
-    sign = 1
-    for a in range(len(index)):
-        for b in range(len(index) - 1 - a):
-            if index[b] > index[b + 1]:
-                index[b], index[b + 1] = index[b + 1], index[b]
-                sign = -sign
-    return sign, index

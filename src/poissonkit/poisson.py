@@ -4,7 +4,11 @@ Construction always verifies the integrability condition ``[pi, pi] = 0``;
 every downstream diagnostic assumes it, so an invalid bivector is rejected
 at the door with the offending trivector attached.
 
-Sign conventions follow :mod:`poissonkit.multivec`: d_pi = [pi, -] is
+The operators here are calls into the one term-map kernel of
+:mod:`poissonkit.multivec`: the Jacobi check is ``schouten(pi, pi)``, the
+Hamiltonian field is ``contract(f, pi)``, the Jacobian structure is
+``contract(F, covolume)`` and the modular field is ``bv(pi)``.  Sign
+conventions follow that module: d_pi = [pi, -] is
 ``schouten(P.pi, -)``, and ``schouten(P.pi, f)`` equals
 ``-hamiltonian(P, f)`` on functions, which is the choice that makes
 ``L_{H_f} = d_pi o i_df + i_df o d_pi`` hold.  Each family of structures has
@@ -13,15 +17,13 @@ one builder, which returns its bivector; :func:`new_poisson` checks it.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, JacobiFailure, PreconditionError
-from .multivec import Polyvector, apply_vector_field, bv, contract, wedge
-from .polyalg import Chart, Poly, _exact
+from .multivec import Polyvector, apply_vector_field, bv, contract, covolume, schouten, wedge
+from .polyalg import Chart, Poly
 
 
 @dataclass(frozen=True)
@@ -52,44 +54,12 @@ class DIdealGenerator:
 def jacobiator(pi: Polyvector) -> Polyvector:
     """schouten(pi, pi): the trivector obstructing the Jacobi identity.
 
-    It is summed directly on term maps: for i < j < k the component is
-    ``2 sum_l (pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij)``, with
-    pi_ba = -pi_ab, and each d_l pi_ab is taken once.  On a 2-chart it is
-    the zero polyvector of degree 2, the degree :func:`schouten` clamps to.
+    On a 2-chart it is the zero polyvector of degree 2, the degree
+    :func:`schouten` clamps to.
     """
     if pi.k != 2:
         raise PreconditionError(f"jacobiator needs a bivector, got degree {pi.k}")
-    chart = pi.chart
-    n = chart.n
-    if n < 3:
-        return Polyvector.zero(chart, n)
-    # pi_al = sign * terms for each (l, sign, terms) in row[a], and
-    # 2 d_l pi_ab = twice * by_var[l] for (twice, by_var) = derivatives[(a, b)].
-    row: list[list[tuple[int, int, dict]]] = [[] for _ in range(n)]
-    derivatives: dict[tuple[int, int], tuple[int, list[dict]]] = {}
-    for (a, b), coeff in pi.terms.items():
-        row[a].append((b, 1, coeff.terms))
-        row[b].append((a, -1, coeff.terms))
-        by_var = [coeff.diff(l).terms for l in range(n)]
-        derivatives[(a, b)] = (2, by_var)
-        derivatives[(b, a)] = (-2, by_var)
-    components = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        acc: dict = {}
-        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            if (q, r) not in derivatives:
-                continue
-            twice, by_var = derivatives[(q, r)]
-            for l, sign, terms in row[p]:
-                for ed, cd in by_var[l].items():
-                    factor = twice * sign * cd
-                    for e, c in terms.items():
-                        key = tuple(map(operator.add, e, ed))
-                        acc[key] = acc.get(key, 0) + factor * c
-        terms = {e: _exact(c) for e, c in acc.items() if c}
-        if terms:
-            components[(i, j, k)] = Poly._of(chart, terms)
-    return Polyvector(chart, 3, components)
+    return schouten(pi, pi)
 
 
 def new_poisson(pi: Polyvector) -> PoissonStructure:
@@ -133,23 +103,14 @@ def modular_field(P: PoissonStructure) -> Polyvector:
 
 
 def jacobian_bivector_3(F: Poly) -> Polyvector:
-    """The Jacobian structure on a 3-chart: {x,y} = dF/dz cyclically.
+    """The Jacobian structure on a 3-chart, i_dF of the covolume: {x,y} = dF/dz cyclically.
 
     F is a Casimir (``schouten(pi, F) = 0``), and the Jacobi identity holds
     for every F; ``new_poisson`` still checks it.
     """
-    chart = F.chart
-    if chart.n != 3:
-        raise PreconditionError(f"jacobian_bivector_3 needs a 3-chart, got n={chart.n}")
-    return Polyvector(
-        chart,
-        2,
-        {
-            (0, 1): F.diff(2),
-            (1, 2): F.diff(0),
-            (0, 2): -F.diff(1),
-        },
-    )
+    if F.chart.n != 3:
+        raise PreconditionError(f"jacobian_bivector_3 needs a 3-chart, got n={F.chart.n}")
+    return contract(F, covolume(F.chart))
 
 
 def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:

@@ -465,6 +465,28 @@ def _exceeds_digit_limit(values, digits: int) -> bool:
     )
 
 
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a literal such as ``-3/4`` or ``1.5e-3``; malformed text raises ValueError.
+
+    A value with more digits than the interpreter's limit raises ParseError.
+    A nonzero ``m e x`` with |x| - len(text) >= that limit is one; it is
+    refused before ``Fraction`` would build 10**|x|.
+    """
+    digits = _digit_limit()
+    too_long = f"the rational {text.strip()!r} has more than {digits} digits"
+    m = re.search(r"[eE][-+]?([\d_]+)\s*$", text)
+    x = m.group(1).replace("_", "").lstrip("0") if m else ""
+    if digits and (len(x) > len(str(digits + len(text))) or int(x or 0) - len(text) >= digits):
+        raise ParseError(too_long)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    if _exceeds_digit_limit([value], digits):
+        raise ParseError(too_long)
+    return value
+
+
 class _PolyParser:
     """Recursive descent over a token list; every rule returns a fresh term map.
 

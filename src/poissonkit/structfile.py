@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .errors import ParseError
@@ -36,7 +35,7 @@ from .poisson import (
     new_poisson,
 )
 from .multivec import Polyvector
-from .polyalg import Chart, Poly, parse_poly
+from .polyalg import Chart, Poly, _rational, parse_poly
 
 _BRACKET_RE = re.compile(
     r"^\{\s*([A-Za-z][A-Za-z0-9_]*)\s*,\s*([A-Za-z][A-Za-z0-9_]*)\s*\}\s*=\s*(.+)$"
@@ -155,8 +154,10 @@ def parse_structure_file(text: str) -> StructureSpec:
         rows = []
         for row_text in m.group(1).split(";"):
             try:
-                rows.append([Fraction(t) for t in _tokens(row_text)])
-            except (ValueError, ZeroDivisionError):
+                rows.append([_rational(t) for t in _tokens(row_text)])
+            except ParseError as exc:
+                raise ParseError(f"lambda entry: {exc.message}", line=lineno) from None
+            except ValueError:
                 raise ParseError(f"bad rational entry in lambda row: {row_text.strip()!r}", line=lineno) from None
         if len(rows) != chart.n or any(len(r) != chart.n for r in rows):
             raise ParseError(f"lambda must be a {chart.n}x{chart.n} row-major matrix", line=lineno)

@@ -518,6 +518,28 @@ class TestExitCodeContract:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == f"parse error: --point {point!r} gives a coefficient of more than 4300 digits\n"
 
+    @pytest.mark.parametrize("command", ["check", "report", "cohomology"])
+    @pytest.mark.parametrize("entry", ["1e99999999", "1e-99999999"])
+    def test_lambda_entry_with_a_runaway_exponent_is_2(self, tmp_path, command, entry):
+        # A lambda row is read like a --point coordinate: Fraction(entry)
+        # would build 10**99999999 first; a subprocess lets the timeout stop
+        # a run that does.
+        path = tmp_path / "lambda.poisson"
+        path.write_text(f"chart: w z\npoisson:\ndiagonal lambda = 0 {entry}; -{entry} 0\n")
+        src = str(Path(poissonkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "poissonkit", command, str(path), "--json"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=5, env=env)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"parse error: lambda entry: the rational {entry!r} has more than 4300 digits (line 3)\n"
+
+    def test_lambda_entry_past_the_digit_limit_is_2(self, capsys, tmp_path):
+        # 10^4305 is built, but has more digits than a coefficient may print with.
+        path = tmp_path / "lambda.poisson"
+        path.write_text("chart: w z\npoisson:\ndiagonal lambda = 0 1e4305; -1e4305 0\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: lambda entry: the rational '1e4305' has more than 4300 digits (line 3)\n"
+
     @pytest.mark.parametrize("literal", ["w^20000 + z^2", "w^2000 + z^2"])
     def test_translation_past_the_term_bound_is_4(self, literal):
         # (w + 1)^20000 would be expanded before anything else ran; the

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from poissonkit import (
+    BudgetExceededError,
     DegenerateEverywhereError,
     INFINITE,
     NonReducedCurveError,
@@ -269,6 +270,13 @@ class TestSurfaceH2Report:
         assert report.tjurina_total == 10
         h2 = report_h2(capsys, tmp_path, "w^5 + w^2*z^2 + z^5")
         assert not h2["quasi_homogeneous"] and not h2["formula_asserted"]
+
+    def test_quasi_homogeneity_spends_the_analysis_budget(self):
+        # The partials of w^5 + z^5 need no reduction step, while reducing
+        # f modulo them takes 2: one budget step short ends in the division.
+        assert StructureAnalysis(surface("w^5 + z^5"), 2).quasi_homogeneous
+        with pytest.raises(BudgetExceededError, match="in division: all 1 steps spent"):
+            StructureAnalysis(surface("w^5 + z^5"), 1).quasi_homogeneous
 
     def test_betti_list_length_checked(self):
         with pytest.raises(ValueError):

@@ -134,6 +134,12 @@ class TestNormalForm:
         G = buchberger([P("w"), P("z^2")])
         assert normal_form(P("z^3"), G).is_zero
 
+    def test_normal_form_spends_one_step_per_reduction(self):
+        G = buchberger([P("w"), P("z")])
+        assert normal_form(P("w^5 + z^5 + 1"), G, budget=2) == Poly.constant(CHART2, 1)
+        with pytest.raises(BudgetExceededError, match="in division: all 1 steps spent"):
+            normal_form(P("w^5 + z^5 + 1"), G, budget=1)
+
     def test_division_trace_certifies_membership(self, rng):
         for _ in range(25):
             gens = [random_poly(rng, CHART2, max_terms=3, allow_zero=False) for _ in range(2)]

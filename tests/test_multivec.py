@@ -132,8 +132,10 @@ class TestBracketOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_jacobiator_is_the_schouten_square(self, rng, n):
-        # jacobiator sums [pi, pi] without calling schouten, which is its oracle
-        # here: every component, and the degree (2 on a 2-chart, where both are zero).
+        # jacobiator is schouten(pi, pi), which sums one of the two sums of
+        # the odd-coordinate formula twice; the bracket with a distinct copy
+        # of pi sums both, and is the oracle here: every component, and the
+        # degree (2 on a 2-chart, where both are zero).
         chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
         non_poisson = rational = 0
         for draw in range(30):
@@ -146,13 +148,34 @@ class TestBracketOracle:
             else:
                 rational += any(type(c) is not int for coeff in pi.terms.values() for c in coeff.terms.values())
             obstruction = jacobiator(pi)
-            expected = schouten(pi, pi)
+            expected = schouten(pi, Polyvector(chart, 2, pi.terms))
             assert obstruction.k == expected.k == min(3, n)
             assert obstruction == expected, str(pi)
             assert str(obstruction) == str(expected)
             non_poisson += not obstruction.is_zero
         assert rational > 0
         assert (non_poisson > 0) == (n >= 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_square_is_the_bracket_with_a_copy(self, rng, n):
+        # schouten(a, a) takes one sum for both; a distinct copy b of a goes
+        # through both sums.  Every degree, integer and rational coefficients.
+        chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+        nonzero = 0
+        for k in range(n + 1):
+            for draw in range(12):
+                a = random_polyvector(rng, chart, k=k, max_terms=4)
+                if draw % 2:
+                    # random coefficients have denominators 1 or 2
+                    a = Polyvector(chart, k, {i: Poly(chart, {e: 2 * c for e, c in p.terms.items()}) for i, p in a.terms.items()})
+                    assert all(type(c) is int for coeff in a.terms.values() for c in coeff.terms.values())
+                b = Polyvector(chart, k, a.terms)
+                assert b is not a
+                square, bracket = schouten(a, a), schouten(a, b)
+                assert square.k == bracket.k and square == bracket, str(a)
+                nonzero += not square.is_zero
+        # [a, a] is 0 for odd |a|, and of degree 2|a| - 1 > n for even |a| > 0 on a 2-chart.
+        assert (nonzero > 0) == (n >= 3)
 
 
 class TestContract:
@@ -295,6 +318,15 @@ class TestPolyvectorText:
     def test_repeated_frame_rejected(self):
         with pytest.raises(ParseError):
             parse_polyvector("dw^dw", CHART2)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("x1*x2 dx1 + q dx2", 13), ("x1 dx1 + (x2 + ) dx2", 16), ("dx1 + 1/0 dx2", 7)],
+    )
+    def test_coefficient_error_column_is_in_the_text(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_polyvector(text, Chart(("x1", "x2")))
+        assert info.value.column == column
 
     def test_bad_character_column_is_its_own(self):
         with pytest.raises(ParseError) as info:

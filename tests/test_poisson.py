@@ -200,6 +200,14 @@ class TestBuilders:
         P = new_poisson(jacobian_bivector_3(F))
         assert schouten(P.pi, Polyvector.function(F)).is_zero
 
+    def test_jacobian_matches_the_hand_written_brackets(self, rng):
+        # jacobian_bivector_3 is contract(F, covolume); the brackets written
+        # out are {x,y} = F_z, {y,z} = F_x, {x,z} = -F_y.
+        for _ in range(40):
+            F = random_poly(rng, CHART3, max_degree=4, max_terms=4)
+            expected = Polyvector(CHART3, 2, {(0, 1): F.diff(2), (1, 2): F.diff(0), (0, 2): -F.diff(1)})
+            assert jacobian_bivector_3(F) == expected
+
     def test_jacobian_needs_three_variables(self):
         with pytest.raises(PreconditionError):
             jacobian_bivector_3(W)
