@@ -31,7 +31,6 @@ from .groebner import (
     buchberger,
     ideal_dimension,
     jacobian_ideal_basis,
-    normal_form,
     quotient_dimension,
 )
 from .multivec import Polyvector
@@ -52,7 +51,7 @@ class StructureAnalysis:
     A read checks its preconditions in one order: odd chart
     (PreconditionError), then zero Pfaffian (DegenerateEverywhereError), then
     non-reduced curve (NonReducedCurveError).  ``budget`` bounds each
-    Groebner basis and each normal form.
+    Groebner basis.
     """
 
     def __init__(self, P: PoissonStructure, budget: int = DEFAULT_BUDGET):
@@ -167,10 +166,13 @@ class StructureAnalysis:
 
     @cached_property
     def quasi_homogeneous(self) -> bool:
-        """f in the ideal of its partials (Saito): the hypothesis of dim H^2 = b_2(U) + tau."""
+        """f in the ideal of its partials (Saito): the hypothesis of dim H^2 = b_2(U) + tau.
+
+        f lies in (df) exactly when (df) = (f, df), and reduced bases are
+        canonical, so the two bases are compared.
+        """
         self._log_symplectic_tau()
-        f = self.pfaffian
-        return f.is_constant or normal_form(f, self.partials_basis, self.budget).is_zero
+        return self.pfaffian.is_constant or self.partials_basis.gens == self.jacobian_basis.gens
 
     def dim_h2(self, betti_u: tuple[int, ...]) -> int:
         """b_2(U) + ``tjurina_total`` = dim H^2 of a log-symplectic surface; ``betti_u`` is (b_0, b_1, b_2)."""

@@ -8,8 +8,10 @@ and the divergence operator become combinations of the two kinds of partial
 derivatives.
 
 One kernel serves every operation: the bracket, the contraction (one sum of
-the bracket's formula), the wedge, bv and the sum accumulate into
-``{index: {exponent: coeff}}`` term maps and wrap each coefficient once.
+the bracket's formula), the wedge, bv, the sum and the parser accumulate
+into ``{index: {exponent: coeff}}`` term maps with the term-map arithmetic
+of :mod:`poissonkit.polyalg`, then clean and wrap each coefficient once, so
+an integral coefficient of every result is an ``int``.
 
 Sign conventions (pinned by the test suite, recorded in ``SIGN_CONVENTIONS``):
 
@@ -28,11 +30,10 @@ Sign conventions (pinned by the test suite, recorded in ``SIGN_CONVENTIONS``):
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 
 from .errors import ChartMismatchError, ParseError
-from .polyalg import Chart, Poly, _PolyParser, _tokenize
+from .polyalg import Chart, Poly, _add_product, _add_scaled, _clean, _diff_terms, _PolyParser, _tokenize
 
 MultiIndex = tuple[int, ...]
 
@@ -133,9 +134,7 @@ class Polyvector:
         return self * -1
 
     def __mul__(self, factor) -> Polyvector:
-        if isinstance(factor, (int, Fraction)):
-            factor = Poly.constant(self.chart, factor)
-        if not isinstance(factor, Poly):
+        if not isinstance(factor, (int, Fraction, Poly)):
             return NotImplemented
         return Polyvector(self.chart, self.k, {i: factor * c for i, c in self.terms.items()})
 
@@ -172,35 +171,9 @@ def apply_vector_field(xi: Polyvector, f: Poly) -> Poly:
     return contract(f, xi).terms.get((), Poly.zero(xi.chart))
 
 
-# ---------------------------------------------------------------------------
-# The term-map kernel.  A cancelled term stays in its map as a 0 until
-# _polyvector drops it.
-# ---------------------------------------------------------------------------
-
-
-def _add_scaled(target: dict, s, terms: dict):
-    """``target += s * terms`` on term maps."""
-    for e, c in terms.items():
-        target[e] = target.get(e, 0) + s * c
-
-
-def _add_product(target: dict, s, a: dict, b: dict):
-    """``target += s * a * b`` on term maps."""
-    for ea, ca in a.items():
-        ca *= s
-        for eb, cb in b.items():
-            e = tuple(map(operator.add, ea, eb))
-            target[e] = target.get(e, 0) + ca * cb
-
-
-def _diff_terms(terms: dict, i: int) -> dict:
-    """The term map of d/dx_i."""
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
-
-
 def _polyvector(chart: Chart, k: int, acc: dict) -> Polyvector:
-    """The degree-k polyvector of accumulated term maps, each wrapped once; zeros are dropped."""
-    terms = {index: {e: c for e, c in coeffs.items() if c} for index, coeffs in acc.items()}
+    """The degree-k polyvector of accumulated term maps, each cleaned and wrapped once."""
+    terms = {index: _clean(coeffs) for index, coeffs in acc.items()}
     return Polyvector(chart, k, {index: Poly._of(chart, t) for index, t in terms.items() if t})
 
 
@@ -344,9 +317,10 @@ def bv(a: Polyvector) -> Polyvector:
 
 
 # ---------------------------------------------------------------------------
-# Text syntax: "w*z dw^dz + 3 dw"; a coefficient expression followed by frame
-# tokens d<name> joined with '^'.  A sum used as a coefficient must be
-# parenthesized: "(w + z) dw^dz".  Degree-0 terms carry no frame tokens.
+# Text syntax: "w*z dw^dz + 3 dw"; a term is an optional product term of the
+# expression syntax followed by frame tokens d<name> joined with '^'.  A sum
+# used as a coefficient must be parenthesized: "(w + z) dw^dz".  Degree-0
+# terms carry no frame tokens, and a term with neither part is an error.
 # ---------------------------------------------------------------------------
 
 
@@ -370,69 +344,54 @@ def format_polyvector(a: Polyvector) -> str:
 
 
 def parse_polyvector(text: str, chart: Chart) -> Polyvector:
-    """Parse the polyvector syntax; all terms must share one degree."""
-    frame_tokens = {f"d{name}": i for i, name in enumerate(chart.names)}
+    """Parse the polyvector syntax; all terms must share one degree.
+
+    One :class:`_PolyParser` walks the whole token list.  A term is an
+    optional unary minus, then a coefficient (``parser.term()``, the constant 1
+    when a frame token comes first), then its frame tokens, sorted by
+    :func:`_merge_sign`; a term with neither coefficient nor frame token is a
+    parse error.  The terms add into one term map per multi-index.
+    """
+    frames = {f"d{name}": i for i, name in enumerate(chart.names)}
     tokens = _tokenize(text)
-
-    def is_frame(tok):
-        return tok[0] == "ident" and tok[1] in frame_tokens
-
-    i = 0
-
-    def parse_term() -> Polyvector:
-        nonlocal i
-        sign = 1
-        if tokens[i][0] == "op" and tokens[i][1] == "-":
-            sign = -1
-            i += 1
-        start = i
-        depth = 0
-        while True:
-            kind, value, _ = tokens[i]
-            if kind == "end":
-                break
-            if kind == "op" and value == "(":
-                depth += 1
-            elif kind == "op" and value == ")":
-                depth -= 1
-            elif depth == 0 and (is_frame(tokens[i]) or (kind == "op" and value in "+-")):
-                break
-            i += 1
-        # The coefficient's own tokens, closed by an end token where it stops,
-        # so an error in it keeps its column in the text.
-        coeff_tokens = [*tokens[start:i], ("end", "", tokens[i][2])]
-        coeff = _PolyParser(coeff_tokens, chart).parse() if start < i else Poly.constant(chart, 1)
+    if tokens[0][0] == "end":
+        raise ParseError("empty polyvector expression")
+    parser = _PolyParser(tokens, chart, frames)
+    acc: dict = {}
+    degree = None
+    sign = 1
+    while True:
+        if tokens[parser.i][1] == "-":
+            parser.i += 1
+            sign = -sign
+        if tokens[parser.i][1] in frames:
+            coeff = {parser.one: 1}
+        else:
+            # A coefficient ends at a frame token, a sign or the end; any other
+            # token is its error, found before the term's degree is compared.
+            coeff = parser.term()
+            kind, value, _ = tokens[parser.i]
+            if kind != "end" and value != "+" and value != "-" and value not in frames:
+                parser.fail(f"unexpected token {value!r}")
         index: MultiIndex = ()
-        while is_frame(tokens[i]):
-            merged = _merge_sign(index, (frame_tokens[tokens[i][1]],))
+        while (frame := frames.get(tokens[parser.i][1])) is not None:
+            merged = _merge_sign(index, (frame,))
             if merged is None:
-                raise ParseError("repeated frame token in polyvector term", column=tokens[i][2] + 1)
+                parser.fail("repeated frame token in polyvector term")
             sign *= merged[0]
             index = merged[1]
-            i += 1
-            if tokens[i][0] == "op" and tokens[i][1] == "^" and is_frame(tokens[i + 1]):
-                i += 1
-        return Polyvector.term(chart, index, coeff * sign)
-
-    result: Polyvector | None = None
-    while tokens[i][0] != "end":
-        if result is None:
-            term = parse_term()
-        else:
-            kind, value, p = tokens[i]
-            if kind != "op" or value not in "+-":
-                raise ParseError(f"expected '+' or '-', got {value!r}", column=p + 1)
-            i += 1
-            term = parse_term()
-            if value == "-":
-                term = -term
-        if result is None:
-            result = term
-        else:
-            if term.k != result.k:
-                raise ParseError("polyvector terms have mixed degrees")
-            result = result + term
-    if result is None:
-        raise ParseError("empty polyvector expression")
-    return result
-
+            parser.i += 1
+            if tokens[parser.i][1] == "^" and tokens[parser.i + 1][1] in frames:
+                parser.i += 1
+        if degree is None:
+            degree = len(index)
+        elif len(index) != degree:
+            raise ParseError("polyvector terms have mixed degrees")
+        _add_scaled(acc.setdefault(index, {}), sign, coeff)
+        kind, value, _ = tokens[parser.i]
+        if kind == "end":
+            return _polyvector(chart, degree, acc)
+        if value != "+" and value != "-":
+            parser.fail(f"expected '+' or '-', got {value!r}")
+        parser.i += 1
+        sign = -1 if value == "-" else 1

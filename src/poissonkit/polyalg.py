@@ -3,16 +3,23 @@
 A polynomial lives on a :class:`Chart` (an ordered tuple of variable names
 with positive integer weights) and is stored as a dictionary mapping
 exponent tuples to nonzero exact coefficients: an ``int`` or a ``Fraction``,
-never a ``float``.  The public constructor, scalar multiplication and every
-coefficient division (:func:`_div`) turn an integral ``Fraction`` into an
-``int``, so integer polynomials are computed in ``int`` arithmetic; an
-``int`` and an equal ``Fraction`` compare, hash and print alike.  The zero
-polynomial has an empty term map.
+never a ``float``.  Every result holds an integral coefficient as an
+``int``: the public constructor, sums, products, powers, derivatives,
+scalar multiplication, the parser, every coefficient division
+(:func:`_div`) and the polyvector kernel built on this module.  So integer
+polynomials are computed in ``int`` arithmetic; an ``int`` and an equal
+``Fraction`` compare, hash and print alike.  The zero polynomial has an
+empty term map.
 
-Only the public constructor validates.  Arithmetic wraps the term maps it
-builds with the trusted :meth:`Poly._of`, and division reduces one mutable
-term map in place (:func:`_sub_mul`), so a ``Poly`` is built only for the
-results.  Exponent sums run through C-level ``map``.
+This module is the one home of term-map arithmetic: :func:`_add_scaled`,
+:func:`_add_product` and :func:`_diff_terms` accumulate, leaving a
+cancelled term as a 0, and :func:`_clean` drops the zeros and makes each
+coefficient exact once.  Only the public constructor validates.
+Arithmetic wraps the term maps it builds with the trusted
+:meth:`Poly._of`, and division reduces one mutable term map in place
+(:func:`_sub_mul`, which deletes a cancelled term at once, because the
+division reads the largest exponent left as its lead), so a ``Poly`` is
+built only for the results.  Exponent sums run through C-level ``map``.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, and the multivariate gcd over Z behind the
@@ -120,24 +127,42 @@ def _sub_mul(work: dict, c, shift: Exponent, terms: dict):
                 del work[e]
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """The product of two term maps: a one-term factor shifts the other's exponents, sums multiply term by term."""
-    if len(b) == 1:
-        ((eb, cb),) = b.items()
-        return {tuple(map(operator.add, ea, eb)): ca * cb for ea, ca in a.items()}
-    if len(a) == 1:
-        ((ea, ca),) = a.items()
-        return {tuple(map(operator.add, ea, eb)): ca * cb for eb, cb in b.items()}
-    out: dict = {}
+def _add_scaled(target: dict, s, terms: dict):
+    """``target += s * terms`` on term maps; a cancelled term stays as a 0 until :func:`_clean`."""
+    for e, c in terms.items():
+        target[e] = target.get(e, 0) + s * c
+
+
+def _add_product(target: dict, s, a: dict, b: dict):
+    """``target += s * a * b`` on term maps; a cancelled term stays as a 0 until :func:`_clean`."""
     for ea, ca in a.items():
+        ca *= s
         for eb, cb in b.items():
             e = tuple(map(operator.add, ea, eb))
-            acc = out.get(e, 0) + ca * cb
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-    return out
+            target[e] = target.get(e, 0) + ca * cb
+
+
+def _diff_terms(terms: dict, i: int) -> dict:
+    """The term map of d/dx_i, before :func:`_clean`."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
+
+
+def _clean(terms: dict) -> dict:
+    """An accumulated term map made clean: zeros dropped, each coefficient :func:`_exact`."""
+    return {e: _exact(c) for e, c in terms.items() if c}
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two clean term maps: a one-term factor shifts the other's exponents, sums go through :func:`_add_product`."""
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {tuple(map(operator.add, ea, eb)): _exact(ca * cb) for ea, ca in a.items()}
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {tuple(map(operator.add, ea, eb)): _exact(ca * cb) for eb, cb in b.items()}
+    out: dict = {}
+    _add_product(out, 1, a, b)
+    return _clean(out)
 
 
 def _pow_terms(terms: dict, k: int, one: Exponent) -> dict:
@@ -148,7 +173,7 @@ def _pow_terms(terms: dict, k: int, one: Exponent) -> dict:
     """
     if len(terms) == 1:
         ((e, c),) = terms.items()
-        return {tuple(x * k for x in e): c**k}
+        return {tuple(x * k for x in e): _exact(c**k)}
     result, base = {one: 1}, terms
     while k:
         if k & 1:
@@ -259,13 +284,8 @@ class Poly:
             return NotImplemented
         self._check_chart(other)
         out = dict(self.terms)
-        for exponent, coeff in other.terms.items():
-            acc = out.get(exponent, 0) + coeff
-            if acc:
-                out[exponent] = acc
-            else:
-                out.pop(exponent, None)
-        return Poly._of(self.chart, out)
+        _add_scaled(out, 1, other.terms)
+        return Poly._of(self.chart, _clean(out))
 
     __radd__ = __add__
 
@@ -315,15 +335,7 @@ class Poly:
         i = self.chart.index(var) if isinstance(var, str) else var
         if not 0 <= i < self.chart.n:
             raise IndexError(f"variable index {i} out of range")
-        out: dict[Exponent, Coeff] = {}
-        for exponent, coeff in self.terms.items():
-            k = exponent[i]
-            if k == 0:
-                continue
-            e = list(exponent)
-            e[i] = k - 1
-            out[tuple(e)] = coeff * k
-        return Poly._of(self.chart, out)
+        return Poly._of(self.chart, _clean(_diff_terms(self.terms, i)))
 
     def shift(self, point) -> Poly:
         """Substitute x_i -> x_i + a_i (translate the point a to the origin).
@@ -366,7 +378,7 @@ class Poly:
                     out[e] = acc
                 else:
                     del out[e]
-        return Poly._of(self.chart, out)
+        return Poly._of(self.chart, _clean(out))
 
     # -- printing ----------------------------------------------------------
 
@@ -491,13 +503,17 @@ class _PolyParser:
     """Recursive descent over a token list; every rule returns a fresh term map.
 
     A number or an identifier is a one-term map, a product or power goes
-    through :func:`_mul_terms` / :func:`_pow_terms`, and :meth:`parse` wraps
-    the one result in a ``Poly``.
+    through :func:`_mul_terms` / :func:`_pow_terms`, a sum through
+    :func:`_add_scaled` and :func:`_clean`, and :meth:`parse` wraps the one
+    result in a ``Poly``.  An identifier in ``frames`` (the frame tokens of
+    :func:`~poissonkit.multivec.parse_polyvector`) is no base outside
+    parentheses: there it ends the term.
     """
 
-    def __init__(self, tokens: list, chart: Chart):
+    def __init__(self, tokens: list, chart: Chart, frames=()):
         self.tokens = tokens
         self.chart = chart
+        self.frames = frames
         self.i = 0
         self.depth = 0
         self.digits = _digit_limit()
@@ -538,28 +554,19 @@ class _PolyParser:
     def expr(self) -> dict:
         tokens = self.tokens
         start = tokens[self.i][2]
-        result = self.signed_term()
+        result: dict = {}
+        sign = 1
         while True:
             kind, value, _ = tokens[self.i]
+            if kind == "op" and value == "-":
+                self.i += 1
+                sign = -sign
+            _add_scaled(result, sign, self.term())
+            kind, value, _ = tokens[self.i]
             if kind != "op" or (value != "+" and value != "-"):
-                return self.printable(result, start)
+                return self.printable(_clean(result), start)
             self.i += 1
-            rhs = self.signed_term()
-            if value == "-":
-                rhs = {e: -c for e, c in rhs.items()}
-            for e, c in rhs.items():
-                acc = result.get(e, 0) + c
-                if acc:
-                    result[e] = acc
-                else:
-                    result.pop(e, None)
-
-    def signed_term(self) -> dict:
-        kind, value, _ = self.tokens[self.i]
-        if kind == "op" and value == "-":
-            self.i += 1
-            return {e: -c for e, c in self.term().items()}
-        return self.term()
+            sign = -1 if value == "-" else 1
 
     def term(self) -> dict:
         tokens = self.tokens
@@ -601,7 +608,7 @@ class _PolyParser:
 
     def base(self) -> dict:
         kind, value, pos = self.tokens[self.i]
-        if kind == "ident":
+        if kind == "ident" and (self.depth or value not in self.frames):
             self.i += 1
             unit = self.units.get(value)
             if unit is None:

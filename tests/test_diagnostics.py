@@ -272,11 +272,28 @@ class TestSurfaceH2Report:
         assert not h2["quasi_homogeneous"] and not h2["formula_asserted"]
 
     def test_quasi_homogeneity_spends_the_analysis_budget(self):
-        # The partials of w^5 + z^5 need no reduction step, while reducing
-        # f modulo them takes 2: one budget step short ends in the division.
-        assert StructureAnalysis(surface("w^5 + z^5"), 2).quasi_homogeneous
-        with pytest.raises(BudgetExceededError, match="in division: all 1 steps spent"):
-            StructureAnalysis(surface("w^5 + z^5"), 1).quasi_homogeneous
+        # Quasi-homogeneity compares the bases of (df) and (f, df), with no
+        # normal form: the partials of w^5 + z^5 need no reduction step, and
+        # (f, df) needs 1, so a budget of 0 ends in its S-pair reduction.
+        assert StructureAnalysis(surface("w^5 + z^5"), 1).quasi_homogeneous
+        with pytest.raises(BudgetExceededError, match="in S-pair reduction: all 0 steps spent"):
+            StructureAnalysis(surface("w^5 + z^5"), 0).quasi_homogeneous
+
+    def test_quasi_homogeneity_is_membership_in_the_partials(self, rng):
+        # Oracle: f reduces to 0 modulo the basis of its partials.
+        texts = ["w*z", "w^3 - z^2", "w^5 + z^5", "w^5 + w^2*z^2 + z^5", "w^2*z + z^4 + w^3", "w*z*(w + z - 1)"]
+        structures = [surface(t) for t in texts] + [random_surface_structure(rng) for _ in range(30)]
+        seen = set()
+        for P in structures:
+            report = StructureAnalysis(P)
+            try:
+                quasi = report.quasi_homogeneous
+            except (NonReducedCurveError, DegenerateEverywhereError):
+                continue
+            f = report.pfaffian
+            assert quasi == (f.is_constant or normal_form(f, report.partials_basis, 10**5).is_zero), f
+            seen.add(quasi)
+        assert seen == {True, False}
 
     def test_betti_list_length_checked(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from poissonkit import (
     ParseError,
     Poly,
     Polyvector,
+    UnknownIdentifierError,
     apply_vector_field,
     bv,
     contract,
@@ -18,10 +19,11 @@ from poissonkit import (
     lie_derivative,
     parse_poly,
     parse_polyvector,
+    parse_structure_file,
     schouten,
     wedge,
 )
-from conftest import CHART2, CHART3, CHART4, random_poly, random_polyvector
+from conftest import CHART2, CHART3, CHART4, FIXTURES, random_poly, random_polyvector
 
 W = Poly.variable(CHART2, 0)
 Z = Poly.variable(CHART2, 1)
@@ -328,6 +330,30 @@ class TestPolyvectorText:
             parse_polyvector(text, Chart(("x1", "x2")))
         assert info.value.column == column
 
+    @pytest.mark.parametrize(
+        "text, error, column",
+        [("x1*dx1", ParseError, 4), ("x1^dx1", ParseError, 4), ("(dx1) dx2", UnknownIdentifierError, 2)],
+    )
+    def test_frame_token_is_a_variable_only_in_parentheses(self, text, error, column):
+        # Outside parentheses a frame token ends the coefficient, so it is no
+        # factor or exponent; inside them it is an identifier of the chart.
+        with pytest.raises(ParseError) as info:
+            parse_polyvector(text, Chart(("x1", "x2")))
+        assert type(info.value) is error and info.value.column == column
+
+    @pytest.mark.parametrize("text, column", [("3 +", 4), ("-", 2), ("+x+", 1), ("2-", 3)])
+    def test_empty_term_is_an_error(self, text, column):
+        # A term needs a coefficient or a frame token; the constant 1 stands
+        # in only for the coefficient of a frame-only term such as dx^dy.
+        with pytest.raises(ParseError) as info:
+            parse_polyvector(text, Chart(("x", "y")))
+        assert info.value.column == column
+
+    def test_frame_only_term_has_coefficient_one(self):
+        chart = Chart(("x", "y"))
+        assert parse_polyvector("dx^dy - 2 dy dx", chart) == Polyvector.term(chart, (0, 1), Poly.constant(chart, 3))
+        assert parse_polyvector("-dy", chart) == Polyvector.term(chart, (1,), Poly.constant(chart, -1))
+
     def test_bad_character_column_is_its_own(self):
         with pytest.raises(ParseError) as info:
             parse_polyvector("w dw   $", CHART2)
@@ -344,3 +370,45 @@ class TestPolyvectorText:
         assert empty.terms == {} and empty.k == 0
         nonzero = Polyvector.function(W)
         assert list(nonzero.terms) == [()]
+
+
+def integral_fractions(a: Polyvector) -> list:
+    """The coefficients of a that are integral but not held as ints."""
+    return [c for coeff in a.terms.values() for c in coeff.terms.values() if type(c) is not int and c.denominator == 1]
+
+
+class TestIntegralCoefficients:
+    CHART = Chart(("x", "y"))
+
+    def pv(self, text):
+        return parse_polyvector(text, self.CHART)
+
+    def test_kernel_results_hold_ints(self):
+        a = self.pv("1/2*x^2 dx + 1/3*y^3 dy")
+        f = parse_poly("2*x + 3*y", self.CHART)
+        results = {
+            "bv": bv(a),
+            "contract": contract(f, a),
+            "wedge": wedge(a, self.pv("6 dx + 6 dy")),
+            "schouten": schouten(a, Polyvector.function(f)),
+            "scalar": a * 2,
+            "negation": -(a * 6),
+            "difference": a - self.pv("-1/2*x^2 dx"),
+        }
+        assert results["contract"] == Polyvector.function(parse_poly("x^2 + y^3", self.CHART))
+        assert results["wedge"] == self.pv("(3*x^2 - 2*y^3) dx^dy")
+        for name, result in results.items():
+            assert not result.is_zero and integral_fractions(result) == [], name
+
+    def test_parsed_hesse_bivector_holds_ints(self):
+        P = parse_structure_file((FIXTURES / "hesse_cubic.poisson").read_text()).build()
+        expected = parse_polyvector("(x*y + z^2) dx^dy - (y^2 + x*z) dx^dz + (x^2 + y*z) dy^dz", P.chart)
+        assert P.pi == expected and integral_fractions(P.pi) == []
+
+    def test_random_operations_hold_ints(self, rng):
+        for chart in (CHART2, CHART3):
+            for _ in range(20):
+                a, b = random_polyvector(rng, chart), random_polyvector(rng, chart)
+                f = random_poly(rng, chart)
+                for result in (schouten(a, b), wedge(a, b), bv(a), contract(f, a), a * 2, a + a):
+                    assert integral_fractions(result) == []

@@ -135,6 +135,25 @@ class TestKernelCoefficients:
                 for g in buchberger([p, q], budget=10**5).gens:
                     assert_exact(g, normalised=False)
 
+    def test_arithmetic_keeps_integral_coefficients_ints(self, rng):
+        # Half-integer draws make integral Fractions in sums, products,
+        # powers, derivatives and translations; each result holds them as ints.
+        for chart in (CHART2, CHART3):
+            for _ in range(40):
+                p = random_poly(rng, chart, max_degree=3, max_terms=3)
+                q = random_poly(rng, chart, max_degree=2, max_terms=3)
+                moved = p.shift([rng.choice((-2, 1, Fraction(1, 2))) for _ in range(chart.n)])
+                for r in (p + q, p - q, p * q, q * p, p**2, p**3, p**0, moved, *(p.diff(i) for i in range(chart.n))):
+                    assert_exact(r, normalised=True)
+
+    @pytest.mark.parametrize("text", ["10*1/2", "1/2*w + 1/2*w", "(1/2*w)^0", "2*(1/2*w + 1/2*z)", "1/2*w*2"])
+    def test_parser_keeps_integral_coefficients_ints(self, text):
+        assert_exact(P(text), normalised=True)
+
+    def test_derivative_keeps_integral_coefficients_ints(self):
+        d = P("1/2*w^2 + 1/3*z^3").diff(0)
+        assert d == P("w") and type(d.terms[(1, 0)]) is int
+
 
 class TestDivision:
     def test_certificate_on_random_divisors(self, rng):
