@@ -177,31 +177,12 @@ def cmd_cohomology(args) -> tuple[str, dict]:
     table = cohomology_table(P, k_max, args.wmax)
     if table.w_max < table.w_min:
         raise ParseError(f"--wmax {table.w_max} is below the table's w_min {table.w_min}: the window is empty")
+    # table.entries is in (k, w) order already.
     entries = [
-        {
-            "k": e.k,
-            "w": e.w,
-            "dim_chain": e.dim_chain,
-            "dim_kernel": e.dim_kernel,
-            "dim_image_incoming": e.dim_image_incoming,
-            "dim_h": e.dim_h,
-            "rank_certificate": {
-                "rows": e.rank_certificate[0],
-                "cols": e.rank_certificate[1],
-                "rank": e.rank_certificate[2],
-            },
-        }
-        for (_, _), e in sorted(table.entries.items())
+        {**vars(e), "rank_certificate": dict(zip(("rows", "cols", "rank"), e.rank_certificate))}
+        for e in table.entries.values()
     ]
-    checks = [
-        {
-            "w0": c.w0,
-            "chain_sum": c.chain_sum,
-            "cohomology_sum": c.cohomology_sum,
-            "consistent": c.consistent,
-        }
-        for c in table.euler_checks
-    ]
+    checks = [{**vars(c), "consistent": c.consistent} for c in table.euler_checks]
     result = {
         "structure": _structure_payload(P.pi),
         "weight_shift": table.weight_shift,

@@ -6,17 +6,18 @@ piece of degree k+1 and weight w+m, where m is the structure's homogeneity
 weight.  Every cohomology dimension is a rank of d_pi on one piece.
 
 The matrices are assembled and ranked sparsely, in integers.  pi is scaled
-once by the lcm s of its coefficient denominators; d_{s pi} = s d_pi has
-the same ranks, and its columns are ``{row: int}``.  A monomial polyvector
-x^e d_I is one int code, ``mask(I) + (sum_i e_i R^i << n)``, with the radix
-R fixed once per table past every exponent that a touched piece or an image
-can reach, so the codes of a piece are distinct and an exponent shift is
-one int addition.  Each column, the image of one basis element, comes
-straight from its code and a table of s pi's derivatives by the odd frame
-symbols and by the chart variables, built once per structure: the image
-terms are code offsets with int coefficients, merged by offset and
-tabulated once per multi-index, so a key costs int additions and products
-and one ``{code: row}`` lookup per nonzero entry.  The pieces of one table
+once by the lcm s of its coefficient denominators (``polyalg._over_z``);
+d_{s pi} = s d_pi has the same ranks, and its columns are ``{row: int}``.
+A monomial polyvector x^e d_I is one int code, ``mask(I) + (sum_i e_i R^i
+<< n)``, with the radix R fixed once per table past every exponent that a
+touched piece or an image can reach, so the codes of a piece are distinct
+and an exponent shift is one int addition.  Each column, the image of one
+basis element, comes straight from its code and a table of s pi's
+derivatives by the odd frame symbols and by the chart variables, built
+once per structure: the image terms are code offsets with int
+coefficients, their wedge signs those of ``multivec._merge_sign``, merged
+by offset and tabulated once per multi-index, so a key costs int additions
+and products and one ``{code: row}`` lookup per nonzero entry.  The pieces of one table
 also share one enumeration of each weighted degree's monomials and codes.
 No polyvector is built and no Schouten bracket is evaluated per basis
 element.  Sparse columns ``{row: value}`` are the one representation of
@@ -62,12 +63,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BasisSizeExceededError, PreconditionError
-from .multivec import MultiIndex
+from .multivec import MultiIndex, _merge_sign
 from .poisson import PoissonStructure
-from .polyalg import Chart, Exponent, _div
+from .polyalg import Chart, Exponent, _div, _over_z
 
 DEFAULT_BASIS_CAP = 20000
 
@@ -215,11 +216,14 @@ class _DerivativeTable:
                   - sum_i (db/dtheta_i) ^ (dpi/dx_i),
 
     with d/dtheta_i the left derivative by the frame symbol d_i.  This is
-    :func:`poissonkit.multivec.schouten` with its signs for |pi| = 2.
+    :func:`poissonkit.multivec.schouten` with its signs for |pi| = 2, and
+    each wedge takes its sign from the same :func:`_merge_sign`: d_j ^ d_I
+    in the first sum, and d_rest ^ d_a ^ d_b, times the (-1)^pos of
+    removing i at ``pos`` of I, in the second.
 
     The table holds ``scale`` * pi, where ``scale`` is the lcm of the
-    denominators of pi's coefficients, so every entry is an int; since
-    d_{s pi} = s d_pi with s != 0, every rank is that of d_pi.
+    denominators of pi's coefficients (:func:`_over_z`), so every entry is
+    an int; since d_{s pi} = s d_pi with s != 0, every rank is that of d_pi.
     ``by_theta[i]`` lists the terms ``(j, exponent, c)`` of dpi/dtheta_i
     = sum_j pi_ij d_j, and ``by_x[i]`` the terms ``((a, b), exponent, c)``
     of dpi/dx_i, each exponent packed as in :class:`GradedBasis` codes.
@@ -236,18 +240,14 @@ class _DerivativeTable:
     def __init__(self, P: PoissonStructure, w_top: int):
         chart = P.chart
         n = chart.n
-        terms = [
-            (a, b, exponent, value)
-            for (a, b), coeff in P.pi.terms.items()
-            for exponent, value in coeff.terms.items()
-        ]
-        self.scale = lcm(*(value.denominator for *_, value in terms))
-        degree = max((sum(exponent) for _, _, exponent, _ in terms), default=0)
+        self.scale, terms = _over_z(
+            {(a, b, exponent): value for (a, b), coeff in P.pi.terms.items() for exponent, value in coeff.terms.items()}
+        )
+        degree = max((sum(exponent) for _, _, exponent in terms), default=0)
         self.radix = radix = max(w_top + sum(chart.weights), 0) + degree + 2
         self.by_theta: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.by_x: list[list[tuple[MultiIndex, int, int]]] = [[] for _ in range(n)]
-        for a, b, exponent, value in terms:
-            c = value.numerator * (self.scale // value.denominator)
+        for (a, b, exponent), c in terms.items():
             packed = _pack(exponent, radix) << n
             self.by_theta[a].append((b, packed, c))
             self.by_theta[b].append((a, packed, -c))
@@ -280,21 +280,19 @@ class _DerivativeTable:
             # -(dpi/dtheta_i) ^ (e_i x^(e - delta_i) d_I)
             unit = self.radix**i << n
             for j, packed, value in terms:
-                if j in index:
-                    continue
-                below = sum(1 for r in index if r < j)
-                move = merged.setdefault((1 << j) + packed - unit, [0] * (n + 1))
-                move[i] += value if below % 2 else -value
+                wedged = _merge_sign((j,), index)
+                if wedged is not None:
+                    move = merged.setdefault((1 << j) + packed - unit, [0] * (n + 1))
+                    move[i] -= wedged[0] * value
         for pos, i in enumerate(index):
             rest = index[:pos] + index[pos + 1 :]
             # -((-1)^pos x^e d_rest) ^ (dpi/dx_i)
-            for (a, b), packed, value in self.by_x[i]:
-                if a in rest or b in rest:
-                    continue
-                inversions = sum(1 for r in rest for q in (a, b) if r > q)
-                delta = (1 << a) + (1 << b) - (1 << i) + packed
-                move = merged.setdefault(delta, [0] * (n + 1))
-                move[n] += value if (pos + inversions) % 2 else -value
+            for ab, packed, value in self.by_x[i]:
+                wedged = _merge_sign(rest, ab)
+                if wedged is not None:
+                    delta = (1 << ab[0]) + (1 << ab[1]) - (1 << i) + packed
+                    move = merged.setdefault(delta, [0] * (n + 1))
+                    move[n] -= (-1) ** pos * wedged[0] * value
         moves = [
             (delta, tuple((i, c) for i, c in enumerate(move[:n]) if c), move[n])
             for delta, move in merged.items()
@@ -421,14 +419,10 @@ def rank_exact(columns: list[dict[int, int | Fraction]]) -> Rank:
     :func:`_dpi_columns` built go straight to the elimination, which
     consumes them.  A plain list is left as it is: its columns are copied
     into ints, each scaled by the lcm of its denominators, which does not
-    change the rank, and without its zeros.
+    change the rank, and without its zeros (:func:`_over_z`).
     """
     if type(columns) is not _IntColumns:
-        integral = []
-        for column in columns:
-            scale = lcm(*(value.denominator for value in column.values()))
-            integral.append({row: v.numerator * (scale // v.denominator) for row, v in column.items() if v})
-        columns = integral
+        columns = [_over_z({row: v for row, v in column.items() if v})[1] for column in columns]
     pivot_rows = frozenset(_echelon(columns))
     rank = Rank(len(pivot_rows))
     rank.pivot_rows = pivot_rows

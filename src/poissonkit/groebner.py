@@ -32,13 +32,12 @@ same.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError
-from .polyalg import Chart, Exponent, Poly, _div, _primitive_terms
+from .polyalg import Chart, Exponent, Poly, _div, _over_z, _primitive_terms
 
 DEFAULT_BUDGET = 10**6
 
@@ -230,8 +229,7 @@ def division(p: Poly, divisors: list[Poly], budget: int = DEFAULT_BUDGET):
     chart = p.chart
     primitive = [_primitive_terms(d.terms) for d in divisors]
     packing = _Packing(chart.n, max((sum(e) for terms in (p.terms, *primitive) for e in terms), default=0))
-    m = math.lcm(*(c.denominator for c in p.terms.values()))
-    work = {packing.pack(e): c.numerator * (m // c.denominator) for e, c in p.terms.items()}
+    m, work = _over_z({packing.pack(e): c for e, c in p.terms.items()})
     packed = [packing.terms(terms) for terms in primitive]
     leads = [max(terms) for terms in packed]
     counter = _StepCounter(budget)
@@ -420,20 +418,31 @@ def _staircase_size(leads, n: int) -> int:
 def ideal_dimension(G: GroebnerBasis) -> int:
     """Krull dimension of the variety; -1 for the empty variety (1 in G).
 
-    Computed as the maximum size of a set S of variables such that no
-    leading term involves only variables from S.
+    The dimension is the largest size of a set S of variables such that no
+    leading term involves only variables from S, so it is n minus the size
+    of the smallest set of variables that meets every leading term's
+    support.  That set is searched depth first: each level branches on the
+    variables of the smallest support the set so far misses, and a branch
+    stops once it cannot beat the best set found.
     """
     n = G.chart.n
     leads = G.leading_exponents()
     if any(sum(e) == 0 for e in leads):
         return -1
-    supports = [frozenset(i for i in range(n) if e[i]) for e in leads]
-    for size in range(n, 0, -1):
-        for subset in itertools.combinations(range(n), size):
-            s = frozenset(subset)
-            if not any(support <= s for support in supports):
-                return size
-    return 0
+    supports = sorted({frozenset(i for i in range(n) if e[i]) for e in leads}, key=len)
+    best = n
+
+    def search(chosen: frozenset):
+        nonlocal best
+        missed = next((s for s in supports if not s & chosen), None)
+        if missed is None:
+            best = len(chosen)
+        elif len(chosen) + 1 < best:
+            for i in missed:
+                search(chosen | {i})
+
+    search(frozenset())
+    return n - best
 
 
 def jacobian_ideal_basis(f: Poly, include_f: bool = True, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:

@@ -14,7 +14,8 @@ empty term map.
 This module is the one home of term-map arithmetic: :func:`_add_scaled`,
 :func:`_add_product` and :func:`_diff_terms` accumulate, leaving a
 cancelled term as a 0, and :func:`_clean` drops the zeros and makes each
-coefficient exact once.  Only the public constructor validates.
+coefficient exact once; :func:`_over_z` is the one scaling of rationals
+to ints, by the lcm of their denominators.  Only the public constructor validates.
 Arithmetic wraps the term maps it builds with the trusted
 :meth:`Poly._of`, and division reduces one mutable term map in place
 (:func:`_sub_mul`, which deletes a cancelled term at once, because the
@@ -150,6 +151,12 @@ def _diff_terms(terms: dict, i: int) -> dict:
 def _clean(terms: dict) -> dict:
     """An accumulated term map made clean: zeros dropped, each coefficient :func:`_exact`."""
     return {e: _exact(c) for e, c in terms.items() if c}
+
+
+def _over_z(terms: dict) -> tuple[int, dict]:
+    """``(s, s * terms)`` for s the lcm of the denominators: the values scaled to ints, under any keys."""
+    s = math.lcm(*(c.denominator for c in terms.values()))
+    return s, {key: c.numerator * (s // c.denominator) for key, c in terms.items()}
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -373,11 +380,7 @@ class Poly:
                         row = rows[(i, e)] = [(j, _exact(math.comb(e, j) * a ** (e - j))) for j in range(e + 1)]
                     expanded = [(x[:i] + (j,) + x[i + 1 :], c * b) for x, c in expanded for j, b in row]
             for e, c in expanded:
-                acc = out.get(e, 0) + c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
+                out[e] = out.get(e, 0) + c
         return Poly._of(self.chart, _clean(out))
 
     # -- printing ----------------------------------------------------------
@@ -656,11 +659,11 @@ def parse_poly(text: str, chart: Chart) -> Poly:
 
 def _primitive_terms(terms: dict) -> dict[Exponent, int]:
     """A nonzero term map scaled by a positive rational to coprime ints; one that is already so is returned as is."""
-    denominators = math.lcm(*(c.denominator for c in terms.values()))
-    numerators = math.gcd(*(c.numerator for c in terms.values()))
-    if denominators == numerators == 1 and all(type(c) is int for c in terms.values()):
+    s, scaled = _over_z(terms)
+    g = math.gcd(*scaled.values())
+    if s == g == 1 and all(type(c) is int for c in terms.values()):
         return terms
-    return {e: c.numerator * (denominators // c.denominator) // numerators for e, c in terms.items()}
+    return {e: c // g for e, c in scaled.items()}
 
 
 def _content_z(terms: dict) -> int:
@@ -721,7 +724,7 @@ HEU_MAX_BITS = 16_000
 
 
 def _evaluate(terms: dict, var: int, xi: int) -> dict:
-    """The term map with x_var replaced by the integer xi."""
+    """The term map with x_var replaced by the integer xi, clean: :func:`_is_constant_terms` reads its length."""
     out: dict = {}
     powers = [1]
     for e, c in terms.items():
@@ -731,12 +734,8 @@ def _evaluate(terms: dict, var: int, xi: int) -> dict:
                 powers.append(powers[-1] * xi)
             c *= powers[k]
             e = e[:var] + (0,) + e[var + 1 :]
-        acc = out.get(e, 0) + c
-        if acc:
-            out[e] = acc
-        else:
-            del out[e]
-    return out
+        out[e] = out.get(e, 0) + c
+    return _clean(out)
 
 
 def _interpolate(gamma: dict, var: int, xi: int) -> dict:

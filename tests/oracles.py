@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it certifies: ranks are
 plain rational Gaussian elimination instead of Bareiss, Tjurina numbers come
 from truncated-jet linear algebra instead of Groebner bases, standard
-monomials are counted one by one instead of slice by slice, multivariate
+monomials are counted one by one instead of slice by slice, Krull
+dimensions try every set of variables instead of searching for the
+smallest one that meets every leading support, multivariate
 division reduces over Q in ``Fraction`` arithmetic instead of fraction-free
 over Z, and the cohomology table is rebuilt densely with fresh matrices and
 no caching, or, for diagonal structures, counted from a closed form.
@@ -171,6 +173,23 @@ def standard_monomial_count(leads, n: int):
         for exponent in itertools.product(*(range(b) for b in bounds))
         if not any(all(a <= b for a, b in zip(e, exponent)) for e in leads)
     )
+
+
+def subset_dimension(leads, n: int) -> int:
+    """Krull dimension of a monomial ideal by trying every set of variables, largest first.
+
+    -1 when a lead is 1; otherwise the size of the largest set S of
+    variables such that no lead involves only variables of S.
+    """
+    if any(not any(e) for e in leads):
+        return -1
+    supports = [frozenset(i for i in range(n) if e[i]) for e in leads]
+    for size in range(n, 0, -1):
+        for subset in itertools.combinations(range(n), size):
+            s = frozenset(subset)
+            if not any(support <= s for support in supports):
+                return size
+    return 0
 
 
 def division_over_q(p: Poly, divisors: list[Poly], key):

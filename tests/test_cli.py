@@ -40,12 +40,12 @@ def run_json(capsys, *argv):
     return envelope
 
 
-def run_subprocess(*argv):
-    """``python -m poissonkit *argv`` in a child process, so that a 20 s timeout stops a run that never ends."""
+def run_subprocess(*argv, timeout=20):
+    """``python -m poissonkit *argv`` in a child process, so that a ``timeout`` in seconds stops a run that never ends."""
     src = str(Path(poissonkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     argv = [sys.executable, "-m", "poissonkit", *argv]
-    return subprocess.run(argv, capture_output=True, text=True, timeout=20, env=env)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=timeout, env=env)
 
 
 class TestFixtures:
@@ -629,6 +629,21 @@ class TestExitCodeContract:
         done = run_subprocess("cohomology", str(path), "--kmax", "0", "--wmax", "-23", "--json")
         assert done.returncode == 0, done.stderr
         assert [e["dim_h"] for e in json.loads(done.stdout)["result"]["entries"]] == [0, 0]
+
+    def test_wide_block_chart_report_ends(self, tmp_path):
+        # {x_2i, x_2i+1} = x_2i*x_2i+1 on 40 variables.  The rank-0 locus is
+        # one point, for which a Krull dimension that tries every set of
+        # variables tries all 2^40, and pi^k has C(20, k) index sets.
+        n = 40
+        names = " ".join(f"x{i}" for i in range(n))
+        brackets = "\n".join(f"{{x{i},x{i + 1}}} = x{i}*x{i + 1}" for i in range(0, n, 2))
+        path = tmp_path / "wide.poisson"
+        path.write_text(f"chart: {names}\npoisson:\n{brackets}\n")
+        done = run_subprocess("report", str(path), "--json", timeout=10)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)["result"]
+        assert result["verdict"] == "NoObstructionFound"
+        assert result["zero_leaf_locus"]["dimension"] == 0
 
     @pytest.mark.parametrize("command", ["check", "modular", "report", "cohomology", "tjurina"])
     def test_chart_past_the_variable_bound_is_2(self, tmp_path, command):

@@ -20,7 +20,7 @@ from poissonkit import (
 from poissonkit.groebner import GroebnerBasis, division
 from poissonkit.polyalg import grevlex_desc, grevlex_key
 from conftest import CHART2, CHART3, CHART4, random_poly
-from oracles import standard_monomial_count, tjurina_jet_oracle
+from oracles import standard_monomial_count, subset_dimension, tjurina_jet_oracle
 
 
 def P(text, chart=CHART2):
@@ -230,6 +230,23 @@ class TestIdealDimension:
 
     def test_hypersurface(self):
         assert ideal_dimension(buchberger([P("x*y - z^2", CHART3)])) == 2
+
+    def test_monomial_sets_against_the_subset_oracle(self, rng):
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            chart = Chart(tuple(f"x{i}" for i in range(n)))
+            leads = [
+                tuple(rng.choice((0, 0, 1, 2)) if rng.random() < 0.6 else 0 for _ in range(n))
+                for _ in range(rng.randint(0, 7))
+            ]
+            G = GroebnerBasis(chart, tuple(Poly.monomial(chart, e) for e in leads))
+            assert ideal_dimension(G) == subset_dimension(leads, n), leads
+
+    def test_block_chart_point(self):
+        # The rank-0 locus of {x_2i, x_2i+1} = x_2i*x_2i+1: every variable, one point.
+        chart = Chart(tuple(f"x{i}" for i in range(100)))
+        G = GroebnerBasis(chart, tuple(Poly.variable(chart, i) for i in range(100)))
+        assert ideal_dimension(G) == 0
 
 
 def tjurina(f: Poly):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from poissonkit import (
+    Chart,
     ChartMismatchError,
     JacobiFailure,
     PoissonStructure,
@@ -26,6 +30,7 @@ from poissonkit import (
     pfaffian,
     poisson_bracket,
     schouten,
+    wedge,
 )
 from conftest import (
     CHART2,
@@ -151,6 +156,32 @@ class TestPfaffian:
     def test_odd_dimension_rejected(self):
         with pytest.raises(PreconditionError):
             pfaffian(so3_structure())
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_skew_charts_against_determinant_and_wedge_powers(self, rng, n):
+        # Pf^2 is the determinant of the skew matrix (pi_ij), taken by sympy
+        # over Q[x], and Pf is the covolume coefficient of pi^(n/2) / (n/2)!.
+        # Neither needs Jacobi, so pi is wrapped without the check.
+        chart = Chart(tuple(f"x{i}" for i in range(n)))
+        ring = sympy.QQ[sympy.symbols(chart.names)]
+
+        def to_ring(p: Poly):
+            return ring.ring.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()})
+
+        for _ in range(12):
+            pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.8]
+            pi = Polyvector(chart, 2, {pair: random_poly(rng, chart, max_degree=2) for pair in pairs})
+            f = pfaffian(PoissonStructure(chart, pi))
+            assert all(type(c) is int or c.denominator > 1 for c in f.terms.values())
+            power = Polyvector.function(Poly.constant(chart, 1))
+            for _ in range(n // 2):
+                power = wedge(power, pi)
+            top = power.terms.get(tuple(range(n)), Poly.zero(chart))
+            assert f == top * Fraction(1, math.factorial(n // 2)), str(pi)
+            rows = [[ring.zero] * n for _ in range(n)]
+            for (i, j), c in pi.terms.items():
+                rows[i][j], rows[j][i] = to_ring(c), -to_ring(c)
+            assert DomainMatrix(rows, (n, n), ring).det() == to_ring(f) ** 2, str(pi)
 
 
 class TestModularField:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,16 @@ from poissonkit import (
     parse_poly,
 )
 from poissonkit.groebner import _divides, division
-from poissonkit.polyalg import MAX_NESTING, MAX_TERMS, _div, grevlex_key, nonreduced_factor
+from poissonkit.polyalg import (
+    MAX_NESTING,
+    MAX_TERMS,
+    _div,
+    _exact,
+    _over_z,
+    _primitive_terms,
+    grevlex_key,
+    nonreduced_factor,
+)
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import division_over_q, univariate_gcd_degree
 
@@ -257,6 +267,52 @@ class TestDiff:
                     assert (a * b).diff(i) == a.diff(i) * b + a * b.diff(i)
                 cases += 1
         assert cases >= 200
+
+
+def random_rationals(rng, keys):
+    """Seeded rationals over ``keys``: ints, zeros, and fractions of denominators up to 12."""
+    out = {}
+    for key in keys:
+        kind = rng.random()
+        if kind < 0.2:
+            out[key] = 0
+        elif kind < 0.5:
+            out[key] = rng.randint(-20, 20)
+        else:
+            out[key] = _exact(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+    return out
+
+
+class TestIntegerScaling:
+    """``_over_z`` and ``_primitive_terms`` against the formulas they replaced."""
+
+    def test_over_z_against_the_lcm_formula(self, rng):
+        assert _over_z({}) == (1, {})
+        for _ in range(500):
+            keys = rng.choice([range(rng.randint(0, 6)), [(i, 1 - i, (i, 2)) for i in range(rng.randint(0, 6))]])
+            terms = random_rationals(rng, keys)
+            s, scaled = _over_z(terms)
+            lcm = math.lcm(*(c.denominator for c in terms.values()))
+            assert (s, scaled) == (lcm, {k: c.numerator * (lcm // c.denominator) for k, c in terms.items()})
+            assert list(scaled) == list(terms)
+            assert all(type(c) is int and c == s * terms[k] for k, c in scaled.items())
+            # s is the least such scale: no prime of s divides every scaled value.
+            assert math.gcd(s, *scaled.values()) == 1
+
+    def test_primitive_terms_against_the_gcd_formula(self, rng):
+        assert _primitive_terms({}) == {}
+        for _ in range(500):
+            terms = random_rationals(rng, [(i, rng.randint(0, 3)) for i in range(rng.randint(1, 6))])
+            if not any(terms.values()):
+                terms[(9, 9)] = rng.choice((-3, Fraction(5, 7)))
+            denominators = math.lcm(*(c.denominator for c in terms.values()))
+            numerators = math.gcd(*(c.numerator for c in terms.values()))
+            expected = {e: c.numerator * (denominators // c.denominator) // numerators for e, c in terms.items()}
+            primitive = _primitive_terms(terms)
+            assert primitive == expected
+            assert all(type(c) is int for c in primitive.values())
+            if denominators == numerators == 1:
+                assert primitive is terms
 
 
 class TestGcd:
