@@ -162,6 +162,24 @@ def _monomials_of_weighted_degree(chart: Chart, degree: int, limit: int) -> list
     return out
 
 
+def _groups(chart: Chart, k: int, w: int, radix: int, by_degree: dict) -> list:
+    """The nonempty ``(index, monomials, packed)`` groups of the (k, w) piece; past the basis cap it raises."""
+    n, groups, size = chart.n, [], 0
+    if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
+        for index in itertools.combinations(range(n), k):
+            target = w + sum(chart.weights[i] for i in index)
+            if target not in by_degree:
+                monomials = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP))
+                by_degree[target] = (monomials, [_pack(e, radix) << n for e in monomials])
+            monomials, packed = by_degree[target]
+            if monomials:
+                size += len(monomials)
+                if size > DEFAULT_BASIS_CAP:
+                    raise BasisSizeExceededError(f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}")
+                groups.append((index, monomials, packed))
+    return groups
+
+
 def graded_basis(
     chart: Chart,
     k: int,
@@ -180,29 +198,14 @@ def graded_basis(
     below 0, no multi-index reaches a monomial, and the piece is empty
     without a multi-index visited.
     """
-    n = chart.n
     if radix is None:
         radix = max(w + sum(chart.weights), 0) + 1
-    if by_degree is None:
-        by_degree = {}
     groups: list[tuple[MultiIndex, tuple[Exponent, ...]]] = []
     codes: list[int] = []
-    if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
-        for index in itertools.combinations(range(n), k):
-            target = w + sum(chart.weights[i] for i in index)
-            if target not in by_degree:
-                monomials = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP))
-                by_degree[target] = (monomials, [_pack(e, radix) << n for e in monomials])
-            monomials, packed = by_degree[target]
-            if not monomials:
-                continue
-            if len(codes) + len(monomials) > DEFAULT_BASIS_CAP:
-                raise BasisSizeExceededError(
-                    f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}"
-                )
-            mask = sum(1 << i for i in index)
-            codes.extend([mask + p for p in packed])
-            groups.append((index, monomials))
+    for index, monomials, packed in _groups(chart, k, w, radix, {} if by_degree is None else by_degree):
+        mask = sum(1 << i for i in index)
+        codes.extend([mask + p for p in packed])
+        groups.append((index, monomials))
     return GradedBasis(chart, k, w, radix, tuple(groups), tuple(codes))
 
 
@@ -505,7 +508,9 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
     Each diagonal w0 is walked once, upward in k over the span the table
     reads: 0..n for an Euler diagonal, k-1..k for each displayed (k, w)
     with w - km = w0.  The target basis of one step is the source of the
-    next, and each step's pivot rows clear the next step's columns.
+    next, and each step's pivot rows clear the next step's columns.  Every
+    piece's groups are listed, in walk order, before any piece is assembled,
+    so a table with a piece past the basis cap is refused before any elimination.
     """
     chart = P.chart
     n = chart.n
@@ -529,6 +534,9 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
             span = spans.setdefault(w - k * m, [k, k])
             span[0], span[1] = min(span[0], k), max(span[1], k)
 
+    for w0, (lo, hi) in spans.items():
+        for k in range(max(lo - 1, 0), hi + 2):
+            _groups(chart, k, w0 + k * m, table.radix, by_degree)
     pieces: dict[tuple[int, int], TableEntry] = {}
     for w0, (lo, hi) in spans.items():
         # Walk from the piece that feeds the span's first one.

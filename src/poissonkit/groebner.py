@@ -32,12 +32,13 @@ same.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError
-from .polyalg import Chart, Exponent, Poly, _div, _over_z, _primitive_terms
+from .polyalg import Chart, Exponent, Poly, _div, _over_z, _positive_primitive, _primitive_terms
 
 DEFAULT_BUDGET = 10**6
 
@@ -111,6 +112,18 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
 
 def _is_coprime(a: Exponent, b: Exponent, lcm: Exponent) -> bool:
     return tuple(map(operator.add, a, b)) == lcm
+
+
+def _m_criterion(lcms) -> list[Exponent]:
+    """The lcms that no other one properly divides (Gebauer--Moeller M), in ascending total degree.
+
+    A proper divisor has a smaller degree, and a dropped one has a kept
+    divisor, so each lcm meets only the kept ones of smaller degree.
+    """
+    kept: list[Exponent] = []
+    for _, same_degree in itertools.groupby(sorted(lcms, key=sum), key=sum):
+        kept += [lcm for lcm in same_degree if not any(_divides(other, lcm) for other in kept)]
+    return kept
 
 
 # A packing holds total degrees up to 2**_HEADROOM times the inputs' largest,
@@ -246,12 +259,6 @@ def division(p: Poly, divisors: list[Poly], budget: int = DEFAULT_BUDGET):
     )
 
 
-def _positive_primitive(remainder: dict, m: int) -> dict:
-    """The primitive part of remainder / m over Z: a positive multiple of it."""
-    content = math.gcd(*remainder.values()) * (-1 if m < 0 else 1)
-    return remainder if content == 1 else {e: c // content for e, c in remainder.items()}
-
-
 def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -260,19 +267,22 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     input sequence.  Each new element goes through the Gebauer--Moeller
     update (*On an installation of Buchberger's algorithm*, J. Symb. Comp.
     1988) on leading-exponent tuples: of its new pairs, those whose lcm
-    another new lcm properly divides are dropped (M), one pair per lcm is
-    kept (F), and an lcm class holding a pair with coprime leading terms is
-    dropped whole (B); an old pair (i, j) is dropped when the new leading
-    term divides its lcm and neither lcm(i, new) nor lcm(j, new) equals it
-    (B_k); and elements whose leading term the new one divides form no
-    further pairs.
+    another new lcm properly divides are dropped (M, :func:`_m_criterion`),
+    one pair per lcm is kept (F), and an lcm class holding a pair with
+    coprime leading terms is dropped whole (B); an old pair (i, j) is
+    dropped when the new leading term divides its lcm and neither
+    lcm(i, new) nor lcm(j, new) equals it (B_k); and elements whose leading
+    term the new one divides form no further pairs.
 
     Elements are kept as primitive packed term maps over Z and S-polynomials
     are formed with integer cofactors; :func:`_reduce` reduces them on that
     basis, and a nonzero remainder joins it as the primitive part of its
     positive multiple.  A pair whose lcm is too large for the packing
     re-packs the run wider first; the order, and so the sequence, stays.
-    Each element is unpacked and made monic once, at output.
+    The run ends in one sweep over the live elements by ascending lead: one
+    whose lead a kept lead divides is dropped, and each other is reduced by
+    the kept ones, the only leads that can divide its terms, then unpacked
+    and made monic.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -321,9 +331,8 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         classes: dict[Exponent, list[int]] = {}
         for i in live:
             classes.setdefault(_lcm(leads[i], lead), []).append(i)
-        for lcm, members in classes.items():
-            if any(other != lcm and _divides(other, lcm) for other in classes):
-                continue  # M
+        for lcm in _m_criterion(classes):
+            members = classes[lcm]
             if any(_is_coprime(leads[i], lead, lcm) for i in members):
                 continue  # B
             if sum(lcm) >= packing.limit:
@@ -347,25 +356,17 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
             add(_positive_primitive(remainder, m), next(iter(remainder)))
         counter.done += 1
 
-    # Minimalize: drop generators whose leading term another one divides.
-    minimal: list[int] = []
-    for i in sorted(live, key=keys.__getitem__):
-        if not any(_divides(leads[k], leads[i]) for k in minimal):
-            minimal.append(i)
-    # Reduce every generator modulo the others; the leading terms stay put.
     counter.enter("inter-reduction", "generators reduced")
-    reduced = [basis[i] for i in minimal]
-    tops = [keys[i] for i in minimal]
-    for idx, g in enumerate(reduced):
-        others = reduced[:idx] + reduced[idx + 1 :]
-        if not others:
+    kept: list[int] = []
+    monic: list[Poly] = []
+    for i in sorted(live, key=keys.__getitem__):
+        if any(not (keys[k] - keys[i]) & packing.guards for k in kept):
             continue
-        remainder, m = _reduce(dict(g), 1, tops[:idx] + tops[idx + 1 :], others, packing.guards, counter)
-        reduced[idx] = _positive_primitive(remainder, m)
+        remainder, m = _reduce(basis[i], 1, [keys[k] for k in kept], [basis[k] for k in kept], packing.guards, counter)
+        basis[i] = g = _positive_primitive(remainder, m)
+        kept.append(i)
         counter.done += 1
-    monic = []
-    for g, key in zip(reduced, tops):
-        a = g[key]
+        a = g[keys[i]]
         monic.append(Poly._of(chart, {packing.unpack(e): c if a == 1 else _div(c, a) for e, c in g.items()}))
     return GroebnerBasis(chart, tuple(monic))
 

@@ -15,17 +15,19 @@ This module is the one home of term-map arithmetic: :func:`_add_scaled`,
 :func:`_add_product` and :func:`_diff_terms` accumulate, leaving a
 cancelled term as a 0, and :func:`_clean` drops the zeros and makes each
 coefficient exact once; :func:`_over_z` is the one scaling of rationals
-to ints, by the lcm of their denominators.  Only the public constructor validates.
-Arithmetic wraps the term maps it builds with the trusted
-:meth:`Poly._of`, and division reduces one mutable term map in place
-(:func:`_sub_mul`, which deletes a cancelled term at once, because the
-division reads the largest exponent left as its lead), so a ``Poly`` is
-built only for the results.  Exponent sums run through C-level ``map``.
+to ints, by the lcm of their denominators, and :func:`_positive_primitive`
+the one primitive part over Z.  Only the public constructor validates.
+Arithmetic wraps the term maps it builds with the trusted :meth:`Poly._of`,
+and division reduces one mutable term map in place (:func:`_sub_mul`,
+which deletes a cancelled term at once, because the division reads the
+largest exponent left as its lead), so a ``Poly`` is built only for the
+results.  Exponent sums run through C-level ``map``.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, and the multivariate gcd over Z behind the
 reducedness test: the heuristic GCDHEU, certified by trial division, with a
-primitive pseudo-remainder sequence as the fallback.  Both run on integer
+primitive pseudo-remainder sequence as the fallback; a gcd with a one-term
+map is read off the exponents, with no evaluation.  Both run on integer
 term maps ``{exponent: int}``; only :func:`gcd_multi`'s result is a ``Poly``.
 """
 
@@ -117,15 +119,11 @@ def _sub_mul(work: dict, c, shift: Exponent, terms: dict):
     """``work -= c * x^shift * terms`` in place; cancelled terms are deleted."""
     for exponent, coeff in terms.items():
         e = tuple(map(operator.add, exponent, shift))
-        acc = work.get(e)
-        if acc is None:
-            work[e] = -c * coeff
+        acc = work.get(e, 0) - c * coeff
+        if acc:
+            work[e] = acc
         else:
-            acc -= c * coeff
-            if acc:
-                work[e] = acc
-            else:
-                del work[e]
+            del work[e]
 
 
 def _add_scaled(target: dict, s, terms: dict):
@@ -154,7 +152,9 @@ def _clean(terms: dict) -> dict:
 
 
 def _over_z(terms: dict) -> tuple[int, dict]:
-    """``(s, s * terms)`` for s the lcm of the denominators: the values scaled to ints, under any keys."""
+    """``(s, s * terms)`` for s the lcm of the denominators, under any keys; a map of ints is returned as it is."""
+    if all(type(c) is int for c in terms.values()):
+        return 1, terms
     s = math.lcm(*(c.denominator for c in terms.values()))
     return s, {key: c.numerator * (s // c.denominator) for key, c in terms.items()}
 
@@ -196,12 +196,6 @@ def _pow_terms(terms: dict, k: int, one: Exponent) -> dict:
 # reversed exponents.
 def grevlex_key(exponent: Exponent):
     return (sum(exponent), tuple(map(operator.neg, reversed(exponent))))
-
-
-# The same order descending: ascending on this key is descending on
-# grevlex_key, so sorting under it lists the grevlex-largest exponent first.
-def grevlex_desc(exponent: Exponent):
-    return (-sum(exponent), exponent[::-1])
 
 
 class Poly:
@@ -407,7 +401,7 @@ def format_poly(p: Poly) -> str:
         return "0"
     names = p.chart.names
     pieces = []
-    for exponent in sorted(terms, key=grevlex_desc):
+    for exponent in sorted(terms, key=grevlex_key, reverse=True):
         coeff = terms[exponent]
         mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e])
         mag = -coeff if coeff < 0 else coeff
@@ -520,9 +514,8 @@ class _PolyParser:
         self.i = 0
         self.depth = 0
         self.digits = _digit_limit()
-        n = chart.n
-        self.one = (0,) * n
-        self.units = {name: tuple(int(j == i) for j in range(n)) for i, name in enumerate(chart.names)}
+        self.one = (0,) * chart.n
+        self.units: dict[str, Exponent] = {}  # an identifier's unit exponent, built when it is first read
 
     def fail(self, message: str):
         raise ParseError(message, column=self.tokens[self.i][2] + 1)
@@ -615,7 +608,10 @@ class _PolyParser:
             self.i += 1
             unit = self.units.get(value)
             if unit is None:
-                raise UnknownIdentifierError(f"unknown identifier {value!r}", column=pos + 1)
+                if value not in self.chart.names:
+                    raise UnknownIdentifierError(f"unknown identifier {value!r}", column=pos + 1)
+                i = self.chart.names.index(value)
+                unit = self.units[value] = self.one[:i] + (1,) + self.one[i + 1 :]
             return {unit: 1}
         if kind == "int":
             self.i += 1
@@ -657,17 +653,16 @@ def parse_poly(text: str, chart: Chart) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _positive_primitive(terms: dict, m: int) -> dict:
+    """The primitive part over Z of the int map terms / m, as a positive multiple; one already so is returned as is."""
+    content = math.gcd(*terms.values()) * (-1 if m < 0 else 1)
+    return terms if content == 1 else {e: c // content for e, c in terms.items()}
+
+
 def _primitive_terms(terms: dict) -> dict[Exponent, int]:
     """A nonzero term map scaled by a positive rational to coprime ints; one that is already so is returned as is."""
     s, scaled = _over_z(terms)
-    g = math.gcd(*scaled.values())
-    if s == g == 1 and all(type(c) is int for c in terms.values()):
-        return terms
-    return {e: c // g for e, c in scaled.items()}
-
-
-def _content_z(terms: dict) -> int:
-    return math.gcd(*terms.values())
+    return _positive_primitive(scaled, s)
 
 
 def _is_constant_terms(terms: dict) -> bool:
@@ -765,12 +760,8 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
     after it has divided both inputs exactly, with xi at or above the
     CGG bound of the level.
     """
-    ca, cb = _content_z(a), _content_z(b)
-    content = math.gcd(ca, cb)
-    if ca != 1:
-        a = {e: c // ca for e, c in a.items()}
-    if cb != 1:
-        b = {e: c // cb for e, c in b.items()}
+    content = math.gcd(*a.values(), *b.values())
+    a, b = _positive_primitive(a, 1), _positive_primitive(b, 1)
     if _is_constant_terms(a) or _is_constant_terms(b):
         return {(0,) * len(next(iter(a))): content}
     var = max(i for e in itertools.chain(a, b) for i, k in enumerate(e) if k)
@@ -785,9 +776,7 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
         else:  # xi is a root of the input of larger norm (never of the other)
             gamma = image_a or image_b
         if gamma is not None:
-            candidate = _interpolate(gamma, var, xi)
-            g = _content_z(candidate)
-            candidate = _positive_lead({e: c // g for e, c in candidate.items()})
+            candidate = _positive_lead(_positive_primitive(_interpolate(gamma, var, xi), 1))
             if _quotient_z(a, candidate) is not None and _quotient_z(b, candidate) is not None:
                 return {e: c * content for e, c in candidate.items()} if content != 1 else candidate
         xi = xi * 73794 // 27011
@@ -854,6 +843,8 @@ def _prs_gcd(a: dict, b: dict) -> dict:
 
 def _gcd_terms(a: dict, b: dict) -> dict:
     """Gcd of two nonzero integer term maps over Z, with a positive lex-leading coefficient."""
+    if len(a) == 1 or len(b) == 1:  # x^(least exponents of both) times the gcd of all coefficients
+        return {tuple(map(min, *a, *b)): math.gcd(*a.values(), *b.values())}
     return _heu_gcd(a, b) or _prs_gcd(a, b)
 
 

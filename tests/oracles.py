@@ -5,8 +5,9 @@ plain rational Gaussian elimination instead of Bareiss, Tjurina numbers come
 from truncated-jet linear algebra instead of Groebner bases, standard
 monomials are counted one by one instead of slice by slice, Krull
 dimensions try every set of variables instead of searching for the
-smallest one that meets every leading support, multivariate
-division reduces over Q in ``Fraction`` arithmetic instead of fraction-free
+smallest one that meets every leading support, the Gebauer--Moeller M
+test compares every pair of lcms instead of walking them by degree,
+multivariate division reduces over Q in ``Fraction`` arithmetic instead of fraction-free
 over Z, and the cohomology table is rebuilt densely with fresh matrices and
 no caching, or, for diagonal structures, counted from a closed form.
 """
@@ -190,6 +191,18 @@ def subset_dimension(leads, n: int) -> int:
             if not any(support <= s for support in supports):
                 return size
     return 0
+
+
+def m_criterion_all_pairs(lcms) -> list[tuple[int, ...]]:
+    """The Gebauer--Moeller M test pair by pair: the lcms that no other lcm properly divides.
+
+    Every lcm is tested against every other, as ``buchberger`` once did.
+    """
+    return [
+        lcm
+        for lcm in lcms
+        if not any(other != lcm and all(a <= b for a, b in zip(other, lcm)) for other in lcms)
+    ]
 
 
 def division_over_q(p: Poly, divisors: list[Poly], key):

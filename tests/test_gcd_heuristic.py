@@ -3,7 +3,9 @@
 Each family plants a common factor g in a = g*p and b = g*q.  ``gcd_multi``
 must agree with the primitive PRS ``_prs_gcd`` (its fallback) and with
 ``sympy.gcd`` up to a unit, on 1-4 variables, integer coefficients up to
-10^30, rational coefficients, monomial and constant gcds.  Small
+10^30, rational coefficients, monomial and constant gcds.  A gcd with a
+one-term map is read off its exponents and coefficients; it must equal the
+PRS's and sympy's over Z, contents and signs included.  Small
 coefficients make the first evaluation point unlucky often enough that a
 heuristic which skipped its trial division returns wrong gcds here.
 """
@@ -18,7 +20,7 @@ import sympy
 from poissonkit import Chart, Poly, gcd_multi
 from poissonkit import polyalg
 from poissonkit.groebner import division
-from poissonkit.polyalg import _heu_gcd, _primitive_terms, _prs_gcd
+from poissonkit.polyalg import _gcd_terms, _heu_gcd, _primitive_terms, _prs_gcd, nonreduced_factor
 from conftest import CHART2, CHART3, CHART4
 
 CHART1 = Chart(("x",))
@@ -179,3 +181,36 @@ class TestPrsFallback:
         b = polyalg.parse_poly("(w^3 + 5*z + 1)*(w + 7)", CHART2)
         assert _heu_gcd(_primitive_terms(a.terms), _primitive_terms(b.terms)) is None
         assert gcd_multi([a, b]) == polyalg.parse_poly("w^3 + 5*z + 1", CHART2)
+
+
+class TestOneTermGcd:
+    """A one-term map's gcd is read off exponents and coefficients, with no evaluation."""
+
+    def test_against_the_prs_and_sympy(self, rng, monkeypatch):
+        def no_heuristic(a, b):
+            raise AssertionError("a one-term gcd reached GCDHEU")
+
+        pairs = []
+        for nvars in (1, 2, 3, 4):
+            chart = CHARTS[nvars]
+            for _ in range(25):
+                exponent = tuple(rng.randint(0, 3) for _ in range(nvars))
+                monomial = {exponent: rng.choice((-12, -6, -1, 1, 2, 9, 10**25))}
+                other = random_factor(rng, chart, 3, rng.choice((1, 4)), rng.choice((3, 30)))
+                scale = rng.choice((-4, -1, 1, 6))
+                pairs.append((chart, monomial, {e: scale * c for e, c in other.terms.items()}))
+        expected = [_prs_gcd(a, b) for _, a, b in pairs]
+        monkeypatch.setattr(polyalg, "_heu_gcd", no_heuristic)
+        for (chart, a, b), want in zip(pairs, expected):
+            assert _gcd_terms(a, b) == _gcd_terms(b, a) == want, (a, b)
+            ((_, c),) = want.items()
+            assert c > 0
+            gens = sympy.symbols(chart.names)
+            as_zz = [sympy.Poly.from_dict(t, *gens, domain="ZZ") for t in (a, b, want)]
+            assert sympy.gcd(as_zz[0], as_zz[1]) == as_zz[2], (a, b)
+
+    def test_a_monomial_and_its_partials(self):
+        chart = Chart(tuple(f"x{i}" for i in range(100)))
+        product = polyalg.parse_poly("*".join(chart.names), chart)
+        assert nonreduced_factor(product) == Poly.constant(chart, 1)
+        assert nonreduced_factor(product * Poly.variable(chart, 7) ** 3) == Poly.variable(chart, 7) ** 3

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -136,6 +137,21 @@ class TestGradedBasis:
 
     def test_empty_below_minimal_weight(self):
         assert len(graded_basis(CHART2, 2, -3)) == 0
+
+    @pytest.mark.parametrize("cap,piece", [(200, "(k=1, w=1)"), (500, "(k=1, w=2)")])
+    def test_a_table_past_the_cap_is_refused_before_any_piece_is_assembled(self, monkeypatch, cap, piece):
+        # On the constant 8-chart the walk reaches the piece past the cap only
+        # after assembling pieces of other diagonals; the refusal names the
+        # same piece, the first past the cap in walk order.
+        import poissonkit.graded_cohomology as module
+
+        names = [f"x{i}" for i in range(8)]
+        brackets = "\n".join(f"{{{a},{b}}} = 1" for a, b in itertools.combinations(names, 2))
+        P = parse_structure_file(f"chart: {' '.join(names)}\npoisson:\n{brackets}\n").build()
+        monkeypatch.setattr(module, "DEFAULT_BASIS_CAP", cap)
+        monkeypatch.setattr(module, "_dpi_columns", lambda *args: pytest.fail("a piece was assembled"))
+        with pytest.raises(BasisSizeExceededError, match=f"graded piece {re.escape(piece)} exceeds the basis cap {cap}"):
+            cohomology_table(P, 8, 6)
 
     def test_cap_stops_the_enumeration(self):
         # w^e z^f of weight 10^12 under weights (5000, 1): 2 * 10^8

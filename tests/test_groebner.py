@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from poissonkit import (
     quotient_dimension,
 )
 from poissonkit.groebner import GroebnerBasis, division
-from poissonkit.polyalg import grevlex_desc, grevlex_key
+from poissonkit.polyalg import format_poly, grevlex_key
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import standard_monomial_count, subset_dimension, tjurina_jet_oracle
 
@@ -46,11 +47,15 @@ class TestMonomialOrders:
                 shifted_b = tuple(x + y for x, y in zip(b, c))
                 assert key(shifted_a) > key(shifted_b)
 
-    def test_descending_key_reverses_grevlex(self, rng):
-        for n in (1, 2, 3, 4):
+    def test_format_poly_lists_terms_in_descending_grevlex(self, rng):
+        for chart in (CHART2, CHART3, CHART4, Chart(("a", "b_1"), (2, 5))):
             for _ in range(30):
-                exponents = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 12))]
-                assert sorted(exponents, key=grevlex_desc) == sorted(exponents, key=grevlex_key, reverse=True)
+                p = random_poly(rng, chart, max_degree=4, max_terms=8)
+                if p.is_zero:
+                    continue
+                # Each printed term is one monomial; no sign or coefficient holds a space.
+                printed = [parse_poly(t, chart).leading()[0] for t in re.split(r" [+-] ", format_poly(p))]
+                assert printed == sorted(p.terms, key=grevlex_key, reverse=True), p
 
 
 class TestBuchberger:

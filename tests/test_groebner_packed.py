@@ -11,19 +11,21 @@ are also checked against sympy and ``division_over_q`` on 3- and
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
-from poissonkit import buchberger, groebner, modular_field, parse_poly
+from poissonkit import Chart, Poly, buchberger, groebner, modular_field, parse_poly, parse_structure_file
 from poissonkit.cli import main
-from poissonkit.groebner import _Packing, division
+from poissonkit.groebner import _m_criterion, _Packing, division
 from poissonkit.polyalg import grevlex_key
-from conftest import CHART3, CHART4, random_diagonal_structure, random_poly
-from oracles import division_over_q
+from conftest import CHART2, CHART3, CHART4, random_diagonal_structure, random_poly
+from oracles import division_over_q, m_criterion_all_pairs
 from test_budget_steps import CURVES, succeeds_exactly_at
 
 
@@ -174,3 +176,111 @@ class TestMoreVariablesAgainstOracles:
 def test_four_variable_literal_against_sympy():
     gens = [parse_poly(t, CHART4) for t in ("x1^2*x3 - x2*x4^2 + 1", "x2^3 - x1*x4 + x3^2", "x4^3 - 2*x1*x2*x3")]
     assert canonical(g.terms for g in buchberger(gens).gens) == sympy_basis(gens, CHART4)
+
+
+def wide_monomial_ideals(rng, count):
+    """Seeded monomial ideals in 30-60 variables, and the 40-variable block chart's rank-0 locus."""
+    for _ in range(count):
+        chart = Chart(tuple(f"x{i}" for i in range(rng.randint(30, 60))))
+        gens = []
+        for _ in range(rng.randint(10, 40)):
+            exponent = [0] * chart.n
+            for _ in range(rng.randint(1, 4)):
+                exponent[rng.randrange(chart.n)] += 1
+            gens.append(Poly.monomial(chart, exponent))
+        yield gens
+    chart = Chart(tuple(f"x{i}" for i in range(40)))
+    block = "\n".join(f"{{x{i},x{i + 1}}} = x{i}*x{i + 1}" for i in range(0, 40, 2))
+    P = parse_structure_file(f"chart: {' '.join(chart.names)}\npoisson:\n{block}\n").build()
+    yield [*P.pi.terms.values(), *modular_field(P).terms.values()]
+
+
+class TestMCriterionByDegree:
+    """``add()`` walks the new lcm classes by degree; the all-pairs M test must keep the same ones."""
+
+    def test_kept_lcms_match_the_all_pairs_test(self, rng):
+        for n in (1, 2, 3, 6, 40):
+            for _ in range(40):
+                lcms = list(dict.fromkeys(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 30))))
+                kept = _m_criterion(lcms)
+                assert sorted(kept) == sorted(m_criterion_all_pairs(lcms)), lcms
+                assert [sum(lcm) for lcm in kept] == sorted(sum(lcm) for lcm in kept)
+
+    def test_buchberger_pushes_the_same_pairs(self, rng, monkeypatch):
+        ideals = [*diagonal_chart_ideals(rng, 6), *cubic_ideals(rng, 12), *wide_monomial_ideals(rng, 6)]
+
+        def run(gens):
+            pushed = []
+
+            def push(heap, entry):
+                pushed.append(entry[1:])  # the pair and its lcm; the packed key depends on the packing's width
+                heapq.heappush(heap, entry)
+
+            monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop, heapify=heapq.heapify))
+            return sorted(pushed), buchberger(gens)
+
+        for gens in ideals:
+            if not gens:
+                continue  # a zero skew matrix
+            expected = run(gens)
+            monkeypatch.setattr(groebner, "_m_criterion", m_criterion_all_pairs)
+            assert run(gens) == expected, gens
+            monkeypatch.undo()
+
+
+class TestFinishingSweep:
+    """Buchberger's last pass drops generators whose lead a kept lead divides and reduces the rest."""
+
+    @staticmethod
+    def sweep(monkeypatch):
+        """Record the generators entering the sweep and the reductions it makes."""
+        entering, reductions = [], []
+        reduce = groebner._reduce
+
+        def sorted_spy(items, key=None):
+            if key is not sum:  # the sweep's sort of ``live``, not the M test's sort of lcms
+                entering.append(len(items))
+            return sorted(items, key=key)
+
+        def reduce_spy(work, m, leads, divisors, guards, counter, steps=None):
+            if counter.phase == "inter-reduction":
+                reductions.append(len(leads))
+            return reduce(work, m, leads, divisors, guards, counter, steps)
+
+        monkeypatch.setattr(groebner, "sorted", sorted_spy, raising=False)
+        monkeypatch.setattr(groebner, "_reduce", reduce_spy)
+        return entering, reductions
+
+    @pytest.mark.parametrize(
+        "texts,basis,entering",
+        [
+            # w divides w^2: w^2 + z enters the sweep beside w and z, and is dropped.
+            (["w", "w^2 + z"], ["w", "z"], 3),
+            # Equal leads: each new w^2 retires the one before it, so nothing is left to drop.
+            (["w^2 + z", "w^2 - z", "w"], ["w", "z"], 2),
+            (["w^2 - z", "w^3 + w*z + 1", "w^2*z - z^2"], ["w*z + 1/2", "w^2 - z", "z^2 + 1/2*w"], 4),
+        ],
+    )
+    def test_dropping_divided_leads(self, monkeypatch, texts, basis, entering):
+        entered, reductions = self.sweep(monkeypatch)
+        G = buchberger([parse_poly(t, CHART2) for t in texts])
+        assert sorted(map(str, G.gens)) == basis
+        assert entered == [entering]
+        # Each kept generator is reduced once, by the kept ones before it.
+        assert reductions == list(range(len(G.gens)))
+
+    def test_equal_and_dividing_leads_against_sympy(self, rng, monkeypatch):
+        entering, reductions = self.sweep(monkeypatch)
+        dropped = 0
+        for gens in cubic_ideals(rng, 30):
+            f, g = gens[0], gens[-1]
+            chart = f.chart
+            x = Poly.variable(chart, rng.randrange(chart.n))
+            # When f's lead is above g's, x*f + g leads with x times it and 3*f + g with it; x^2*f always does.
+            gens = [*gens, x * f + g, f * 3 + g, f * x * x]
+            del entering[:], reductions[:]
+            G = buchberger(gens)
+            assert canonical(p.terms for p in G.gens) == sympy_basis(gens, chart), gens
+            assert reductions == list(range(len(G.gens)))
+            dropped += entering[0] - len(G.gens)
+        assert dropped > 0

@@ -20,10 +20,12 @@ from poissonkit.groebner import _divides, division
 from poissonkit.polyalg import (
     MAX_NESTING,
     MAX_TERMS,
+    _PolyParser,
     _div,
     _exact,
     _over_z,
     _primitive_terms,
+    _tokenize,
     grevlex_key,
     nonreduced_factor,
 )
@@ -61,6 +63,18 @@ class TestParser:
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError, match="'q'"):
             P("w + q")
+
+    def test_unit_exponents_are_built_as_identifiers_are_read(self):
+        chart = Chart(tuple(f"x{i}" for i in range(100)))
+        parser = _PolyParser(_tokenize("x3*x97 + x3^2 - 2*x0"), chart)
+        assert parser.units == {}
+        p = parser.parse()
+        assert sorted(parser.units) == ["x0", "x3", "x97"]
+        assert p == Poly.variable(chart, 3) * Poly.variable(chart, 97) + Poly.variable(chart, 3) ** 2 - 2 * Poly.variable(chart, 0)
+        for text, column in (("x5 + y", 6), ("x5*(x100 + 1)", 5), ("x99 - X1", 7)):
+            with pytest.raises(UnknownIdentifierError) as info:
+                parse_poly(text, chart)
+            assert info.value.column == column
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ParseError) as info:

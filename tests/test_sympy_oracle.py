@@ -18,8 +18,8 @@ import sympy
 
 from poissonkit import INFINITE, buchberger, gcd_multi, groebner, jacobian_ideal_basis, parse_poly, quotient_dimension
 from poissonkit.cli import main
-from poissonkit.groebner import _positive_primitive, division
-from poissonkit.polyalg import grevlex_key
+from poissonkit.groebner import division
+from poissonkit.polyalg import _positive_primitive, grevlex_key
 from conftest import CHART2, CHART3, CHART4, random_poly
 from oracles import division_over_q, standard_monomial_count
 
