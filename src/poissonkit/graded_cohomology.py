@@ -17,8 +17,10 @@ derivatives by the odd frame symbols and by the chart variables, built
 once per structure: the image terms are code offsets with int
 coefficients, their wedge signs those of ``multivec._merge_sign``, merged
 by offset and tabulated once per multi-index, so a key costs int additions
-and products and one ``{code: row}`` lookup per nonzero entry.  The pieces of one table
-also share one enumeration of each weighted degree's monomials and codes.
+and products and one ``{code: row}`` lookup per nonzero entry.  The pieces
+of one table share one enumeration of each weighted degree's monomials and
+their packed exponents; a piece's codes are derived from them where they
+are read, never stored.
 No polyvector is built and no Schouten bracket is evaluated per basis
 element.  Sparse columns ``{row: value}`` are the one representation of
 d_pi on a piece: :func:`dpi_matrix` divides the table's int columns by s
@@ -27,18 +29,21 @@ of every piece with a nonempty source and target, runs one fraction-free
 sparse elimination (:func:`_echelon`), which pivots on each column's
 largest row and keeps each reduced column primitive.
 
-A table walks each diagonal C^0_{w0} -> C^1_{w0+m} -> ... once, upward
-in k.  The target basis of one step is the source of the next, and each
-step ranks only the columns it can still use: those at the pivot rows of
-the step before are neither assembled nor eliminated.  The pivot rows of
-an echelon of the image of d_{k-1} index basis elements whose span meets
-that image only in 0 and fills C^k_w with it, and d_pi kills the image,
-so the other columns have the same rank.  This is the clearing, or "twist", of persistent homology
-(Chen and Kerber, EuroCG 2011; Bauer, J. Appl. Comput. Topol. 2021).  A
-piece whose source or target basis is empty has rank 0 and is neither
-assembled nor eliminated.  Each rank certificate ``(rows, cols, rank)``
-keeps the piece's full source dimension as ``cols``, while the rank comes
-from the uncleared columns.
+A table first lists every piece it reads, in walk order, one
+:class:`GradedBasis` each, so a piece past the basis cap is refused before
+any elimination.  It then walks each diagonal C^0_{w0} -> C^1_{w0+m} -> ...
+once, upward in k, records only the rank out of each piece, and reads
+every entry off the bases and the ranks.  Each step ranks only the
+columns it can still use: those at the pivot rows of the step before are
+neither assembled nor eliminated.  The pivot rows of an echelon of
+the image of d_{k-1} index basis elements whose span meets that image
+only in 0 and fills C^k_w with it, and d_pi kills the image, so the other
+columns have the same rank.  This is the clearing, or "twist", of
+persistent homology (Chen and Kerber, EuroCG 2011; Bauer, J. Appl.
+Comput. Topol. 2021).  A piece whose source or target basis is empty has
+rank 0 and is neither assembled nor eliminated.  Each rank certificate
+``(rows, cols, rank)`` keeps the piece's full source dimension as
+``cols``, while the rank comes from the uncleared columns.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -54,8 +59,8 @@ dim C^k agree for any ranks: the identity confirms the table's bookkeeping
 Two scope notes.  These tables are affine-chart data: for a structure that
 is the cone over a projective one, the graded table is related to, but not
 equal to, the cohomology of the projective quotient.  And diagonals are
-independent: a caller may walk them concurrently; one table walks them in
-turn and shares its degree enumeration among them.
+independent: a caller may walk them concurrently; one table lists all
+their pieces first, sharing its degree enumeration, then walks them in turn.
 """
 
 from __future__ import annotations
@@ -96,22 +101,27 @@ def homogeneity_weight(P: PoissonStructure) -> int:
 class GradedBasis:
     """Ordered monomial basis of the degree-k, weight-w graded piece.
 
-    ``groups`` pairs each multi-index I (lex ascending) with its monomials
-    x^e (grevlex descending), so two runs enumerate identically.  ``codes``
-    holds one int per element in that order, ``mask(I) + (sum_i e_i
-    radix^i << n)``, where ``mask(I)`` has bit i set for each i in I and
-    ``radix`` exceeds every exponent of the piece.
+    ``groups`` holds a triple ``(I, monomials, packed)`` for each
+    multi-index I (lex ascending) that reaches a monomial: the monomials x^e
+    (grevlex descending), so two runs enumerate identically, and their
+    exponents packed as ``sum_i e_i radix^i << n``, both shared through
+    ``by_degree`` with every multi-index of the table that reaches the same
+    weighted degree.  ``radix`` exceeds every exponent of the piece.
     """
 
     chart: Chart
     k: int
     w: int
     radix: int
-    groups: tuple[tuple[MultiIndex, tuple[Exponent, ...]], ...]
-    codes: tuple[int, ...]
+    groups: tuple[tuple[MultiIndex, tuple[Exponent, ...], tuple[int, ...]], ...]
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return sum(len(monomials) for _, monomials, _ in self.groups)
+
+    @property
+    def codes(self) -> list[int]:
+        """One int per element, in order: ``mask(I) + packed``, with bit i of mask(I) set for each i in I."""
+        return [mask + p for index, _, packed in self.groups for mask in [sum(1 << i for i in index)] for p in packed]
 
 
 def _pack(exponent: Exponent, radix: int) -> int:
@@ -162,37 +172,19 @@ def _monomials_of_weighted_degree(chart: Chart, degree: int, limit: int) -> list
     return out
 
 
-def _groups(chart: Chart, k: int, w: int, radix: int, by_degree: dict) -> list:
-    """The nonempty ``(index, monomials, packed)`` groups of the (k, w) piece; past the basis cap it raises."""
-    n, groups, size = chart.n, [], 0
-    if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
-        for index in itertools.combinations(range(n), k):
-            target = w + sum(chart.weights[i] for i in index)
-            if target not in by_degree:
-                monomials = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP))
-                by_degree[target] = (monomials, [_pack(e, radix) << n for e in monomials])
-            monomials, packed = by_degree[target]
-            if monomials:
-                size += len(monomials)
-                if size > DEFAULT_BASIS_CAP:
-                    raise BasisSizeExceededError(f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}")
-                groups.append((index, monomials, packed))
-    return groups
-
-
 def graded_basis(
     chart: Chart,
     k: int,
     w: int,
     radix: int | None = None,
-    by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] | None = None,
+    by_degree: dict[int, tuple[tuple[Exponent, ...], tuple[int, ...]]] | None = None,
 ) -> GradedBasis:
-    """Enumerate the monomial polyvectors of degree k and weight w.
+    """Enumerate the monomial polyvectors of degree k and weight w; past the basis cap it raises.
 
     ``radix`` must exceed every exponent of the piece; by default it is
     ``w + sum(weights) + 1``, past the largest weighted degree of a monomial.
     ``by_degree`` maps a weighted degree to its monomials and their packed
-    codes; it is filled as degrees are enumerated, so the pieces of one
+    exponents; it is filled as degrees are enumerated, so the pieces of one
     table that pass the same dict, made for the same chart and radix,
     enumerate each degree once.  When w plus the k heaviest weights is
     below 0, no multi-index reaches a monomial, and the piece is empty
@@ -200,13 +192,21 @@ def graded_basis(
     """
     if radix is None:
         radix = max(w + sum(chart.weights), 0) + 1
-    groups: list[tuple[MultiIndex, tuple[Exponent, ...]]] = []
-    codes: list[int] = []
-    for index, monomials, packed in _groups(chart, k, w, radix, {} if by_degree is None else by_degree):
-        mask = sum(1 << i for i in index)
-        codes.extend([mask + p for p in packed])
-        groups.append((index, monomials))
-    return GradedBasis(chart, k, w, radix, tuple(groups), tuple(codes))
+    by_degree = {} if by_degree is None else by_degree
+    n, groups, size = chart.n, [], 0
+    if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
+        for index in itertools.combinations(range(n), k):
+            target = w + sum(chart.weights[i] for i in index)
+            if target not in by_degree:
+                monomials = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP))
+                by_degree[target] = (monomials, tuple([_pack(e, radix) << n for e in monomials]))
+            monomials, packed = by_degree[target]
+            if monomials:
+                size += len(monomials)
+                if size > DEFAULT_BASIS_CAP:
+                    raise BasisSizeExceededError(f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}")
+                groups.append((index, monomials, packed))
+    return GradedBasis(chart, k, w, radix, tuple(groups))
 
 
 class _DerivativeTable:
@@ -321,14 +321,16 @@ def _dpi_columns(
     """
     rows = {code: row for row, code in enumerate(target.codes)}
     columns = _IntColumns()
-    positions = enumerate(source.codes)
+    positions = itertools.count()
     try:
-        for index, exponents in source.groups:
+        for index, exponents, packed in source.groups:
             moves = table.moves(index)
-            # zip draws from ``exponents`` first, so ``positions`` stays in step with the groups.
-            for exponent, (position, code) in zip(exponents, positions):
+            mask = sum(1 << i for i in index)
+            # zip draws from ``positions`` last, so a group's end does not advance it.
+            for exponent, code, position in zip(exponents, packed, positions):
                 if position in cleared:
                     continue
+                code += mask
                 column: dict[int, int] = {}
                 for delta, slope, value in moves:
                     for i, c in slope:
@@ -505,12 +507,14 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
     (this may evaluate pieces just outside the window; those are computed,
     not displayed); they confirm the bookkeeping, not the ranks.
 
-    Each diagonal w0 is walked once, upward in k over the span the table
-    reads: 0..n for an Euler diagonal, k-1..k for each displayed (k, w)
-    with w - km = w0.  The target basis of one step is the source of the
-    next, and each step's pivot rows clear the next step's columns.  Every
-    piece's groups are listed, in walk order, before any piece is assembled,
-    so a table with a piece past the basis cap is refused before any elimination.
+    Every piece the table reads is listed first, one :func:`graded_basis`
+    each, in walk order, so a table with a piece past the basis cap is
+    refused before any elimination.  Each diagonal w0 is then walked once,
+    upward in k over the span the table reads: 0..n for an Euler diagonal,
+    k-1..k for each displayed (k, w) with w - km = w0.  Each step records
+    only the rank out of its piece, and its pivot rows clear the next
+    step's columns.  Every entry and Euler sum is read off the bases and
+    the ranks.
     """
     chart = P.chart
     n = chart.n
@@ -526,7 +530,7 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
 
     # Every piece touched below has weight at most w_max + n|m|.
     table = _DerivativeTable(P, w_max + n * abs(m))
-    by_degree: dict[int, tuple[tuple[Exponent, ...], list[int]]] = {}
+    by_degree: dict[int, tuple[tuple[Exponent, ...], tuple[int, ...]]] = {}
     # The pieces (k, w0 + km) that the table reads, as a k span per diagonal w0.
     spans = {w0: [0, n] for w0 in window}
     for k in range(k_max + 1):
@@ -534,43 +538,37 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
             span = spans.setdefault(w - k * m, [k, k])
             span[0], span[1] = min(span[0], k), max(span[1], k)
 
+    # Every piece the walk reads, listed in walk order before any is assembled.
+    bases = {
+        (k, w0 + k * m): graded_basis(chart, k, w0 + k * m, table.radix, by_degree)
+        for w0, (lo, hi) in spans.items()
+        for k in range(max(lo - 1, 0), hi + 2)
+    }
+    # ranks[(k, w)] is the rank of d_pi out of (k, w), a plain int: its pivot rows clear only the next step.
+    ranks: dict[tuple[int, int], int] = {}
     for w0, (lo, hi) in spans.items():
-        for k in range(max(lo - 1, 0), hi + 2):
-            _groups(chart, k, w0 + k * m, table.radix, by_degree)
-    pieces: dict[tuple[int, int], TableEntry] = {}
-    for w0, (lo, hi) in spans.items():
-        # Walk from the piece that feeds the span's first one.
-        start = max(lo - 1, 0)
-        source = graded_basis(chart, start, w0 + start * m, table.radix, by_degree)
-        rank_in, cleared = 0, frozenset()
-        for k in range(start, hi + 1):
+        cleared = frozenset()
+        for k in range(max(lo - 1, 0), hi + 1):
             w = w0 + k * m
-            target = graded_basis(chart, k + 1, w + m, table.radix, by_degree)
+            source, target = bases[(k, w)], bases[(k + 1, w + m)]
             # A piece with an empty source or target has rank 0 and is neither assembled nor ranked.
             if len(source) and len(target):
                 rank = rank_exact(_dpi_columns(table, source, target, cleared))
                 cleared = rank.pivot_rows
             else:
                 rank, cleared = 0, frozenset()
-            if k >= lo:
-                kernel = len(source) - rank
-                pieces[(k, w)] = TableEntry(
-                    k=k,
-                    w=w,
-                    dim_chain=len(source),
-                    dim_kernel=kernel,
-                    dim_image_incoming=rank_in,
-                    dim_h=kernel - rank_in,
-                    # A plain int: the certificate outlives the piece, its pivot rows need not.
-                    rank_certificate=(len(target), len(source), int(rank)),
-                )
-            rank_in, source = int(rank), target
+            ranks[(k, w)] = int(rank)
+
+    def entry(k: int, w: int) -> TableEntry:
+        dim, rank = len(bases[(k, w)]), ranks[(k, w)]
+        incoming = ranks[(k - 1, w - m)] if k else 0
+        return TableEntry(k, w, dim, dim - rank, incoming, dim - rank - incoming, (len(bases[(k + 1, w + m)]), dim, rank))
 
     checks = []
     for w0 in window:
-        walked = [pieces[(k, w0 + k * m)] for k in range(n + 1)]
-        chain_sum = sum((-1) ** k * entry.dim_chain for k, entry in enumerate(walked))
-        cohomology_sum = sum((-1) ** k * entry.dim_h for k, entry in enumerate(walked))
+        walked = [entry(k, w0 + k * m) for k in range(n + 1)]
+        chain_sum = sum((-1) ** k * piece.dim_chain for k, piece in enumerate(walked))
+        cohomology_sum = sum((-1) ** k * piece.dim_h for k, piece in enumerate(walked))
         checks.append(EulerCheck(w0=w0, chain_sum=chain_sum, cohomology_sum=cohomology_sum))
 
     return CohomologyTable(
@@ -579,6 +577,6 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
         k_max=k_max,
         w_min=w_min,
         w_max=w_max,
-        entries={(k, w): pieces[(k, w)] for k in range(k_max + 1) for w in window},
+        entries={(k, w): entry(k, w) for k in range(k_max + 1) for w in window},
         euler_checks=tuple(checks),
     )

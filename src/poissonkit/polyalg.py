@@ -18,10 +18,11 @@ coefficient exact once; :func:`_over_z` is the one scaling of rationals
 to ints, by the lcm of their denominators, and :func:`_positive_primitive`
 the one primitive part over Z.  Only the public constructor validates.
 Arithmetic wraps the term maps it builds with the trusted :meth:`Poly._of`,
-and division reduces one mutable term map in place (:func:`_sub_mul`,
+so a ``Poly`` is built only for the results; the gcd's pseudo-remainders
+and products are term maps built the same way.  Only the exact division
+:func:`_quotient_z` reduces one mutable term map in place (:func:`_sub_mul`,
 which deletes a cancelled term at once, because the division reads the
-largest exponent left as its lead), so a ``Poly`` is built only for the
-results.  Exponent sums run through C-level ``map``.
+largest exponent left as its lead).  Exponent sums run through C-level ``map``.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, and the multivariate gcd over Z behind the
@@ -815,12 +816,12 @@ def _pseudo_remainder(a: dict, b: dict, var: int) -> dict:
     lead_b = _coefficient(b, var, db)
     r = a
     while r and (dr := max(e[var] for e in r)) >= db:
+        # lc(b) * r - lc(r) * x_var^(dr - db) * b, which clears x_var^dr
+        shifted = {e[:var] + (dr - db,) + e[var + 1 :]: c for e, c in r.items() if e[var] == dr}
         scaled: dict = {}
-        for e, c in lead_b.items():
-            _sub_mul(scaled, -c, e, r)
-        for e, c in _coefficient(r, var, dr).items():
-            _sub_mul(scaled, c, e[:var] + (dr - db,) + e[var + 1 :], b)
-        r = scaled
+        _add_product(scaled, 1, lead_b, r)
+        _add_product(scaled, -1, shifted, b)
+        r = _clean(scaled)
     return r
 
 
@@ -835,10 +836,7 @@ def _prs_gcd(a: dict, b: dict) -> dict:
         pa, pb = pb, pa
     while rem := _pseudo_remainder(pa, pb, var):
         pa, pb = pb, _quotient_z(rem, _content(rem, var))
-    gcd, primitive = {}, _positive_lead(pb)
-    for e, c in _gcd_terms(content_a, content_b).items():
-        _sub_mul(gcd, -c, e, primitive)
-    return gcd
+    return _mul_terms(_gcd_terms(content_a, content_b), _positive_lead(pb))
 
 
 def _gcd_terms(a: dict, b: dict) -> dict:

@@ -245,30 +245,43 @@ def diagonal_modular_coefficients(lam) -> list[Fraction]:
     return out
 
 
-def diagonal_dimension_table(lam, k_max: int, w_max: int) -> dict[tuple[int, int], int]:
-    """dim H^k_w in closed form for pi = sum_{i<j} lam[i][j] x_i x_j d_i^d_j, unit weights.
+def diagonal_dimension_table(lam, k_max: int, w_max: int, weights=None) -> dict[tuple[int, int], int]:
+    """dim H^k_w in closed form for pi = sum_{i<j} lam[i][j] x_i x_j d_i^d_j, under chart ``weights``.
 
     With E_i = x_i d_i, a monomial polyvector x^a d_J is x^e E_J for
     e = a - 1_J: every e_i >= -1, e_i = -1 only for i in J, and its weight
-    is w = sum e_i.  The E_i commute and E_i(x^e) = e_i x^e, so d_pi maps
-    x^e E_J to a multiple of x^e v(e)^E_J, v(e)_j = sum_i lam[i][j] e_i.
-    On multidegree e the sets J are those containing S(e) = {i : e_i = -1},
-    so the complex is the Koszul complex of wedging with v(e) off S(e):
-    acyclic unless v(e)_j = 0 for every j outside S(e), and otherwise of
-    dimension C(n - |S(e)|, k - |S(e)|) in degree k.  Summing over e:
+    is w = sum_i weights[i] e_i, since E_i has weight 0.  So pi has weight
+    0 under every weighting, and m = 0.  The E_i commute and
+    E_i(x^e) = e_i x^e, so d_pi maps x^e E_J to a multiple of
+    x^e v(e)^E_J, v(e)_j = sum_i lam[i][j] e_i.  On multidegree e the sets
+    J are those containing S(e) = {i : e_i = -1}, so the complex is the
+    Koszul complex of wedging with v(e) off S(e): acyclic unless
+    v(e)_j = 0 for every j outside S(e), and otherwise of dimension
+    C(n - |S(e)|, k - |S(e)|) in degree k.  Summing over e:
 
-        dim H^k_w = sum over e >= -1 with sum e = w and v(e) = 0 off S(e)
-                    of C(n - |S(e)|, k - |S(e)|).
+        dim H^k_w = sum over e >= -1 with sum_i weights[i] e_i = w and
+                    v(e) = 0 off S(e) of C(n - |S(e)|, k - |S(e)|).
 
-    Weights run from -n, the lowest weight of a nonzero piece, to ``w_max``.
+    Weights default to all 1.  The table runs from -sum(weights), the
+    lowest weight of a nonzero piece, to ``w_max``.
     """
     n = len(lam)
+    weights = tuple(weights or (1,) * n)
+
+    def shifted(i: int, remaining: int):
+        """Every (e_i, ..., e_{n-1}), each >= -1, with sum_{j >= i} weights[j] (e_j + 1) = remaining."""
+        if i == n:
+            if remaining == 0:
+                yield ()
+            return
+        for f in range(remaining // weights[i] + 1):
+            for rest in shifted(i + 1, remaining - f * weights[i]):
+                yield (f - 1, *rest)
+
     table = {}
-    for w in range(-n, w_max + 1):
+    for w in range(-sum(weights), w_max + 1):
         dims = [0] * (n + 1)
-        # e + 1 is a composition of w + n into n parts >= 0: stars and bars.
-        for bars in itertools.combinations(range(w + 2 * n - 1), n - 1):
-            e = [b - a - 2 for a, b in zip((-1, *bars), (*bars, w + 2 * n - 1))]
+        for e in shifted(0, w + sum(weights)):
             s = e.count(-1)
             if all(sum(lam[i][j] * e[i] for i in range(n)) == 0 for j in range(n) if e[j] != -1):
                 for k in range(s, n + 1):

@@ -57,7 +57,7 @@ def rational_hesse_structure():
 
 def basis_keys(basis):
     """The basis as ``(multi-index, exponent)`` pairs, in order."""
-    return [(index, exponent) for index, exponents in basis.groups for exponent in exponents]
+    return [(index, exponent) for index, exponents, _ in basis.groups for exponent in exponents]
 
 
 def basis_elements(basis):
@@ -842,6 +842,25 @@ class TestDiagonalClosedForm:
                 assert table.dim_h(k, w) == dim, (lam, k, w)
             if n == 6:
                 assert max(entry.dim_chain for entry in table.entries.values()) > 10000
+
+    def test_seeded_weighted_charts(self, rng):
+        # Under chart weights m is still 0, and one table's pieces share each
+        # weighted degree's monomials across multi-indices of different weights.
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            weights = [rng.randint(1, 3) for _ in range(n)]
+            weights[rng.randrange(n)] = rng.randint(2, 3)  # so a weight-blind count differs
+            chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)), tuple(weights))
+            lam = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    lam[i][j] = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                    lam[j][i] = -lam[i][j]
+            table = cohomology_table(new_poisson(diagonal_quadratic_bivector(lam, chart=chart)), n, 6)
+            oracle = diagonal_dimension_table(lam, n, 6, weights)
+            assert table.weight_shift == 0 and table.entries.keys() == oracle.keys()
+            for (k, w), dim in oracle.items():
+                assert table.dim_h(k, w) == dim, (weights, lam, k, w)
 
 
 class TestClosedForms:

@@ -1,13 +1,19 @@
-"""Property tests of the two text parsers, ``parse_poly`` and ``parse_polyvector``.
+"""Property tests of the text parsers and of the CLI's exit-code contract.
 
-Hypothesis draws the inputs.  ``derandomize=True`` fixes the examples, so
-the suite is as reproducible as the seeded ones, and 200 examples per
-property keep it fast.
+``parse_poly`` and ``parse_polyvector`` are checked on expressions, and
+``parse_structure_file`` and every CLI command on structure files built
+from a line alphabet.  Hypothesis draws the inputs.  ``derandomize=True``
+fixes the examples, so the suite is as reproducible as the seeded ones,
+and 200 examples per property (100 for the CLI) keep it fast.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import os
+import tempfile
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,13 +23,16 @@ from poissonkit import (
     BudgetExceededError,
     Chart,
     ParseError,
+    PreconditionError,
     Poly,
     Polyvector,
     format_poly,
     format_polyvector,
     parse_poly,
     parse_polyvector,
+    parse_structure_file,
 )
+from poissonkit.cli import main
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -121,3 +130,111 @@ def test_parsed_polynomials_hold_no_integral_fraction(text):
 def test_parsed_polyvectors_hold_no_integral_fraction(text):
     a = parse_polyvector(text, TEXT_CHART)
     assert all(integral_fractions(c) == [] for c in a.terms.values())
+
+
+# Structure-file lines that break a file, or may: headers out of place,
+# brackets out of chart order or of unknown variables, builders that do
+# not fit the chart, malformed expressions, and lines that change nothing.
+STRAY_LINES = [
+    "chart: x y",
+    "chart: x",
+    "chart:",
+    "chart: x x y",
+    "weights: 1 2",
+    "weights: 0 1",
+    "weights: 1 x",
+    "weights:",
+    "poisson:",
+    "poisson: x",
+    "{y,x} = x*y",
+    "{x,x} = 1",
+    "{x,q} = 1",
+    "{x,y} = (x + ",
+    "{x,y} = 1/0",
+    "{x,y} = x^^2",
+    "{x,y}",
+    "jacobian3 F = x^3 + y^3 + z^3",
+    "jacobian3 F = x*",
+    "diagonal lambda = 0 1; -1 0",
+    "diagonal lambda = 0 a; -1 0",
+    "diagonal lambda = 0 1; -1",
+    "garbage",
+    "# a comment",
+    "   # an indented comment",
+    "",
+]
+# Bracket coefficients on the pair's own variables a and b, and the chart's first, c.
+BRACKET_TEXTS = ["{a}*{b}", "1", "-2/3", "{a}^2", "{a}*{b} - 1/2*{c}^2", "{a} + {b}", "{c}*{a}*{b}  # a comment"]
+JACOBIAN_TEXTS = ["x^3 + y^3 + z^3", "1/3*(x^3 + y^3 + z^3) + x*y*z", "x*y*z", "x^2 + y*z"]
+COMMANDS = (
+    ["check"],
+    ["modular"],
+    ["report"],
+    ["cohomology", "--wmax", "1"],
+    ["tjurina"],
+)
+
+
+@st.composite
+def structure_files(draw):
+    """A chart of 2-4 variables, maybe a weights: line, valid or not, one kind of poisson block, then maybe stray lines anywhere."""
+    n = draw(st.integers(2, 4))
+    names = NAMES[:n]
+    lines = [f"chart: {' '.join(names)}"]
+    weights = [str(draw(st.integers(1, 3))) for _ in names]
+    # None, valid, or broken: a zero, a negative, a letter, one too few or one too many.
+    kind = draw(st.sampled_from([None, None, None, "valid", "valid", "valid", "broken"]))
+    if kind == "broken":
+        kind = draw(st.sampled_from(["0", "-1", "x", "short", "long"]))
+    if kind == "short" or kind == "long":
+        weights = weights[1:] if kind == "short" else weights + ["1"]
+    elif kind in ("0", "-1", "x"):
+        weights[draw(st.integers(0, n - 1))] = kind
+    if kind is not None:
+        lines.append("weights: " + " ".join(weights))
+    lines.append("poisson:")
+    kind = draw(st.sampled_from(["brackets", "jacobian3", "diagonal"]))
+    if kind == "brackets":
+        pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(names, 2))), unique=True, max_size=3))
+        for a, b in pairs:
+            text = draw(st.sampled_from(BRACKET_TEXTS)).format(a=a, b=b, c=names[0])
+            # Mostly in chart order; the other order is a parse error.
+            a, b = (b, a) if draw(st.sampled_from([False] * 4 + [True])) else (a, b)
+            lines.append(f"{{{a},{b}}} = {text}")
+    elif kind == "jacobian3":
+        lines.append(f"jacobian3 F = {draw(st.sampled_from(JACOBIAN_TEXTS))}")
+    else:
+        upper = [[draw(st.integers(-2, 2)) for _ in names] for _ in names]
+        skew = draw(st.sampled_from([True] * 4 + [False]))
+        rows = [[upper[i][j] - upper[j][i] if skew else upper[i][j] for j in range(n)] for i in range(n)]
+        lines.append("diagonal lambda = " + "; ".join(" ".join(map(str, row)) for row in rows))
+    if draw(st.sampled_from([False, False, True])):
+        for position, line in draw(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(STRAY_LINES)), min_size=1, max_size=2)):
+            lines.insert(position, line)
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(structure_files())
+def test_structure_parser_ends_in_a_spec_or_a_parse_error(text):
+    try:
+        parse_structure_file(text)
+    except (ParseError, BudgetExceededError):
+        pass
+    except PreconditionError as exc:
+        # The one precondition a builder checks as the file is read; any parse error wins over it.
+        assert str(exc) == "lambda must be skew-symmetric"
+
+
+@settings(SETTINGS, max_examples=100)
+@given(structure_files())
+def test_every_command_ends_in_a_documented_exit_code(text):
+    with tempfile.NamedTemporaryFile("w", suffix=".poisson", delete=False) as handle:
+        handle.write(text)
+    try:
+        for command in COMMANDS:
+            argv = [command[0], handle.name, *command[1:], "--json", "--budget", "100"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 2, 3, 4), argv
+    finally:
+        os.unlink(handle.name)
