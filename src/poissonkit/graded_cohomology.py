@@ -7,36 +7,35 @@ weight.  Every cohomology dimension is a rank of d_pi on one piece.
 
 The matrices are assembled and ranked sparsely, in integers.  pi is scaled
 once by the lcm s of its coefficient denominators (``polyalg._over_z``);
-d_{s pi} = s d_pi has the same ranks, and its columns are ``{row: int}``.
+d_{s pi} = s d_pi has the same ranks, and its columns are ``{code: int}``.
 A monomial polyvector x^e d_I is one int code, ``mask(I) + (sum_i e_i R^i
 << n)``, with the radix R fixed once per table past every exponent that a
 touched piece or an image can reach, so the codes of a piece are distinct
-and an exponent shift is one int addition.  Each column, the image of one
-basis element, comes straight from its code and a table of s pi's
-derivatives by the odd frame symbols and by the chart variables, built
-once per structure: the image terms are code offsets with int
+and an exponent shift is one int addition.  The code is an element's one
+key, from assembly through elimination and clearing.  Each column, the
+image of one basis element, comes straight from its code and a table of s
+pi's derivatives by the odd frame symbols and by the chart variables,
+built once per structure: the image terms are code offsets with int
 coefficients, their wedge signs those of ``multivec._merge_sign``, merged
-by offset and tabulated once per multi-index, so a key costs int additions
-and products and one ``{code: row}`` lookup per nonzero entry.  The pieces
-of one table share one enumeration of each weighted degree's monomials and
-their packed exponents; a piece's codes are derived from them where they
-are read, never stored.
+by offset and tabulated once per multi-index, so an entry costs int
+additions and products.  The pieces of one table share one enumeration of
+each weighted degree's monomials and their packed exponents; a piece's
+codes are derived from them where they are read, never stored.
 No polyvector is built and no Schouten bracket is evaluated per basis
-element.  Sparse columns ``{row: value}`` are the one representation of
-d_pi on a piece: :func:`dpi_matrix` divides the table's int columns by s
-again and returns those of d_pi itself, and :func:`rank_exact`, the rank
+element.  Only :func:`dpi_matrix` keys rows by target-basis position, and
+divides by s again to return d_pi itself.  :func:`rank_exact`, the rank
 of every piece with a nonempty source and target, runs one fraction-free
 sparse elimination (:func:`_echelon`), which pivots on each column's
-largest row and keeps each reduced column primitive.
+largest row, here the largest code, and keeps each reduced column primitive.
 
 A table first lists every piece it reads, in walk order, one
 :class:`GradedBasis` each, so a piece past the basis cap is refused before
 any elimination.  It then walks each diagonal C^0_{w0} -> C^1_{w0+m} -> ...
 once, upward in k, records only the rank out of each piece, and reads
 every entry off the bases and the ranks.  Each step ranks only the
-columns it can still use: those at the pivot rows of the step before are
-neither assembled nor eliminated.  The pivot rows of an echelon of
-the image of d_{k-1} index basis elements whose span meets that image
+columns it can still use: those at the pivot codes of the step before are
+neither assembled nor eliminated.  The pivot codes of an echelon of
+the image of d_{k-1} are basis elements whose span meets that image
 only in 0 and fills C^k_w with it, and d_pi kills the image, so the other
 columns have the same rank.  This is the clearing, or "twist", of
 persistent homology (Chen and Kerber, EuroCG 2011; Bauer, J. Appl.
@@ -114,9 +113,10 @@ class GradedBasis:
     w: int
     radix: int
     groups: tuple[tuple[MultiIndex, tuple[Exponent, ...], tuple[int, ...]], ...]
+    size: int
 
     def __len__(self) -> int:
-        return sum(len(monomials) for _, monomials, _ in self.groups)
+        return self.size
 
     @property
     def codes(self) -> list[int]:
@@ -206,7 +206,7 @@ def graded_basis(
                 if size > DEFAULT_BASIS_CAP:
                     raise BasisSizeExceededError(f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}")
                 groups.append((index, monomials, packed))
-    return GradedBasis(chart, k, w, radix, tuple(groups))
+    return GradedBasis(chart, k, w, radix, tuple(groups), size)
 
 
 class _DerivativeTable:
@@ -315,31 +315,27 @@ class _IntColumns(list):
 def _dpi_columns(
     table: _DerivativeTable, source: GradedBasis, target: GradedBasis, cleared=frozenset()
 ) -> _IntColumns:
-    """Sparse int columns {row: value} of ``table.scale`` * d_pi from ``source`` into ``target``.
+    """Sparse int columns {target code: value} of ``table.scale`` * d_pi from ``source`` into ``target``.
 
-    The source positions in ``cleared`` are left out: no column is built for them.
+    The source codes in ``cleared`` are left out: no column is built for them.
     """
-    rows = {code: row for row, code in enumerate(target.codes)}
     columns = _IntColumns()
-    positions = itertools.count()
-    try:
-        for index, exponents, packed in source.groups:
-            moves = table.moves(index)
-            mask = sum(1 << i for i in index)
-            # zip draws from ``positions`` last, so a group's end does not advance it.
-            for exponent, code, position in zip(exponents, packed, positions):
-                if position in cleared:
-                    continue
-                code += mask
-                column: dict[int, int] = {}
-                for delta, slope, value in moves:
-                    for i, c in slope:
-                        value += c * exponent[i]
-                    if value:
-                        column[rows[code + delta]] = value
-                columns.append(column)
-    except KeyError:
-        raise AssertionError("image leaves the expected graded piece; homogeneity is broken") from None
+    for index, exponents, packed in source.groups:
+        moves = table.moves(index)
+        mask = sum(1 << i for i in index)
+        for exponent, code in zip(exponents, packed):
+            code += mask
+            if code in cleared:
+                continue
+            column: dict[int, int] = {}
+            for delta, slope, value in moves:
+                for i, c in slope:
+                    value += c * exponent[i]
+                if value:
+                    column[code + delta] = value
+            columns.append(column)
+    if not set(target.codes).issuperset(itertools.chain.from_iterable(columns)):
+        raise AssertionError("image leaves the expected graded piece; homogeneity is broken")
     return columns
 
 
@@ -348,19 +344,18 @@ def dpi_matrix(P: PoissonStructure, k: int, w: int) -> list[dict[int, int | Frac
 
     Column j holds the coordinates of d_pi applied to the j-th source basis
     element, expanded in the target basis.  The integer columns of the
-    derivative table are divided by its ``scale`` here, so the entries are
-    those of d_pi itself, not of a multiple: an ``int`` when integral, a
-    ``Fraction`` otherwise, and zeros are absent.
+    derivative table are keyed by position and divided by its ``scale``
+    here, so the entries are those of d_pi itself, not of a multiple: an
+    ``int`` when integral, a ``Fraction`` otherwise, and zeros are absent.
     """
     m = homogeneity_weight(P)
     table = _DerivativeTable(P, max(w, w + m))
     by_degree: dict = {}
     source = graded_basis(P.chart, k, w, radix=table.radix, by_degree=by_degree)
     target = graded_basis(P.chart, k + 1, w + m, radix=table.radix, by_degree=by_degree)
+    rows, scale = {code: row for row, code in enumerate(target.codes)}, table.scale
     columns = _dpi_columns(table, source, target)
-    if table.scale == 1:
-        return list(columns)
-    return [{row: _div(value, table.scale) for row, value in column.items()} for column in columns]
+    return [{rows[code]: value if scale == 1 else _div(value, scale) for code, value in column.items()} for column in columns]
 
 
 def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
@@ -376,10 +371,10 @@ def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
     entries at smaller rows.  Its length is the rank.  The columns are
     consumed.
 
-    The pivot is the largest row, not the smallest: on the pieces of d_pi,
-    whose rows come in the target basis's order, it fills in far less
-    (the pieces of ``sklyanin4`` through weight 9 end with 106,450 pivot
-    entries against 236,776).
+    On d_pi the rows are codes, so the pivot is the largest monomial, the
+    multi-index last; target positions, which order the multi-index first,
+    fill in more: the pieces of ``sklyanin4`` through weight 9 end with
+    83,537 pivot entries of at most 25 bits, against 106,450 of 89 bits.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for column in columns:
@@ -412,7 +407,7 @@ def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
 
 
 class Rank(int):
-    """An exact rank that also carries ``pivot_rows``, the frozenset of pivot rows of its elimination."""
+    """An exact rank that also carries ``pivot_rows``, the frozenset of pivot rows (column keys) of its elimination."""
 
 
 def rank_exact(columns: list[dict[int, int | Fraction]]) -> Rank:
@@ -422,9 +417,11 @@ def rank_exact(columns: list[dict[int, int | Fraction]]) -> Rank:
     are that run's pivot rows: the image of the columns meets the span of
     the other rows' unit vectors only in 0.  Columns that
     :func:`_dpi_columns` built go straight to the elimination, which
-    consumes them.  A plain list is left as it is: its columns are copied
-    into ints, each scaled by the lcm of its denominators, which does not
-    change the rank, and without its zeros (:func:`_over_z`).
+    consumes them; their pivot rows are codes.  A plain list, such as
+    :func:`dpi_matrix`'s with rows at positions, is left as it is: its
+    columns are copied into ints, each scaled by the lcm of its
+    denominators, which does not change the rank, and without its zeros
+    (:func:`_over_z`).
     """
     if type(columns) is not _IntColumns:
         columns = [_over_z({row: v for row, v in column.items() if v})[1] for column in columns]
@@ -564,9 +561,11 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
         incoming = ranks[(k - 1, w - m)] if k else 0
         return TableEntry(k, w, dim, dim - rank, incoming, dim - rank - incoming, (len(bases[(k + 1, w + m)]), dim, rank))
 
+    # Each entry is built once: an Euler diagonal reads the displayed ones and builds only those past the window.
+    entries = {(k, w): entry(k, w) for k in range(k_max + 1) for w in window}
     checks = []
     for w0 in window:
-        walked = [entry(k, w0 + k * m) for k in range(n + 1)]
+        walked = [entries.get((k, w0 + k * m)) or entry(k, w0 + k * m) for k in range(n + 1)]
         chain_sum = sum((-1) ** k * piece.dim_chain for k, piece in enumerate(walked))
         cohomology_sum = sum((-1) ** k * piece.dim_h for k, piece in enumerate(walked))
         checks.append(EulerCheck(w0=w0, chain_sum=chain_sum, cohomology_sum=cohomology_sum))
@@ -577,6 +576,6 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
         k_max=k_max,
         w_min=w_min,
         w_max=w_max,
-        entries={(k, w): entry(k, w) for k in range(k_max + 1) for w in window},
+        entries=entries,
         euler_checks=tuple(checks),
     )

@@ -396,7 +396,7 @@ class TestCohomologyTable:
         assemble, rank, echelon = module._dpi_columns, module.rank_exact, module._echelon
 
         def assembling(table, source, target, cleared):
-            assert all(0 <= position < len(source) for position in cleared)
+            assert cleared <= set(source.codes)
             columns = assemble(table, source, target, cleared)
             events.append(("piece", source.k, source.w, len(target), len(source), len(cleared), len(columns)))
             assembled.append(columns)
@@ -486,7 +486,8 @@ class TestDirectAssembly:
     """The columns assembled from monomial codes against schouten(pi, -) on built polyvectors."""
 
     def assert_images_match(self, P, weights):
-        # The table holds scale * pi, so its columns are scale * d_pi, in ints.
+        # The table holds scale * pi, so its columns are scale * d_pi, in
+        # ints, keyed by the codes of the target elements.
         m = homogeneity_weight(P)
         n = P.chart.n
         table = _DerivativeTable(P, max(weights) + n * abs(m))
@@ -494,13 +495,13 @@ class TestDirectAssembly:
             for w in weights:
                 source = graded_basis(P.chart, k, w, radix=table.radix)
                 target = graded_basis(P.chart, k + 1, w + m, radix=table.radix)
-                row_of = {key: row for row, key in enumerate(basis_keys(target))}
+                code_of = dict(zip(basis_keys(target), target.codes))
                 columns = _dpi_columns(table, source, target)
                 assert len(columns) == len(source)
                 for key, element, column in zip(basis_keys(source), basis_elements(source), columns):
                     image = schouten(P.pi, element)
                     expected = {
-                        row_of[(index, exponent)]: value * table.scale
+                        code_of[(index, exponent)]: value * table.scale
                         for index, coeff in image.terms.items()
                         for exponent, value in coeff.terms.items()
                     }
@@ -817,6 +818,28 @@ class TestClearing:
         assert table.euler_consistent()
         assert sum(eliminated) <= 11600
 
+    def test_sklyanin4_pivots_stay_sparse_and_small(self, monkeypatch):
+        # Pivoting on the largest monomial code ends with 83,537 pivot
+        # entries of at most 25 bits through weight 9; the largest position
+        # in the target basis, which orders the multi-index first, ended
+        # with 106,450 entries of up to 89 bits.
+        import poissonkit.graded_cohomology as module
+
+        entries, bits = [], []
+        echelon = module._echelon
+
+        def measuring(columns):
+            pivots = echelon(columns)
+            for a, rest in pivots.values():
+                entries.append(1 + len(rest))
+                bits.append(max(abs(v) for v in (a, *rest.values())).bit_length())
+            return pivots
+
+        monkeypatch.setattr(module, "_echelon", measuring)
+        cohomology_table(fixture_structure("sklyanin4"), 4, 9)
+        assert sum(entries) <= 95000
+        assert max(bits) <= 48
+
 
 class TestDiagonalClosedForm:
     """Seeded diagonal structures against ``oracles.diagonal_dimension_table``.
@@ -889,3 +912,28 @@ class TestClosedForms:
 
     def test_torus4_euler_consistent(self):
         assert cohomology_table(fixture_structure("torus4"), 4, 7).euler_consistent()
+
+    def test_quintic_feigin_odesskii_member_has_one_quintic_casimir(self):
+        # q_{5,1}(E) has one Casimir, of degree 5 (Odesskii, Elliptic
+        # algebras, Russian Math. Surveys 2002), so no constant-free
+        # function of degree 1 or 2 commutes with every coordinate.
+        P = parse_structure_file(quintic_member_text()).build()
+        table = cohomology_table(P, 0, 2)
+        assert [table.dim_h(0, w) for w in range(3)] == [1, 0, 0]
+        assert table.euler_consistent()
+
+
+def quintic_member_text():
+    """A rational member of the Feigin-Odesskii family q_{5,1} on C^5.
+
+    {x0, x1} and {x0, x2} and their images under sigma: x_i -> x_{i+1},
+    indices mod 5; a pair that wraps past x4 is listed in chart order,
+    with its bracket negated.
+    """
+    brackets = {1: "x0*x1 - 5/2*x3^2 + 5*x2*x4", 2: "-5/2*x1^2 + 2*x0*x2 - 5*x3*x4"}
+    lines = []
+    for d, bracket in brackets.items():
+        for i in range(5):
+            shifted = re.sub(r"x(\d)", lambda v: f"x{(int(v.group(1)) + i) % 5}", bracket)
+            lines.append(f"{{x{i},x{i + d}}} = {shifted}" if i + d < 5 else f"{{x{(i + d) % 5},x{i}}} = -({shifted})")
+    return "chart: x0 x1 x2 x3 x4\npoisson:\n" + "\n".join(sorted(lines)) + "\n"

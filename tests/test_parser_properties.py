@@ -2,7 +2,9 @@
 
 ``parse_poly`` and ``parse_polyvector`` are checked on expressions, and
 ``parse_structure_file`` and every CLI command on structure files built
-from a line alphabet.  Hypothesis draws the inputs.  ``derandomize=True``
+from a line alphabet.  ``parse_structure_file`` is also checked on the
+fixtures with one line broken, for the line its error names, and on
+charts on both sides of the variable bound.  Hypothesis draws the inputs.  ``derandomize=True``
 fixes the examples, so the suite is as reproducible as the seeded ones,
 and 200 examples per property (100 for the CLI) keep it fast.
 """
@@ -16,7 +18,9 @@ import os
 import tempfile
 from fractions import Fraction
 
-from hypothesis import given, settings
+from pathlib import Path
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonkit import (
@@ -33,6 +37,7 @@ from poissonkit import (
     parse_structure_file,
 )
 from poissonkit.cli import main
+from poissonkit.polyalg import MAX_VARIABLES
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -238,3 +243,49 @@ def test_every_command_ends_in_a_documented_exit_code(text):
                 assert main(argv) in (0, 2, 3, 4), argv
     finally:
         os.unlink(handle.name)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_LINES = [path.read_text().splitlines() for path in sorted(FIXTURES.glob("*.poisson"))]
+# Fragments that no expression or lambda row may contain or end with.
+MALFORMED = ["(", ")", "()", "((1)", "1/0", "1/", "*1", "^2", "1 +", "1 2", "$", "1..2", "q", "x^^2", ""]
+
+
+@st.composite
+def broken_fixtures(draw):
+    """A fixture with one bracket or builder line's expression malformed, and that line's 1-based number."""
+    lines = list(draw(st.sampled_from(FIXTURE_LINES)))
+    entries = [number for number, line in enumerate(lines) if "=" in line.split("#", 1)[0]]
+    number = draw(st.sampled_from(entries))
+    head, expression = lines[number].split("#", 1)[0].split("=", 1)
+    fragment = draw(st.sampled_from(MALFORMED))
+    # The whole expression replaced, or the fragment added as one more term.
+    expression = draw(st.sampled_from([fragment, f"{expression.strip()} + {fragment}"]))
+    lines[number] = f"{head}= {expression}"
+    return "\n".join(lines) + "\n", number + 1
+
+
+@SETTINGS
+@given(broken_fixtures())
+def test_a_malformed_expression_names_its_line(case):
+    text, line = case
+    try:
+        parse_structure_file(text)
+    except ParseError as exc:
+        assert exc.line == line and f"(line {line}" in str(exc), (text, str(exc))
+    else:
+        raise AssertionError(f"parsed a malformed line {line}:\n{text}")
+
+
+@SETTINGS
+@given(st.integers(2, MAX_VARIABLES + 10))
+@example(MAX_VARIABLES)
+@example(MAX_VARIABLES + 1)
+def test_the_chart_bound_is_the_first_line(n):
+    text = "chart: " + " ".join(f"x{i}" for i in range(n)) + "\npoisson:\n{x0,x1} = x0*x1\n"
+    try:
+        spec = parse_structure_file(text)
+    except ParseError as exc:
+        assert n > MAX_VARIABLES and exc.line == 1, (n, str(exc))
+    else:
+        assert n <= MAX_VARIABLES and spec.pi.chart.n == n
