@@ -32,7 +32,6 @@ from .poisson import (
     diagonal_quadratic_bivector,
     dmodule_generators,
     hamiltonian,
-    jacobian_bivector_3,
     jacobiator,
     modular_field,
     new_poisson,

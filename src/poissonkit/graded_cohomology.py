@@ -9,9 +9,10 @@ The matrices are assembled and ranked sparsely, in integers.  pi is scaled
 once by the lcm s of its coefficient denominators (``polyalg._over_z``);
 d_{s pi} = s d_pi has the same ranks, and its columns are ``{code: int}``.
 A monomial polyvector x^e d_I is one int code, ``mask(I) + (sum_i e_i R^i
-<< n)``, with the radix R fixed once per table past every exponent that a
-touched piece or an image can reach, so the codes of a piece are distinct
-and an exponent shift is one int addition.  The code is an element's one
+<< n)``, with the radix R a power of two fixed once per table past every
+exponent that a touched piece or an image can reach, so the codes of a piece
+are distinct, an exponent shift is one int addition, and an exponent is read
+off the code by a shift and a mask.  The code is an element's one
 key, from assembly through elimination and clearing.  Each column, the
 image of one basis element, comes straight from its code and a table of s
 pi's derivatives by the odd frame symbols and by the chart variables,
@@ -19,8 +20,8 @@ built once per structure: the image terms are code offsets with int
 coefficients, their wedge signs those of ``multivec._merge_sign``, merged
 by offset and tabulated once per multi-index, so an entry costs int
 additions and products.  The pieces of one table share one enumeration of
-each weighted degree's monomials and their packed exponents; a piece's
-codes are derived from them where they are read, never stored.
+each weighted degree's packed exponents, summed as it recurses; no exponent
+tuple is kept, and a piece's codes are derived where they are read.
 No polyvector is built and no Schouten bracket is evaluated per basis
 element.  Only :func:`dpi_matrix` keys rows by target-basis position, and
 divides by s again to return d_pi itself.  :func:`rank_exact`, the rank
@@ -100,19 +101,19 @@ def homogeneity_weight(P: PoissonStructure) -> int:
 class GradedBasis:
     """Ordered monomial basis of the degree-k, weight-w graded piece.
 
-    ``groups`` holds a triple ``(I, monomials, packed)`` for each
-    multi-index I (lex ascending) that reaches a monomial: the monomials x^e
-    (grevlex descending), so two runs enumerate identically, and their
-    exponents packed as ``sum_i e_i radix^i << n``, both shared through
-    ``by_degree`` with every multi-index of the table that reaches the same
-    weighted degree.  ``radix`` exceeds every exponent of the piece.
+    ``groups`` holds a pair ``(I, packed)`` for each multi-index I (lex
+    ascending) that reaches a monomial: the exponents e of its monomials x^e
+    (grevlex descending), so two runs enumerate identically, each packed as
+    ``sum_i e_i radix^i << n`` and shared through ``by_degree`` with every
+    multi-index of the table that reaches the same weighted degree.
+    ``radix`` exceeds every exponent of the piece.
     """
 
     chart: Chart
     k: int
     w: int
     radix: int
-    groups: tuple[tuple[MultiIndex, tuple[Exponent, ...], tuple[int, ...]], ...]
+    groups: tuple[tuple[MultiIndex, tuple[int, ...]], ...]
     size: int
 
     def __len__(self) -> int:
@@ -121,7 +122,7 @@ class GradedBasis:
     @property
     def codes(self) -> list[int]:
         """One int per element, in order: ``mask(I) + packed``, with bit i of mask(I) set for each i in I."""
-        return [mask + p for index, _, packed in self.groups for mask in [sum(1 << i for i in index)] for p in packed]
+        return [mask + p for index, packed in self.groups for mask in [sum(1 << i for i in index)] for p in packed]
 
 
 def _pack(exponent: Exponent, radix: int) -> int:
@@ -132,24 +133,31 @@ def _pack(exponent: Exponent, radix: int) -> int:
     return packed
 
 
-def _monomials_of_weighted_degree(chart: Chart, degree: int, limit: int) -> list[Exponent]:
-    """All exponent tuples of the given weighted degree, grevlex descending.
+def _monomials_of_weighted_degree(chart: Chart, degree: int, limit: int, radix: int) -> list[int]:
+    """The monomials of the given weighted degree, grevlex descending, each packed as ``sum_i e_i radix^i << n``.
 
-    When there are more than ``limit``, the enumeration stops at ``limit + 1``
-    of them, so the caller sees the excess without listing the rest.
+    The code is added up digit by digit as the exponents are chosen.  When
+    there are more than ``limit``, the enumeration stops at ``limit + 1`` of
+    them, so the caller sees the excess without listing the rest.
     """
     if degree < 0:
         return []
     weights = chart.weights
+    units = [radix**i << chart.n for i in range(chart.n)]
     # gcds[i] divides the weighted degree of every monomial in x_0..x_{i-1}, so
     # only the e_i with gcds[i] | remaining - e_i * weights[i] can lead to one.
     gcds = [0, *itertools.accumulate(weights[:-1], gcd)]
-    out: list[Exponent] = []
+    # total degree -> packed exponents, in the order found
+    by_total: dict[int, list[int]] = {}
+    found = 0
 
-    def rec(i: int, remaining: int, suffix: tuple[int, ...]):
+    def rec(i: int, remaining: int, total: int, packed: int):
+        nonlocal found
         if i == 0:
             if remaining % weights[0] == 0:
-                out.append((remaining // weights[0],) + suffix)
+                e = remaining // weights[0]
+                by_total.setdefault(total + e, []).append(packed + e * units[0])
+                found += 1
             return
         w, g = weights[i], gcds[i]
         if g == 1:
@@ -161,15 +169,14 @@ def _monomials_of_weighted_degree(chart: Chart, degree: int, limit: int) -> list
             step = g // h
             exponents = range(remaining // h * pow(w // h, -1, step) % step, remaining // w + 1, step)
         for e in exponents:
-            rec(i - 1, remaining - e * w, (e,) + suffix)
-            if len(out) > limit:
+            rec(i - 1, remaining - e * w, total + e, packed + e * units[i])
+            if found > limit:
                 return
 
     # e_{n-1} ascending, then e_{n-2}, ...: grevlex descending within one
-    # total degree; the stable sort then puts higher total degrees first.
-    rec(chart.n - 1, degree, ())
-    out.sort(key=sum, reverse=True)
-    return out
+    # total degree; higher total degrees come first.
+    rec(chart.n - 1, degree, 0, 0)
+    return [p for total in sorted(by_total, reverse=True) for p in by_total[total]]
 
 
 def graded_basis(
@@ -177,18 +184,18 @@ def graded_basis(
     k: int,
     w: int,
     radix: int | None = None,
-    by_degree: dict[int, tuple[tuple[Exponent, ...], tuple[int, ...]]] | None = None,
+    by_degree: dict[int, tuple[int, ...]] | None = None,
 ) -> GradedBasis:
     """Enumerate the monomial polyvectors of degree k and weight w; past the basis cap it raises.
 
     ``radix`` must exceed every exponent of the piece; by default it is
     ``w + sum(weights) + 1``, past the largest weighted degree of a monomial.
-    ``by_degree`` maps a weighted degree to its monomials and their packed
-    exponents; it is filled as degrees are enumerated, so the pieces of one
-    table that pass the same dict, made for the same chart and radix,
-    enumerate each degree once.  When w plus the k heaviest weights is
-    below 0, no multi-index reaches a monomial, and the piece is empty
-    without a multi-index visited.
+    ``by_degree`` maps a weighted degree to its monomials' packed exponents;
+    it is filled as degrees are enumerated, so the pieces of one table that
+    pass the same dict, made for the same chart and radix, enumerate each
+    degree once.  When w plus the k heaviest weights is below 0, no
+    multi-index reaches a monomial, and the piece is empty without a
+    multi-index visited.
     """
     if radix is None:
         radix = max(w + sum(chart.weights), 0) + 1
@@ -197,15 +204,14 @@ def graded_basis(
     if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
         for index in itertools.combinations(range(n), k):
             target = w + sum(chart.weights[i] for i in index)
-            if target not in by_degree:
-                monomials = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP))
-                by_degree[target] = (monomials, tuple([_pack(e, radix) << n for e in monomials]))
-            monomials, packed = by_degree[target]
-            if monomials:
-                size += len(monomials)
+            packed = by_degree.get(target)
+            if packed is None:
+                packed = by_degree[target] = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP, radix))
+            if packed:
+                size += len(packed)
                 if size > DEFAULT_BASIS_CAP:
                     raise BasisSizeExceededError(f"graded piece (k={k}, w={w}) exceeds the basis cap {DEFAULT_BASIS_CAP}")
-                groups.append((index, monomials, packed))
+                groups.append((index, packed))
     return GradedBasis(chart, k, w, radix, tuple(groups), size)
 
 
@@ -232,10 +238,12 @@ class _DerivativeTable:
     of dpi/dx_i, each exponent packed as in :class:`GradedBasis` codes.
 
     ``radix`` is fixed from ``w_top``, the largest weight of a piece the
-    caller touches: it is the largest weighted degree of a monomial in such
-    a piece, plus the degree of pi, plus 2.  Adding an image's exponent
-    shift to a code then never carries between digits, and a shift that
-    leaves the piece, even by borrowing, reaches a code no piece holds.
+    caller touches: it is the smallest power of two at least the largest
+    weighted degree of a monomial in such a piece, plus the degree of pi,
+    plus 2.  Adding an image's exponent shift to a code then never carries
+    between digits, and a shift that leaves the piece, even by borrowing,
+    reaches a code no piece holds.  Digit i of a code is its bits from
+    ``n + i * log2(radix)`` on, read by a shift and a mask.
     """
 
     __slots__ = ("scale", "radix", "by_theta", "by_x", "_moves")
@@ -247,7 +255,7 @@ class _DerivativeTable:
             {(a, b, exponent): value for (a, b), coeff in P.pi.terms.items() for exponent, value in coeff.terms.items()}
         )
         degree = max((sum(exponent) for _, _, exponent in terms), default=0)
-        self.radix = radix = max(w_top + sum(chart.weights), 0) + degree + 2
+        self.radix = radix = 1 << (max(w_top + sum(chart.weights), 0) + degree + 1).bit_length()
         self.by_theta: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.by_x: list[list[tuple[MultiIndex, int, int]]] = [[] for _ in range(n)]
         for (a, b, exponent), c in terms.items():
@@ -263,7 +271,8 @@ class _DerivativeTable:
         """The moves of [pi, x^e d_index] as code offsets, computed once per index.
 
         Each move ``(delta, slope, constant)`` adds ``constant + sum c * e_i``
-        over the pairs ``(i, c)`` of ``slope`` at code ``+ delta``.  The
+        at code ``+ delta``, over the pairs ``(offset, c)`` of ``slope``, with
+        e_i read from the code as ``code >> offset & (radix - 1)``.  The
         slope collects the terms that differentiate x^e by x_i, with the -1
         of the derivative already in ``delta``, and lists only the variables
         with a nonzero c; the constant collects the terms that differentiate
@@ -277,6 +286,7 @@ class _DerivativeTable:
         if cached is not None:
             return cached
         n = len(self.by_theta)
+        bits = self.radix.bit_length() - 1
         # delta -> [slope_0, ..., slope_{n-1}, constant]
         merged: dict[int, list[int]] = {}
         for i, terms in enumerate(self.by_theta):
@@ -297,7 +307,7 @@ class _DerivativeTable:
                     move = merged.setdefault(delta, [0] * (n + 1))
                     move[n] -= (-1) ** pos * wedged[0] * value
         moves = [
-            (delta, tuple((i, c) for i, c in enumerate(move[:n]) if c), move[n])
+            (delta, tuple((n + i * bits, c) for i, c in enumerate(move[:n]) if c), move[n])
             for delta, move in merged.items()
             if any(move)
         ]
@@ -319,18 +329,18 @@ def _dpi_columns(
 
     The source codes in ``cleared`` are left out: no column is built for them.
     """
-    columns = _IntColumns()
-    for index, exponents, packed in source.groups:
+    columns, digit = _IntColumns(), table.radix - 1
+    for index, packed in source.groups:
         moves = table.moves(index)
         mask = sum(1 << i for i in index)
-        for exponent, code in zip(exponents, packed):
+        for code in packed:
             code += mask
             if code in cleared:
                 continue
             column: dict[int, int] = {}
             for delta, slope, value in moves:
-                for i, c in slope:
-                    value += c * exponent[i]
+                for offset, c in slope:
+                    value += c * (code >> offset & digit)
                 if value:
                     column[code + delta] = value
             columns.append(column)
@@ -527,7 +537,7 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
 
     # Every piece touched below has weight at most w_max + n|m|.
     table = _DerivativeTable(P, w_max + n * abs(m))
-    by_degree: dict[int, tuple[tuple[Exponent, ...], tuple[int, ...]]] = {}
+    by_degree: dict[int, tuple[int, ...]] = {}
     # The pieces (k, w0 + km) that the table reads, as a k span per diagonal w0.
     spans = {w0: [0, n] for w0 in window}
     for k in range(k_max + 1):

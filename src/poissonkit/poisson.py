@@ -6,13 +6,13 @@ at the door with the offending trivector attached.
 
 The operators here are calls into the one term-map kernel of
 :mod:`poissonkit.multivec`: the Jacobi check is ``schouten(pi, pi)``, the
-Hamiltonian field is ``contract(f, pi)``, the Jacobian structure is
-``contract(F, covolume)`` and the modular field is ``bv(pi)``.  Sign
-conventions follow that module: d_pi = [pi, -] is
+Hamiltonian field is ``contract(f, pi)`` and the modular field is
+``bv(pi)``.  Sign conventions follow that module: d_pi = [pi, -] is
 ``schouten(P.pi, -)``, and ``schouten(P.pi, f)`` equals
 ``-hamiltonian(P, f)`` on functions, which is the choice that makes
 ``L_{H_f} = d_pi o i_df + i_df o d_pi`` hold.  Each family of structures has
-one builder, which returns its bivector; :func:`new_poisson` checks it.
+one builder, which returns its bivector; :func:`new_poisson` checks it.  A
+Jacobian structure needs none: it is ``contract(F, covolume(chart))``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, JacobiFailure, PreconditionError
-from .multivec import MultiIndex, Polyvector, apply_vector_field, bv, contract, covolume, schouten
+from .multivec import MultiIndex, Polyvector, apply_vector_field, bv, contract, schouten
 from .polyalg import Chart, Poly, _add_product, _clean
 
 
@@ -114,17 +114,6 @@ def modular_field(P: PoissonStructure) -> Polyvector:
     of Hamiltonian flows to preserve the covolume: ``zeta(f) = -bv(H_f)``.
     """
     return bv(P.pi)
-
-
-def jacobian_bivector_3(F: Poly) -> Polyvector:
-    """The Jacobian structure on a 3-chart, i_dF of the covolume: {x,y} = dF/dz cyclically.
-
-    F is a Casimir (``schouten(pi, F) = 0``), and the Jacobi identity holds
-    for every F; ``new_poisson`` still checks it.
-    """
-    if F.chart.n != 3:
-        raise PreconditionError(f"jacobian_bivector_3 needs a 3-chart, got n={F.chart.n}")
-    return contract(F, covolume(F.chart))
 
 
 def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:

@@ -31,10 +31,9 @@ from .errors import ParseError
 from .poisson import (
     PoissonStructure,
     diagonal_quadratic_bivector,
-    jacobian_bivector_3,
     new_poisson,
 )
-from .multivec import Polyvector
+from .multivec import Polyvector, contract, covolume
 from .polyalg import Chart, Poly, _rational, parse_poly
 
 _BRACKET_RE = re.compile(
@@ -149,7 +148,7 @@ def parse_structure_file(text: str) -> StructureSpec:
             if chart.n != 3:
                 raise ParseError("jacobian3 needs a 3-variable chart", line=lineno)
             F = _parse_expr(m.group(1), chart, lineno, indent + m.start(1))
-            builder = partial(jacobian_bivector_3, F)
+            builder = partial(contract, F, covolume(chart))
             continue
         rows = []
         for row_text in m.group(1).split(";"):

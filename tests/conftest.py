@@ -11,8 +11,9 @@ from poissonkit import (
     Chart,
     Poly,
     Polyvector,
+    contract,
+    covolume,
     diagonal_quadratic_bivector,
-    jacobian_bivector_3,
     new_poisson,
 )
 
@@ -82,7 +83,7 @@ def random_surface_structure(rng, chart=CHART2, max_degree=3):
 def random_cubic_structure(rng, chart=CHART3):
     """Jacobian structure of a random (not necessarily homogeneous) cubic."""
     f = random_poly(rng, chart, max_degree=3, max_terms=4, allow_zero=False)
-    return new_poisson(jacobian_bivector_3(f))
+    return new_poisson(contract(f, covolume(chart)))
 
 
 def random_skew_matrix(rng, n=4):

@@ -25,9 +25,9 @@ from poissonkit import (
     bv,
     cohomology_table,
     contract,
+    covolume,
     diagonal_quadratic_bivector,
     hamiltonian,
-    jacobian_bivector_3,
     jacobian_ideal_basis,
     lie_derivative,
     modular_field,
@@ -187,7 +187,7 @@ def test_criterion_6_jacobian_cubic_cohomology():
     started = time.perf_counter()
     x, y, z = (Poly.variable(CHART3, i) for i in range(3))
     F = (x**3 + y**3 + z**3) * Fraction(1, 3) + x * y * z
-    P = new_poisson(jacobian_bivector_3(F))
+    P = new_poisson(contract(F, covolume(CHART3)))
     assert schouten(P.pi, Polyvector.function(F)).is_zero  # d_pi F = 0, symbolically
     table = cohomology_table(P, 3, 3)
     EMITTED_TABLES.append(table)

@@ -195,6 +195,59 @@ class TestExitCodes:
         assert "precondition" in capsys.readouterr().err
 
 
+class TestRarelyReachedExits:
+    """Exit codes and messages of paths that no other test reaches."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("poisson:\nchart: w z\n{w,z} = w*z\n", "the poisson block needs a preceding chart: line (line 1)"),
+            ("chart:\npoisson:\n", "chart: needs at least one variable name (line 1)"),
+            ("# a comment and nothing else\n", "missing chart: line (line 1)"),
+            ("chart: w z\n", "missing poisson: block (line 1)"),
+        ],
+        ids=["poisson-before-chart", "chart-without-names", "no-chart", "no-poisson"],
+    )
+    def test_structure_file_without_its_header(self, capsys, tmp_path, text, message):
+        path = tmp_path / "headless.poisson"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_failing_check_prints_its_jacobiator(self, capsys, tmp_path):
+        bad = tmp_path / "bad.poisson"
+        bad.write_text("chart: x y z\npoisson:\n{x,y} = y\n{x,z} = x\n")
+        assert main(["check", str(bad)]) == 0
+        out = capsys.readouterr().out
+        assert "jacobi: FAIL\n" in out and "jacobiator: 2*y dx^dy^dz\n" in out
+
+    def test_point_of_the_wrong_length(self, capsys):
+        assert main(["tjurina", "w*z", "--point", "1,2,3"]) == 2
+        assert capsys.readouterr().err == "parse error: --point needs 2 coordinates in chart order ('w', 'z')\n"
+
+    def test_budget_that_is_not_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["tjurina", "w*z", "--budget", "x"])
+        assert info.value.code == 2
+        assert "argument --budget: expected an integer of at least 0, got 'x'" in capsys.readouterr().err
+
+    def test_table_too_large_is_refused_before_any_piece_is_listed(self, capsys, monkeypatch):
+        import poissonkit.graded_cohomology as module
+
+        def unreachable(*args):
+            raise AssertionError("a piece was listed")
+
+        monkeypatch.setattr(module, "graded_basis", unreachable)
+        assert main(["cohomology", str(FIXTURES / "weighted_surface.poisson"), "--wmax", "100000"]) == 4
+        assert capsys.readouterr().err == "budget exceeded: the table's 3 x 100006 entries exceed the basis cap 20000\n"
+
+    def test_translation_past_the_term_bound(self, capsys):
+        # TestExitCodeContract runs the same input in a subprocess, under a timeout.
+        assert main(["tjurina", "w^20000 + z^2", "--point=1,0"]) == 4
+        err = capsys.readouterr().err
+        assert err == "budget exceeded: --point '1,0': translation: the translated polynomial may have more than 2000 terms\n"
+
+
 class TestDeterminism:
     def test_result_payload_is_reproducible(self, capsys):
         first = run_json(capsys, "report", str(FIXTURES / "torus4.poisson"))

@@ -14,11 +14,12 @@ from poissonkit import (
     Polyvector,
     PreconditionError,
     cohomology_table,
+    contract,
+    covolume,
     diagonal_quadratic_bivector,
     dpi_matrix,
     graded_basis,
     homogeneity_weight,
-    jacobian_bivector_3,
     new_poisson,
     parse_poly,
     parse_structure_file,
@@ -45,19 +46,22 @@ def symplectic2():
 def hesse_structure():
     x, y, z = (Poly.variable(CHART3, i) for i in range(3))
     F = (x**3 + y**3 + z**3) * Fraction(1, 3) + x * y * z
-    return new_poisson(jacobian_bivector_3(F)), F
+    return new_poisson(contract(F, covolume(CHART3))), F
 
 
 def rational_hesse_structure():
     """A Jacobian structure whose bivector has non-integer coefficients."""
     x, y, z = (Poly.variable(CHART3, i) for i in range(3))
     F = (x**3 + y**3 + z**3) * Fraction(1, 6) + x * y * z * Fraction(1, 2)
-    return new_poisson(jacobian_bivector_3(F))
+    return new_poisson(contract(F, covolume(CHART3)))
 
 
 def basis_keys(basis):
-    """The basis as ``(multi-index, exponent)`` pairs, in order."""
-    return [(index, exponent) for index, exponents, _ in basis.groups for exponent in exponents]
+    """The basis as ``(multi-index, exponent)`` pairs, in order, each exponent unpacked from its digits."""
+    n, radix = basis.chart.n, basis.radix
+    return [
+        (index, tuple((p >> n) // radix**i % radix for i in range(n))) for index, packed in basis.groups for p in packed
+    ]
 
 
 def basis_elements(basis):
@@ -173,9 +177,11 @@ class TestGradedBasis:
                     (e for e in box if chart.weighted_degree(e) == degree),
                     key=lambda e: (-sum(e), e[::-1]),
                 )
-                assert _monomials_of_weighted_degree(chart, degree, len(expected)) == expected, (weights, degree)
+                radix = degree + 2
+                packed = [_pack(e, radix) << n for e in expected]
+                assert _monomials_of_weighted_degree(chart, degree, len(expected), radix) == packed, (weights, degree)
                 if expected:
-                    assert len(_monomials_of_weighted_degree(chart, degree, len(expected) - 1)) == len(expected)
+                    assert len(_monomials_of_weighted_degree(chart, degree, len(expected) - 1, radix)) == len(expected)
 
 
 class TestDpiMatrix:
@@ -683,10 +689,12 @@ class TestMonomialCodes:
         chart = Chart(("w", "z"), (2, 3))
         for k in range(3):
             for w in range(-5, 12):
-                top = max((max(e) for _, e in basis_keys(graded_basis(chart, k, w))), default=0)
+                # The keys are read at the default radix, the codes built at the smallest.
+                keys = basis_keys(graded_basis(chart, k, w))
+                top = max((max(e) for _, e in keys), default=0)
                 basis = graded_basis(chart, k, w, radix=top + 1)
-                assert len(set(basis.codes)) == len(basis.codes)
-                for code, (index, exponent) in zip(basis.codes, basis_keys(basis)):
+                assert len(set(basis.codes)) == len(basis.codes) == len(keys)
+                for code, (index, exponent) in zip(basis.codes, keys):
                     assert code == sum(1 << i for i in index) + (_pack(exponent, top + 1) << chart.n)
 
     def test_cohomology_radix_leaves_room_for_every_image(self, monkeypatch):
@@ -937,3 +945,70 @@ def quintic_member_text():
             shifted = re.sub(r"x(\d)", lambda v: f"x{(int(v.group(1)) + i) % 5}", bracket)
             lines.append(f"{{x{i},x{i + d}}} = {shifted}" if i + d < 5 else f"{{x{(i + d) % 5},x{i}}} = -({shifted})")
     return "chart: x0 x1 x2 x3 x4\npoisson:\n" + "\n".join(sorted(lines)) + "\n"
+
+
+def monomials_of_degree(chart, degree):
+    return [Poly.monomial(chart, e, 1) for e in itertools.product(range(degree + 1), repeat=chart.n) if sum(e) == degree]
+
+
+class TestFirstOrderDeformations:
+    """Tangents to the family of a Jacobian structure span its H^2_0 (the paper's deformation claim, first order).
+
+    A tangent is the derivative of the family's bivector along one Casimir
+    moved by one monomial; it lies in C^2_0, is a cocycle, and with the
+    image of d_pi on C^1_0 it spans the kernel of d_pi on C^2_0.
+    """
+
+    @staticmethod
+    def coordinates(basis, t):
+        """The column of a bivector in ``basis``, keyed by position."""
+        position = {key: row for row, key in enumerate(basis_keys(basis))}
+        return {position[(index, exponent)]: value for index, coeff in t.terms.items() for exponent, value in coeff.terms.items()}
+
+    def assert_tangents_span(self, P, tangents, dims):
+        basis = graded_basis(P.chart, 2, 0)
+        outgoing = dpi_matrix(P, 2, 0)
+        image = dpi_matrix(P, 1, 0)
+        kernel, incoming = len(basis) - rank_exact(outgoing), rank_exact(image)
+        assert (len(basis), kernel, incoming, kernel - incoming) == dims
+        columns = [self.coordinates(basis, t) for t in tangents]
+        for column in columns:
+            assert self.is_cocycle(outgoing, column)
+        # Dropping one term of the longest tangent leaves the kernel.
+        broken = dict(max(columns, key=len))
+        broken.pop(next(iter(broken)))
+        assert not self.is_cocycle(outgoing, broken)
+        assert rank_exact(image + columns) == kernel
+
+    @staticmethod
+    def is_cocycle(outgoing, column):
+        image = {}
+        for j, c in column.items():
+            for row, v in outgoing[j].items():
+                image[row] = image.get(row, 0) + c * v
+        return not any(image.values())
+
+    def test_sklyanin4_tangents_span_h2_0(self):
+        P = fixture_structure("sklyanin4")
+        chart, volume = P.chart, covolume(P.chart)
+        f1 = parse_poly("x0^2 + x1^2 + x2^2 + x3^2", chart)
+        f2 = parse_poly("x1^2 + 2*x2^2 + 3*x3^2", chart)
+        quadrics = monomials_of_degree(chart, 2)
+        assert len(quadrics) == 10
+        tangents = [contract(f2, contract(q, volume)) for q in quadrics] + [contract(q, contract(f1, volume)) for q in quadrics]
+        self.assert_tangents_span(P, tangents, (60, 17, 15, 2))
+
+    def test_hesse_cubic_tangents_span_h2_0(self):
+        P = fixture_structure("hesse_cubic")
+        cubics = monomials_of_degree(P.chart, 3)
+        assert len(cubics) == 10
+        self.assert_tangents_span(P, [contract(q, covolume(P.chart)) for q in cubics], (18, 10, 8, 2))
+
+    def test_seeded_pencils_of_quadrics_tangents_span_h2_0(self, rng):
+        # A parameter count predicts the same span as on sklyanin4: 17 - 15 = 2.
+        volume, quadrics = covolume(CHART4), monomials_of_degree(CHART4, 2)
+        for _ in range(2):
+            f1, f2 = (sum((q * rng.randint(-3, 3) for q in quadrics), Poly.zero(CHART4)) for _ in range(2))
+            P = new_poisson(contract(f2, contract(f1, volume)))
+            tangents = [contract(f2, contract(q, volume)) for q in quadrics] + [contract(q, contract(f1, volume)) for q in quadrics]
+            self.assert_tangents_span(P, tangents, (60, 17, 15, 2))

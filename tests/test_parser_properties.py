@@ -4,7 +4,9 @@
 ``parse_structure_file`` and every CLI command on structure files built
 from a line alphabet.  ``parse_structure_file`` is also checked on the
 fixtures with one line broken, for the line its error names, and on
-charts on both sides of the variable bound.  Hypothesis draws the inputs.  ``derandomize=True``
+charts on both sides of the variable bound.  The 4300-digit guard is
+checked on literal, multiplied and raised coefficients (exit 2) and on a
+computed Pfaffian coefficient (exit 4).  Hypothesis draws the inputs.  ``derandomize=True``
 fixes the examples, so the suite is as reproducible as the seeded ones,
 and 200 examples per property (100 for the CLI) keep it fast.
 """
@@ -14,12 +16,14 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import math
 import os
 import tempfile
 from fractions import Fraction
 
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +41,7 @@ from poissonkit import (
     parse_structure_file,
 )
 from poissonkit.cli import main
-from poissonkit.polyalg import MAX_VARIABLES
+from poissonkit.polyalg import MAX_VARIABLES, _digit_limit
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -289,3 +293,64 @@ def test_the_chart_bound_is_the_first_line(n):
         assert n > MAX_VARIABLES and exc.line == 1, (n, str(exc))
     else:
         assert n <= MAX_VARIABLES and spec.pi.chart.n == n
+
+
+# The interpreter's limit on the digits of an int converted to str: 4300 by default, 0 where it has none.
+DIGITS = _digit_limit()
+needs_digit_limit = pytest.mark.skipif(not DIGITS, reason="this interpreter has no int digit limit")
+digit_counts = st.one_of(st.integers(DIGITS - 3, DIGITS + 3), st.integers(1, 2 * DIGITS))
+
+
+def exit_code(*argv):
+    """``main(argv)`` with its output discarded: the exit code, never a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([*argv, "--json"])
+
+
+def structure_path(tmp_dir, text):
+    path = Path(tmp_dir) / "guard.poisson"
+    path.write_text(text)
+    return str(path)
+
+
+@needs_digit_limit
+@settings(SETTINGS, max_examples=40)
+@given(digit_counts, st.integers(1, 9))
+@example(DIGITS, 9)
+@example(DIGITS + 1, 1)
+def test_a_literal_coefficient_exits_2_exactly_past_the_digit_limit(digits, lead):
+    literal = str(lead) + "7" * (digits - 1)
+    expected = 2 if digits > DIGITS else 0
+    assert exit_code("tjurina", f"{literal}*w^2 + z^3") == expected
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        assert exit_code("check", structure_path(tmp_dir, f"chart: w z\npoisson:\n{{w,z}} = {literal}*w*z\n")) == expected
+
+
+@needs_digit_limit
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(2, 10**6), st.integers(-2, 2), st.booleans())
+@example(10, 0, False)
+@example(10, 0, True)
+def test_a_product_or_power_past_the_digit_limit_exits_2(base, offset, power):
+    # base^e near 10^DIGITS, written as a power or as the product base^(e-1) * base.
+    e = max(int(DIGITS / math.log10(base)) + offset, 2)
+    text = f"{base}^{e}*w^2 + z^3" if power else f"{base}^{e - 1}*{base}*w^2 + z^3"
+    expected = 2 if base**e >= 10**DIGITS else 0
+    assert exit_code("tjurina", text) == expected
+
+
+@needs_digit_limit
+@settings(SETTINGS, max_examples=20)
+@given(st.integers(1, DIGITS - 1), st.integers(-3, 3))
+@example(2000, 0)
+@example(2000, 1)
+def test_a_pfaffian_coefficient_past_the_digit_limit_exits_4(first, offset):
+    # Pf = 10^first * 10^second * a*b*c*d has first + second + 1 digits.
+    second = min(max(DIGITS - 1 - first + offset, 0), DIGITS - 1)
+    text = f"chart: a b c d\npoisson:\n{{a,b}} = 10^{first}*a*b\n{{c,d}} = 10^{second}*c*d\n"
+    expected = 4 if first + second + 1 > DIGITS else 0
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        path = structure_path(tmp_dir, text)
+        assert exit_code("check", path) == 0
+        for command in ("report", "tjurina"):
+            assert exit_code(command, path) == expected, (command, first, second)

@@ -12,6 +12,7 @@ from poissonkit import (
     Chart,
     ChartMismatchError,
     JacobiFailure,
+    ParseError,
     PoissonStructure,
     Poly,
     Polyvector,
@@ -19,14 +20,16 @@ from poissonkit import (
     apply_vector_field,
     bv,
     contract,
+    covolume,
     diagonal_quadratic_bivector,
     dmodule_generators,
     hamiltonian,
-    jacobian_bivector_3,
     jacobiator,
     lie_derivative,
     modular_field,
     new_poisson,
+    parse_poly,
+    parse_structure_file,
     pfaffian,
     poisson_bracket,
     schouten,
@@ -36,6 +39,7 @@ from conftest import (
     CHART2,
     CHART3,
     CHART4,
+    FIXTURES,
     random_cubic_structure,
     random_diagonal_structure,
     random_poly,
@@ -214,34 +218,53 @@ class TestModularField:
 
 class TestBuilders:
     def test_jacobian_of_xyz(self):
-        P = new_poisson(jacobian_bivector_3(X3 * Y3 * Z3))
+        P = new_poisson(contract(X3 * Y3 * Z3, covolume(CHART3)))
         assert P.pi == Polyvector(
             CHART3, 2, {(0, 1): X3 * Y3, (1, 2): Y3 * Z3, (0, 2): -X3 * Z3}
         )
 
     def test_jacobian_of_fermat_cubic(self):
         F = (X3**3 + Y3**3 + Z3**3) * Fraction(1, 3)
-        P = new_poisson(jacobian_bivector_3(F))
+        P = new_poisson(contract(F, covolume(CHART3)))
         assert P.pi.terms[(0, 1)] == Z3**2
         assert P.pi.terms[(1, 2)] == X3**2
         assert P.pi.terms[(0, 2)] == -(Y3**2)
 
     def test_hesse_pencil_casimir(self):
         F = (X3**3 + Y3**3 + Z3**3) * Fraction(1, 3) + X3 * Y3 * Z3
-        P = new_poisson(jacobian_bivector_3(F))
+        P = new_poisson(contract(F, covolume(CHART3)))
         assert schouten(P.pi, Polyvector.function(F)).is_zero
 
     def test_jacobian_matches_the_hand_written_brackets(self, rng):
-        # jacobian_bivector_3 is contract(F, covolume); the brackets written
+        # The jacobian3 rule is contract(F, covolume); the brackets written
         # out are {x,y} = F_z, {y,z} = F_x, {x,z} = -F_y.
         for _ in range(40):
             F = random_poly(rng, CHART3, max_degree=4, max_terms=4)
             expected = Polyvector(CHART3, 2, {(0, 1): F.diff(2), (1, 2): F.diff(0), (0, 2): -F.diff(1)})
-            assert jacobian_bivector_3(F) == expected
+            assert contract(F, covolume(CHART3)) == expected
 
     def test_jacobian_needs_three_variables(self):
-        with pytest.raises(PreconditionError):
-            jacobian_bivector_3(W)
+        with pytest.raises(ParseError, match=r"jacobian3 needs a 3-variable chart \(line 3\)"):
+            parse_structure_file("chart: w z\npoisson:\njacobian3 F = w*z\n")
+
+    def test_sklyanin4_is_the_jacobian_structure_of_its_two_casimirs(self):
+        # q_{4,1} is the Jacobian structure of its two Casimirs: the covolume
+        # contracted by df1 and then by df2 (Odesskii-Rubtsov 2002).
+        P = parse_structure_file((FIXTURES / "sklyanin4.poisson").read_text()).build()
+        chart = P.chart
+        f1 = parse_poly("x0^2 + x1^2 + x2^2 + x3^2", chart)
+        f2 = parse_poly("x1^2 + 2*x2^2 + 3*x3^2", chart)
+        assert contract(f2, contract(f1, covolume(chart))) == P.pi
+        other = parse_poly("x1^2 + 2*x2^2 + 4*x3^2", chart)
+        assert contract(other, contract(f1, covolume(chart))) != P.pi
+
+    def test_pencils_of_quadrics_are_poisson_with_both_casimirs(self, rng):
+        quadrics = [Poly.monomial(CHART4, e, 1) for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+        for _ in range(5):
+            f1, f2 = (sum((q * rng.randint(-3, 3) for q in quadrics), Poly.zero(CHART4)) for _ in range(2))
+            P = new_poisson(contract(f2, contract(f1, covolume(CHART4))))
+            for f in (f1, f2):
+                assert schouten(P.pi, Polyvector.function(f)).is_zero
 
     def test_diagonal_two_chart(self):
         P = new_poisson(diagonal_quadratic_bivector([[0, 1], [-1, 0]], chart=CHART2))
@@ -327,7 +350,7 @@ class TestNamedFamilySuites:
     def test_jacobian_family(self, rng):
         for _ in range(25):
             F = random_poly(rng, CHART3, max_degree=3, max_terms=4, allow_zero=False)
-            P = new_poisson(jacobian_bivector_3(F))
+            P = new_poisson(contract(F, covolume(CHART3)))
             _identity_battery(rng, P, cases=4)
             assert schouten(P.pi, Polyvector.function(F)).is_zero
 
