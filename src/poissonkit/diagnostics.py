@@ -38,6 +38,9 @@ from .poisson import PoissonStructure, modular_field, pfaffian
 from .polyalg import Poly, nonreduced_factor
 
 
+_ZERO_PFAFFIAN = "the Pfaffian vanishes identically: no open dense symplectic leaf"
+
+
 class Verdict(enum.Enum):
     NOT_LOG_SYMPLECTIC = "NotLogSymplectic"
     OBSTRUCTED_BY_MODULAR_LEAVES = "ObstructedByModularLeaves"
@@ -51,7 +54,7 @@ class StructureAnalysis:
     A read checks its preconditions in one order: odd chart
     (PreconditionError), then zero Pfaffian (DegenerateEverywhereError), then
     non-reduced curve (NonReducedCurveError).  ``budget`` bounds each
-    Groebner basis.
+    Groebner basis, on a surface the one that ``reduced`` reads too.
     """
 
     def __init__(self, P: PoissonStructure, budget: int = DEFAULT_BUDGET):
@@ -83,20 +86,31 @@ class StructureAnalysis:
                 "the degeneracy curve is non-reduced; the surface is not log symplectic"
             )
         tau = self.tjurina_total
-        assert tau is not INFINITE  # squarefree curves have isolated singularities
+        assert tau is not INFINITE  # a reduced surface curve has a finite singular locus
         return tau
 
     @cached_property
     def nonreduced_factor(self) -> Poly:
-        """gcd(f, df/dx_1, ..., df/dx_n), the NOT_LOG_SYMPLECTIC witness; constant iff f is reduced."""
-        f = self._nonzero_pfaffian(
-            "the Pfaffian vanishes identically: no open dense symplectic leaf"
-        )
-        return nonreduced_factor(f)
+        """gcd(f, df/dx_1, ..., df/dx_n), constant iff f is reduced: the NOT_LOG_SYMPLECTIC witness, and ``reduced`` off surfaces."""
+        return nonreduced_factor(self._nonzero_pfaffian(_ZERO_PFAFFIAN))
 
     @property
     def reduced(self) -> bool:
-        """Log-symplecticity: f is squarefree, or a nonzero constant (empty divisor)."""
+        """Log-symplecticity: f is squarefree, or a nonzero constant (empty divisor).
+
+        On a surface it is read off the singular locus: f is constant, or
+        ``tjurina_total`` is finite (a Groebner basis run under ``budget``).
+        In characteristic 0 that is squarefreeness.  If f = g^2 h with g
+        not constant, the curve V(g) lies in V(f, df), which is then
+        infinite.  If f is squarefree, write f = p h for a prime factor p,
+        p not dividing h; p divides f_i = p_i h + p h_i only if it divides
+        p_i, of lower degree, so only if p_i = 0, and not every p_i is 0.
+        So V(p) meets V(f, df) in finitely many points.  On charts of 4 or
+        more variables the test is the gcd ``nonreduced_factor``.
+        """
+        f = self._nonzero_pfaffian(_ZERO_PFAFFIAN)
+        if self.P.chart.n == 2:
+            return f.is_constant or self.tjurina_total is not INFINITE
         return self.nonreduced_factor.is_constant
 
     @cached_property

@@ -83,7 +83,8 @@ def poisson_bracket(P: PoissonStructure, f: Poly, g: Poly) -> Poly:
 def pfaffian(P: PoissonStructure) -> Poly:
     """Coefficient of the covolume in pi^(n/2) / (n/2)!; its zero locus is the degeneracy divisor.
 
-    Expanded along the lowest index i left: ``Pf(I) = sum_j (-1)^pos pi_ij
+    On a 2-chart it is pi's one coefficient, the same object.  Otherwise it
+    is expanded along the lowest index i left: ``Pf(I) = sum_j (-1)^pos pi_ij
     Pf(I - {i, j})``, j at ``pos`` in I - {i}, over the nonzero pi_ij only,
     with each Pf(I) computed once.  A chart of independent 2-blocks costs
     one term per block; a dense chart stays exponential in n.
@@ -92,6 +93,8 @@ def pfaffian(P: PoissonStructure) -> Poly:
     if n % 2:
         raise PreconditionError(f"the Pfaffian needs an even-dimensional chart, got n={n}")
     pi = P.pi.terms
+    if n == 2:
+        return pi.get((0, 1)) or Poly.zero(P.chart)
 
     @functools.cache
     def pf(index: MultiIndex) -> dict:
@@ -152,17 +155,24 @@ def dmodule_generators(
     algebra as arbitrary f, so this finite emission presents the whole ideal;
     that reduction is a documented remark, not something the tool proves.
     ``zeta`` is P's modular field; pass it when it is already computed.
+
+    Both parts are read off, not computed: zeta(x_i) is zeta's d_i
+    coefficient, and H_{x_i} = i_{dx_i} pi is row i of pi,
+    ``sum_{b>i} pi_ib d_b - sum_{a<i} pi_ai d_a``.  So they share their
+    coefficients with zeta and pi.
     """
     if zeta is None:
         zeta = modular_field(P)
-    out = []
-    for i in range(P.chart.n):
-        xi = Poly.variable(P.chart, i)
-        out.append(
-            DIdealGenerator(
-                scalar_part=apply_vector_field(zeta, xi),
-                vector_part=hamiltonian(P, xi),
-                source=xi,
-            )
+    chart, zero = P.chart, Poly.zero(P.chart)
+    rows: list[dict] = [{} for _ in range(chart.n)]
+    for (a, b), coeff in P.pi.terms.items():
+        rows[a][(b,)] = coeff
+        rows[b][(a,)] = -coeff
+    return [
+        DIdealGenerator(
+            scalar_part=zeta.terms.get((i,), zero),
+            vector_part=Polyvector(chart, 1, row),
+            source=Poly.variable(chart, i),
         )
-    return out
+        for i, row in enumerate(rows)
+    ]

@@ -26,10 +26,11 @@ largest exponent left as its lead).  Exponent sums run through C-level ``map``.
 
 The module also provides the expression parser / pretty-printer used by the
 CLI and the test suite, and the multivariate gcd over Z behind the
-reducedness test: the heuristic GCDHEU, certified by trial division, with a
-primitive pseudo-remainder sequence as the fallback; a gcd with a one-term
-map is read off the exponents, with no evaluation.  Both run on integer
-term maps ``{exponent: int}``; only :func:`gcd_multi`'s result is a ``Poly``.
+non-reduced witness and the reducedness test off surfaces: the heuristic
+GCDHEU, certified by trial division, with a primitive pseudo-remainder
+sequence as the fallback; a gcd with a one-term map is read off the
+exponents, with no evaluation.  Both run on integer term maps
+``{exponent: int}``; only :func:`gcd_multi`'s result is a ``Poly``.
 """
 
 from __future__ import annotations
@@ -204,10 +205,13 @@ class Poly:
 
     Immutable after construction; zero coefficients are never stored.  The
     public constructor validates every exponent and coefficient; arithmetic
-    builds its results through the unchecked :meth:`_of`.
+    builds its results through the unchecked :meth:`_of`.  The first
+    ``str()`` keeps its text in the ``_text`` slot, so a polynomial that a
+    report prints several times is formatted once; the text lives and dies
+    with the object.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_text")
 
     def __init__(self, chart: Chart, terms: dict[Exponent, Coeff] | None = None):
         cleaned: dict[Exponent, Coeff] = {}
@@ -381,7 +385,11 @@ class Poly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_poly(self)
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = format_poly(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
@@ -395,30 +403,33 @@ class Poly:
 def format_poly(p: Poly) -> str:
     """Normal-form text: terms in descending grevlex order.
 
-    ``parse_poly(format_poly(p), p.chart) == p`` holds for every p.
+    ``parse_poly(format_poly(p), p.chart) == p`` holds for every p.  Terms
+    sort on the exponent alone: ascending (-|e|, reversed e) is descending
+    grevlex.  Each coefficient is written from its numerator and denominator.
     """
     terms = p.terms
     if not terms:
         return "0"
     names = p.chart.names
     pieces = []
-    for exponent in sorted(terms, key=grevlex_key, reverse=True):
+    for exponent in sorted(terms, key=lambda e: (-sum(e), e[::-1])):
         coeff = terms[exponent]
+        num, den = coeff.numerator, coeff.denominator
+        mag = -num if num < 0 else num
         mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e])
-        mag = -coeff if coeff < 0 else coeff
         try:
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
+            if den != 1:
+                body = f"{mag}/{den}*{mono}" if mono else f"{mag}/{den}"
+            elif not mono:
+                body = f"{mag}"
             else:
-                body = f"{mag}*{mono}"
-        except ValueError:  # str() refuses an int past the interpreter's digit limit
+                body = mono if mag == 1 else f"{mag}*{mono}"
+        except ValueError:  # an int past the interpreter's digit limit has no text
             raise BudgetExceededError(f"a computed coefficient has more than {_digit_limit()} digits") from None
         if pieces:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
+            pieces.append(("- " if num < 0 else "+ ") + body)
         else:
-            pieces.append(body if coeff > 0 else "-" + body)
+            pieces.append("-" + body if num < 0 else body)
     return " ".join(pieces)
 
 
@@ -871,7 +882,9 @@ def gcd_multi(ps: list[Poly]) -> Poly:
 def nonreduced_factor(p: Poly) -> Poly:
     """gcd(p, dp/dx_1, ..., dp/dx_n), monic: constant exactly when p is reduced.
 
-    The one definition of reducedness (squarefreeness) of a nonzero p; a
-    constant p counts as reduced.
+    Reducedness (squarefreeness) of a nonzero p, a constant p counting as
+    reduced: the test on charts of 4 or more variables, and on a surface the
+    NOT_LOG_SYMPLECTIC witness only, since a surface report reads
+    reducedness off the singular locus.
     """
     return gcd_multi([p, *(p.diff(i) for i in range(p.chart.n))])

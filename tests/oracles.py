@@ -8,8 +8,10 @@ dimensions try every set of variables instead of searching for the
 smallest one that meets every leading support, the Gebauer--Moeller M
 test compares every pair of lcms instead of walking them by degree,
 multivariate division reduces over Q in ``Fraction`` arithmetic instead of fraction-free
-over Z, and the cohomology table is rebuilt densely with fresh matrices and
-no caching, or, for diagonal structures, counted from a closed form.
+over Z, the cohomology table is rebuilt densely with fresh matrices and
+no caching, or, for diagonal structures, counted from a closed form, and
+polynomial text is printed by the earlier printer, which sorts on the grevlex
+key and compares, negates and ``str``-s each coefficient.
 """
 
 from __future__ import annotations
@@ -347,3 +349,31 @@ def bruteforce_dimension_table(P: PoissonStructure, k_max: int, w_max: int, w_mi
             rank_in = matrix_rank_and_dims(k - 1, w - m)[1] if k > 0 else 0
             table[(k, w)] = dim_chain - rank_out - rank_in
     return table
+
+
+def _grevlex_key(exponent):
+    return (sum(exponent), tuple(-e for e in reversed(exponent)))
+
+
+def format_poly_reference(p: Poly) -> str:
+    """Normal-form text of p by the earlier printer: descending grevlex, each coefficient compared and ``str``-ed."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    names = p.chart.names
+    pieces = []
+    for exponent in sorted(terms, key=_grevlex_key, reverse=True):
+        coeff = terms[exponent]
+        mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e])
+        mag = -coeff if coeff < 0 else coeff
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if pieces:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+        else:
+            pieces.append(body if coeff > 0 else "-" + body)
+    return " ".join(pieces)

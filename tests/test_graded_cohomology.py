@@ -1012,3 +1012,50 @@ class TestFirstOrderDeformations:
             P = new_poisson(contract(f2, contract(f1, volume)))
             tangents = [contract(f2, contract(q, volume)) for q in quadrics] + [contract(q, contract(f1, volume)) for q in quadrics]
             self.assert_tangents_span(P, tangents, (60, 17, 15, 2))
+
+
+class TestSecondOrderDeformations:
+    """The family of Jacobian structures J(g, h) = i_dh i_dg covolume stays Poisson at second order on ``sklyanin4``.
+
+    For Casimirs moved by monomials, pi(s, u) = J(f1 + s q, f2 + u q') is
+    Poisson for every s and u, and the su-coefficient of [pi(s, u), pi(s, u)]
+    = 0 reads [J(q, f2), J(f1, q')] = -[pi, J(q, q')].  So the bracket of two
+    first-order tangents is d_pi of a bivector of C^2_0: the obstruction to
+    extending them to second order vanishes in H^3_0.
+    """
+
+    @staticmethod
+    def setup():
+        P = fixture_structure("sklyanin4")
+        chart, volume = P.chart, covolume(P.chart)
+        f1 = parse_poly("x0^2 + x1^2 + x2^2 + x3^2", chart)
+        f2 = parse_poly("x1^2 + 2*x2^2 + 3*x3^2", chart)
+
+        def jacobian(g, h):
+            return contract(h, contract(g, volume))
+
+        assert jacobian(f1, f2) == P.pi
+        return P, f1, f2, jacobian, monomials_of_degree(chart, 2)
+
+    def test_brackets_of_tangents_are_coboundaries(self):
+        P, f1, f2, J, quadrics = self.setup()
+        brackets = []
+        for q, q2 in itertools.product(quadrics, repeat=2):
+            bracket = schouten(J(q, f2), J(f1, q2))
+            assert bracket == -schouten(P.pi, J(q, q2))
+            brackets.append(bracket)
+        assert len(brackets) == 100 and sum(not b.is_zero for b in brackets) == 90
+        # Each bracket lies in the image of d_pi from C^2_0 in C^3_0.
+        target = graded_basis(P.chart, 3, 0)
+        image = dpi_matrix(P, 2, 0)
+        columns = [TestFirstOrderDeformations.coordinates(target, b) for b in brackets]
+        assert rank_exact(image + columns) == rank_exact(image) == 43
+
+    def test_a_tangent_with_a_term_dropped_breaks_the_identity(self):
+        P, f1, f2, J, quadrics = self.setup()
+        q = quadrics[0]
+        tangent = J(q, f2)
+        index, coeff = next(iter(tangent.terms.items()))
+        exponent = next(iter(coeff.terms))
+        dropped = Polyvector(P.chart, 2, {**tangent.terms, index: coeff - Poly.monomial(P.chart, exponent, coeff.terms[exponent])})
+        assert any(schouten(dropped, J(f1, q2)) != -schouten(P.pi, J(q, q2)) for q2 in quadrics)
