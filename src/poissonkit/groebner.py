@@ -11,7 +11,8 @@ Critical pairs wait in a heap under the normal selection strategy (smallest
 grevlex lcm of leading terms, ties by generator index), so output is
 deterministic for a fixed input sequence.  The Gebauer--Moeller
 criteria discard pairs whose S-polynomials are known to reduce to zero
-before any is formed.  A step budget (one step per reduction) guards against
+before any is formed, on packed exponent fields with no exponent tuple
+(:class:`_Packing`).  A step budget (one step per reduction) guards against
 blowup: exceeding it raises :class:`BudgetExceededError`; nothing is ever
 silently truncated.
 
@@ -32,9 +33,7 @@ same.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ChartMismatchError
@@ -102,30 +101,6 @@ class _StepCounter:
             )
 
 
-def _divides(d: Exponent, e: Exponent) -> bool:
-    return all(map(operator.le, d, e))
-
-
-def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(max, a, b))
-
-
-def _is_coprime(a: Exponent, b: Exponent, lcm: Exponent) -> bool:
-    return tuple(map(operator.add, a, b)) == lcm
-
-
-def _m_criterion(lcms) -> list[Exponent]:
-    """The lcms that no other one properly divides (Gebauer--Moeller M), in ascending total degree.
-
-    A proper divisor has a smaller degree, and a dropped one has a kept
-    divisor, so each lcm meets only the kept ones of smaller degree.
-    """
-    kept: list[Exponent] = []
-    for _, same_degree in itertools.groupby(sorted(lcms, key=sum), key=sum):
-        kept += [lcm for lcm in same_degree if not any(_divides(other, lcm) for other in kept)]
-    return kept
-
-
 # A packing holds total degrees up to 2**_HEADROOM times the inputs' largest,
 # so an S-pair lcm up to that degree needs no re-pack.
 _HEADROOM = 2
@@ -135,20 +110,34 @@ class _Packing:
     """Monomials in n variables packed into one int each, for total degrees below ``limit``.
 
     Field i (bits i*w to i*w + w - 1) holds e_i in its low b = w - 1 bits;
-    its top bit is a guard.  A monomial packs to
-    K(e) = (|e| << n*w) - sum(e_i << i*w), so ascending K is ascending
-    grevlex and K(a + b) = K(a) + K(b).  d divides e iff
-    (K(d) - K(e)) & guards is 0: the packed difference e - d borrows into a
-    guard bit exactly when some d_i > e_i.
+    its top bit is a guard.  The fields F(e) = sum(e_i << i*w) pack to
+    K(e) = (|e| << n*w) - F(e), so F(e) = -K(e) & ``low``, ascending K is
+    ascending grevlex and K(a + b) = K(a) + K(b).  d divides e iff
+    (F(e) - F(d)) & guards is 0: the difference borrows into a guard bit
+    exactly when some d_i > e_i.  :meth:`lcm` reads the fieldwise max off
+    the same borrows, a and b are coprime iff F(a) + F(b) is their lcm (a
+    field sum has no carry), and :meth:`key` reads |e| as the digit sum
+    F(e) % (2**w - 1), exact for the lcm of two packed monomials.
     """
 
-    __slots__ = ("n", "w", "limit", "guards")
+    __slots__ = ("n", "w", "limit", "guards", "low")
 
     def __init__(self, n: int, degree: int):
         self.limit = (degree + 1) << _HEADROOM
         b = (self.limit - 1).bit_length()
         self.n, self.w = n, b + 1
         self.guards = sum(1 << (i * self.w + b) for i in range(n))
+        self.low = (1 << n * self.w) - 1
+
+    def lcm(self, a: int, b: int) -> int:
+        """F(lcm(a, b)): t keeps the guards of the fields where a_i >= b_i, and t - (t >> b) fills those fields."""
+        t = ((a | self.guards) - b) & self.guards
+        t -= t >> self.w - 1
+        return a & t | b & ~t
+
+    def key(self, fields: int) -> int:
+        """K of the monomial with these fields."""
+        return (fields % ((1 << self.w) - 1) << self.n * self.w) - fields
 
     def pack(self, e: Exponent) -> int:
         s = 0
@@ -158,7 +147,7 @@ class _Packing:
 
     def unpack(self, k: int) -> Exponent:
         w = self.w
-        s, low = -k & ((1 << self.n * w) - 1), (1 << w) - 1
+        s, low = -k & self.low, (1 << w) - 1
         return tuple(s >> (i * w) & low for i in range(self.n))
 
     def terms(self, terms: dict) -> dict:
@@ -266,23 +255,24 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     selection with index tiebreak, so the run is deterministic for a fixed
     input sequence.  Each new element goes through the Gebauer--Moeller
     update (*On an installation of Buchberger's algorithm*, J. Symb. Comp.
-    1988) on leading-exponent tuples: of its new pairs, those whose lcm
-    another new lcm properly divides are dropped (M, :func:`_m_criterion`),
-    one pair per lcm is kept (F), and an lcm class holding a pair with
-    coprime leading terms is dropped whole (B); an old pair (i, j) is
-    dropped when the new leading term divides its lcm and neither
-    lcm(i, new) nor lcm(j, new) equals it (B_k); and elements whose leading
-    term the new one divides form no further pairs.
+    1988) on the leads' packed fields (:class:`_Packing`): its new pairs are
+    grouped by lcm and the classes walked by ascending packed key, so by
+    degree; a class that an earlier lcm divides is dropped (M), one pair per
+    lcm is kept (F), and a class holding a pair with coprime leading terms
+    is dropped whole (B); an old pair (i, j) is dropped when the new leading
+    term divides its lcm and neither lcm(i, new) nor lcm(j, new) equals it
+    (B_k); and elements whose leading term the new one divides form no
+    further pairs.
 
     Elements are kept as primitive packed term maps over Z and S-polynomials
     are formed with integer cofactors; :func:`_reduce` reduces them on that
     basis, and a nonzero remainder joins it as the primitive part of its
-    positive multiple.  A pair whose lcm is too large for the packing
-    re-packs the run wider first; the order, and so the sequence, stays.
-    The run ends in one sweep over the live elements by ascending lead: one
-    whose lead a kept lead divides is dropped, and each other is reduced by
-    the kept ones, the only leads that can divide its terms, then unpacked
-    and made monic.
+    positive multiple.  A new element with an lcm class too large for the
+    packing re-packs the run wider before any pair is pushed; the order,
+    and so the sequence, stays.  The run ends in one sweep over the live
+    elements by ascending lead: one whose lead a kept lead divides is
+    dropped, and each other is reduced by the kept ones, the only leads that
+    can divide its terms, then unpacked and made monic, keeping its lead.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -299,53 +289,71 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
 
     basis: list[dict] = []  # packed term maps, primitive over Z
     keys: list[int] = []  # packed leading monomials
-    leads: list[Exponent] = []
+    leads: list[int] = []  # their fields, -key & packing.low
     live: list[int] = []  # elements that still form pairs, ascending
-    pairs: list = []  # heap of (K(lcm), (i, j), lcm)
+    pairs: list = []  # heap of (K(lcm), (i, j))
 
     def repack(degree: int):
         nonlocal packing
         old, packing = packing, _Packing(chart.n, degree)
         basis[:] = [{packing.pack(old.unpack(e)): c for e, c in g.items()} for g in basis]
-        keys[:] = map(packing.pack, leads)
-        pairs[:] = [(packing.pack(lcm), ij, lcm) for _, ij, lcm in pairs]  # same order, still a heap
+        keys[:] = [packing.pack(old.unpack(k)) for k in keys]
+        leads[:] = [-k & packing.low for k in keys]
+        pairs[:] = [(packing.pack(old.unpack(k)), ij) for k, ij in pairs]  # same order, still a heap
 
     def add(g: dict, key: int):
         h = len(basis)
-        lead = packing.unpack(key)
         basis.append(g)
         keys.append(key)
-        leads.append(lead)
+        leads.append(-key & packing.low)
+        while True:
+            lead, fmax = leads[h], packing.lcm
+            # The new pairs, grouped by lcm (F keeps a class's smallest index).
+            classes: dict[int, list[int]] = {}
+            for i in live:
+                lcm = fmax(leads[i], lead)
+                if lcm in classes:
+                    classes[lcm].append(i)
+                else:
+                    classes[lcm] = [i]
+            order = sorted(map(packing.key, classes))
+            top = -(-order[-1] >> packing.n * packing.w) if order else 0  # the largest degree d: K = (d << nw) - F
+            if top < packing.limit:
+                break
+            repack(top)
+        guards, low = packing.guards, packing.low
         # B_k on the old pairs.
-        kept = [
-            entry
-            for entry in pairs
-            if not _divides(lead, entry[2])
-            or _lcm(leads[entry[1][0]], lead) == entry[2]
-            or _lcm(leads[entry[1][1]], lead) == entry[2]
-        ]
+        kept = []
+        for entry in pairs:
+            lcm, (i, j) = -entry[0] & low, entry[1]
+            if (lcm - lead) & guards or fmax(leads[i], lead) == lcm or fmax(leads[j], lead) == lcm:
+                kept.append(entry)
         if len(kept) < len(pairs):
             pairs[:] = kept
             heapq.heapify(pairs)
-        # New pairs, grouped by lcm (F keeps the smallest index of a class).
-        classes: dict[Exponent, list[int]] = {}
-        for i in live:
-            classes.setdefault(_lcm(leads[i], lead), []).append(i)
-        for lcm in _m_criterion(classes):
-            members = classes[lcm]
-            if any(_is_coprime(leads[i], lead, lcm) for i in members):
-                continue  # B
-            if sum(lcm) >= packing.limit:
-                repack(sum(lcm))
-            heapq.heappush(pairs, (packing.pack(lcm), (members[0], h), lcm))
-        live[:] = [i for i in live if not _divides(lead, leads[i])]
+        # M: a class meets only the minimal ones before it, since a proper divisor has a smaller key.
+        minimal: list[int] = []
+        for key in order:
+            lcm = -key & low
+            for other in minimal:
+                if not (lcm - other) & guards:
+                    break
+            else:
+                minimal.append(lcm)
+                members = classes[lcm]
+                for i in members:
+                    if leads[i] + lead == lcm:
+                        break  # B
+                else:
+                    heapq.heappush(pairs, (key, (members[0], h)))
+        live[:] = [i for i in live if (leads[i] - lead) & guards]
         live.append(h)
 
     for g in nonzero:
         terms = packing.terms(_primitive_terms(g.terms))
         add(terms, max(terms))
     while pairs:
-        key, (i, j), _ = heapq.heappop(pairs)
+        key, (i, j) = heapq.heappop(pairs)
         a_i, a_j = basis[i][keys[i]], basis[j][keys[j]]
         common = math.gcd(a_i, a_j)
         s: dict = {}
@@ -367,7 +375,8 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
         kept.append(i)
         counter.done += 1
         a = g[keys[i]]
-        monic.append(Poly._of(chart, {packing.unpack(e): c if a == 1 else _div(c, a) for e, c in g.items()}))
+        terms = {packing.unpack(e): c if a == 1 else _div(c, a) for e, c in g.items()}
+        monic.append(Poly._of(chart, terms, packing.unpack(keys[i])))
     return GroebnerBasis(chart, tuple(monic))
 
 
@@ -403,11 +412,12 @@ def _staircase_size(leads, n: int) -> int:
     sliced along the last variable: the slice at height t is the staircase
     of ``e[:-1]`` over the leads with ``e[-1] <= t``, so it changes only at
     those heights, and each run of equal slices counts once, times its width.
+    In one variable the leads are pure powers and the count is the smallest.
     """
+    if n == 1:
+        return min(e[0] for e in leads)
     if any(not any(e) for e in leads):
         return 0  # the unit ideal, or a slice above the pure power
-    if n == 0:
-        return 1
     heights = sorted({0, *(e[-1] for e in leads)})
     count = 0
     for low, high in zip(heights, heights[1:]):

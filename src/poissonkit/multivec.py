@@ -83,6 +83,9 @@ class Polyvector:
     def __setattr__(self, name, value):
         raise AttributeError("Polyvector is immutable")
 
+    def __reduce__(self):
+        return Polyvector, (self.chart, self.k, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

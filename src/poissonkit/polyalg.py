@@ -207,11 +207,13 @@ class Poly:
     public constructor validates every exponent and coefficient; arithmetic
     builds its results through the unchecked :meth:`_of`.  The first
     ``str()`` keeps its text in the ``_text`` slot, so a polynomial that a
-    report prints several times is formatted once; the text lives and dies
-    with the object.
+    report prints several times is formatted once, and the first
+    :meth:`leading` keeps the leading exponent in the ``_lead`` slot, which
+    :meth:`_of` fills when the caller knows it, as ``buchberger`` does.  Both
+    live and die with the object; a copy or a pickle carries neither.
     """
 
-    __slots__ = ("chart", "terms", "_text")
+    __slots__ = ("chart", "terms", "_text", "_lead")
 
     def __init__(self, chart: Chart, terms: dict[Exponent, Coeff] | None = None):
         cleaned: dict[Exponent, Coeff] = {}
@@ -228,15 +230,20 @@ class Poly:
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def _of(cls, chart: Chart, terms: dict[Exponent, Coeff]) -> Poly:
-        """Wrap a term map the caller guarantees clean; it is neither checked nor copied."""
+    def _of(cls, chart: Chart, terms: dict[Exponent, Coeff], lead: Exponent | None = None) -> Poly:
+        """Wrap a term map the caller guarantees clean, and its leading exponent if known; neither is checked."""
         p = object.__new__(cls)
         object.__setattr__(p, "chart", chart)
         object.__setattr__(p, "terms", terms)
+        if lead is not None:
+            object.__setattr__(p, "_lead", lead)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly._of, (self.chart, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -272,9 +279,12 @@ class Poly:
 
     def leading(self) -> tuple[Exponent, Coeff]:
         """Leading (exponent, coefficient) under grevlex."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        exponent = max(self.terms, key=grevlex_key)
+        exponent = getattr(self, "_lead", None)
+        if exponent is None:
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading term")
+            exponent = max(self.terms, key=grevlex_key)
+            object.__setattr__(self, "_lead", exponent)
         return exponent, self.terms[exponent]
 
     # -- arithmetic --------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +37,12 @@ def pytest_addoption(parser):
 @pytest.fixture
 def rng(request):
     return random.Random(request.config.getoption("--seed"))
+
+
+@pytest.fixture(params=["copy", "deepcopy", "pickle"])
+def round_trip(request):
+    """``copy.copy``, ``copy.deepcopy`` or a ``pickle`` round trip."""
+    return {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}[request.param]
 
 
 @pytest.fixture(scope="session")

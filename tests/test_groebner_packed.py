@@ -2,16 +2,21 @@
 
 ``groebner._Packing`` packs an exponent vector into one int: its order must
 be grevlex, its sum the monomial product, its guard-bit test divisibility,
-and unpacking must return the vector.  A run whose S-pair lcm outgrows the
-packing re-packs wider and must go on with the same reduction sequence.
-The layout depends on the number of variables, so Buchberger and division
-are also checked against sympy and ``division_over_q`` on 3- and
-4-variable ideals.
+and unpacking must return the vector.  On the exponent fields, the
+guard-bit max must be the lcm, the field sum of coprime monomials their
+lcm, and the digit sum the total degree.  A run whose S-pair lcm outgrows
+the packing re-packs wider and must go on with the same reduction
+sequence, and the Gebauer--Moeller update on the fields must push and pop
+the pairs that the tuple-exponent update pushes and pops.  The layout
+depends on the number of variables, so Buchberger and division are also
+checked against sympy and ``division_over_q`` on 3- and 4-variable ideals.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import json
 import operator
 from fractions import Fraction
@@ -22,7 +27,7 @@ import sympy
 
 from poissonkit import Chart, Poly, buchberger, groebner, modular_field, parse_poly, parse_structure_file
 from poissonkit.cli import main
-from poissonkit.groebner import _m_criterion, _Packing, division
+from poissonkit.groebner import _Packing, division
 from poissonkit.polyalg import grevlex_key
 from conftest import CHART2, CHART3, CHART4, random_diagonal_structure, random_poly
 from oracles import division_over_q, m_criterion_all_pairs
@@ -60,6 +65,50 @@ def test_packing_matches_tuple_arithmetic(rng, monkeypatch, n, headroom):
         for i in range(n):
             over = a[:i] + (a[i] + 1,) + a[i + 1 :]
             assert (wide.pack(over) - wide.pack(a)) & wide.guards, (over, a)
+
+
+def fields_of(packing: _Packing, e) -> int:
+    """F(e) = sum(e_i << i*w), written out from the layout rather than read off a key."""
+    return sum(x << i * packing.w for i, x in enumerate(e))
+
+
+def field_vectors(rng, n: int, b: int, count: int) -> list[tuple[int, ...]]:
+    """Seeded vectors of b-bit fields: each entry 0, 2**b - 1 or a value between."""
+    full = (1 << b) - 1
+    choices = (lambda: 0, lambda: full, lambda: rng.randint(0, full))
+    return [tuple(rng.choice(choices)() for _ in range(n)) for _ in range(count)]
+
+
+def monomials_below(rng, packing: _Packing, count: int) -> list[tuple[int, ...]]:
+    """Seeded exponent vectors of total degree below the packing's limit, some with zero entries."""
+    n, out = packing.n, []
+    for _ in range(count):
+        total = rng.randrange(packing.limit)
+        cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+        e = [high - low for low, high in zip([0, *cuts], [*cuts, total])]
+        out.append(tuple(0 if rng.random() < 0.3 else x for x in e))
+    return out + [(0,) * n] + [tuple(packing.limit - 1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+@pytest.mark.parametrize("degree", [3, 10**20])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 100])
+def test_field_ops_match_tuple_arithmetic(rng, n, degree):
+    # At degree 3 the limit is 16, so the pure powers x_i^15 fill a field
+    # up to 2**b - 1; at 10**20 the fields are wider than a machine word.
+    packing = _Packing(n, degree)
+    F = functools.partial(fields_of, packing)
+    vectors = field_vectors(rng, n, packing.w - 1, 12 if n == 100 else 25)
+    for a, c in itertools.product(vectors, repeat=2):
+        lcm = tuple(map(max, a, c))
+        assert packing.lcm(F(a), F(c)) == F(lcm), (a, c)
+        assert (not (F(c) - F(a)) & packing.guards) == all(map(operator.le, a, c)), (a, c)
+        assert (F(a) + F(c) == F(lcm)) == all(x == 0 or y == 0 for x, y in zip(a, c)), (a, c)
+    monomials = monomials_below(rng, packing, 12 if n == 100 else 25)
+    for a, c in itertools.product(monomials, repeat=2):
+        lcm = tuple(map(max, a, c))
+        assert F(a) == -packing.pack(a) & packing.low
+        assert F(lcm) % ((1 << packing.w) - 1) == sum(lcm), (a, c)
+        assert packing.key(F(lcm)) == packing.pack(lcm), (a, c)
 
 
 class _CountingPacking(_Packing):
@@ -195,37 +244,143 @@ def wide_monomial_ideals(rng, count):
     yield [*P.pi.terms.values(), *modular_field(P).terms.values()]
 
 
-class TestMCriterionByDegree:
-    """``add()`` walks the new lcm classes by degree; the all-pairs M test must keep the same ones."""
+# The tuple-exponent Gebauer--Moeller update that ``buchberger`` ran before
+# its update on packed fields, kept here as the reference for that one.
 
-    def test_kept_lcms_match_the_all_pairs_test(self, rng):
+
+def _divides(d, e) -> bool:
+    return all(map(operator.le, d, e))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _is_coprime(a, b, lcm) -> bool:
+    return tuple(map(operator.add, a, b)) == lcm
+
+
+def _m_criterion(lcms) -> list:
+    """The lcms that no other one properly divides (M), walked in ascending total degree."""
+    kept: list = []
+    for _, same_degree in itertools.groupby(sorted(lcms, key=sum), key=sum):
+        kept += [lcm for lcm in same_degree if not any(_divides(other, lcm) for other in kept)]
+    return kept
+
+
+def tuple_update_run(gens, m_test=_m_criterion):
+    """Buchberger over Q on exponent tuples: the pairs it pushes (sorted) and pops (in order).
+
+    The heap, the normal selection with index tiebreak, the B_k, M, F and B
+    criteria and the reduction of each S-polynomial by the live elements in
+    order are ``buchberger``'s, so both runs add the same leading terms.
+    """
+    chart = gens[0].chart
+    basis, leads, live, heap, pushed, popped = [], [], [], [], [], []
+
+    def add(g):
+        h, lead = len(basis), g.leading()[0]
+        basis.append(g)
+        leads.append(lead)
+        kept = [
+            entry
+            for entry in heap
+            if not _divides(lead, entry[2])
+            or _lcm(leads[entry[1][0]], lead) == entry[2]
+            or _lcm(leads[entry[1][1]], lead) == entry[2]
+        ]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        classes: dict = {}
+        for i in live:
+            classes.setdefault(_lcm(leads[i], lead), []).append(i)
+        for lcm in m_test(list(classes)):
+            members = classes[lcm]
+            if not any(_is_coprime(leads[i], lead, lcm) for i in members):
+                heapq.heappush(heap, (grevlex_key(lcm), (members[0], h), lcm))
+                pushed.append((members[0], h))
+        live[:] = [i for i in live if not _divides(lead, leads[i])]
+        live.append(h)
+
+    for g in gens:
+        if not g.is_zero:
+            add(g)
+    while heap:
+        _, (i, j), lcm = heapq.heappop(heap)
+        popped.append((i, j))
+        s = sum(
+            (
+                Poly.monomial(chart, [x - y for x, y in zip(lcm, leads[k])], sign / Fraction(basis[k].terms[leads[k]]))
+                * basis[k]
+                for k, sign in ((i, 1), (j, -1))
+            ),
+            Poly.zero(chart),
+        )
+        _, remainder = division_over_q(s, [basis[k] for k in live], grevlex_key)
+        if remainder:
+            add(Poly(chart, remainder))
+    return sorted(pushed), popped
+
+
+def packed_update_run(monkeypatch, gens):
+    """``buchberger``'s pushed pairs (sorted) and popped pairs (in order), and the packed keys pushed per new element."""
+    pushed, popped, keys = [], [], {}
+
+    def push(heap, entry):
+        pushed.append(entry[1])
+        keys.setdefault(entry[1][1], []).append(entry[0])
+        heapq.heappush(heap, entry)
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry[1])
+        return entry
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "heapq", SimpleNamespace(heappush=push, heappop=pop, heapify=heapq.heapify))
+        buchberger(gens)
+    return (sorted(pushed), popped), keys
+
+
+def monomial_ideals(rng, n: int, count: int):
+    """Seeded monomial ideals with exponents 0..3: every S-polynomial is 0, so only the criteria act."""
+    chart = Chart(tuple(f"x{i}" for i in range(n)))
+    for _ in range(count):
+        yield [Poly.monomial(chart, [rng.randint(0, 3) for _ in range(n)]) for _ in range(rng.randint(1, 30))]
+
+
+class TestMCriterionByDegree:
+    """``add()`` walks the new lcm classes by packed key; the all-pairs M test must keep the same ones."""
+
+    def test_kept_lcms_match_the_all_pairs_test(self, rng, monkeypatch):
         for n in (1, 2, 3, 6, 40):
-            for _ in range(40):
-                lcms = list(dict.fromkeys(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 30))))
-                kept = _m_criterion(lcms)
-                assert sorted(kept) == sorted(m_criterion_all_pairs(lcms)), lcms
-                assert [sum(lcm) for lcm in kept] == sorted(sum(lcm) for lcm in kept)
+            for gens in monomial_ideals(rng, n, 40):
+                run, keys = packed_update_run(monkeypatch, gens)
+                assert run == tuple_update_run(gens, m_criterion_all_pairs), gens
+                for pushed in keys.values():
+                    assert pushed == sorted(pushed), gens  # ascending key, so ascending degree
 
     def test_buchberger_pushes_the_same_pairs(self, rng, monkeypatch):
         ideals = [*diagonal_chart_ideals(rng, 6), *cubic_ideals(rng, 12), *wide_monomial_ideals(rng, 6)]
-
-        def run(gens):
-            pushed = []
-
-            def push(heap, entry):
-                pushed.append(entry[1:])  # the pair and its lcm; the packed key depends on the packing's width
-                heapq.heappush(heap, entry)
-
-            monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop, heapify=heapq.heapify))
-            return sorted(pushed), buchberger(gens)
-
         for gens in ideals:
             if not gens:
                 continue  # a zero skew matrix
-            expected = run(gens)
-            monkeypatch.setattr(groebner, "_m_criterion", m_criterion_all_pairs)
-            assert run(gens) == expected, gens
-            monkeypatch.undo()
+            assert packed_update_run(monkeypatch, gens)[0] == tuple_update_run(gens), gens
+
+
+def test_output_leads_are_the_grevlex_maxima(rng):
+    for gens in [*diagonal_chart_ideals(rng, 6), *cubic_ideals(rng, 25), *wide_monomial_ideals(rng, 2)]:
+        for g in buchberger(gens).gens if gens else ():
+            assert g._lead == max(g.terms, key=grevlex_key), gens
+            assert g.leading() == (g._lead, 1)
+
+
+def test_basis_round_trips(round_trip):
+    G = buchberger([parse_poly(t, CHART2) for t in ("w^2 - 3/2*z", "w*z + 1")])
+    copied = round_trip(G)
+    assert copied == G and str(copied) == str(G)
+    assert [p.leading() for p in copied.gens] == [p.leading() for p in G.gens]
 
 
 class TestFinishingSweep:
@@ -238,7 +393,7 @@ class TestFinishingSweep:
         reduce = groebner._reduce
 
         def sorted_spy(items, key=None):
-            if key is not sum:  # the sweep's sort of ``live``, not the M test's sort of lcms
+            if key is not None:  # the sweep sorts ``live`` by lead; ``add()`` sorts its lcm keys with no key
                 entering.append(len(items))
             return sorted(items, key=key)
 

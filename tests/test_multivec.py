@@ -31,6 +31,15 @@ DW = Polyvector.frame(CHART2, 0)
 DZ = Polyvector.frame(CHART2, 1)
 
 
+def test_copies_and_pickles_of_polyvectors(rng, round_trip):
+    for chart in (CHART2, CHART3, CHART4):
+        for _ in range(10):
+            a = random_polyvector(rng, chart, max_terms=3)
+            text = str(a)
+            b = round_trip(a)
+            assert b == a and hash(b) == hash(a) and b.k == a.k and str(b) == text
+
+
 class TestWedge:
     def test_frame_product_is_covolume(self):
         assert wedge(DW, DZ) == covolume(CHART2)
