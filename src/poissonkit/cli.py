@@ -206,7 +206,7 @@ def cmd_tjurina(args) -> tuple[str, dict]:
             spec = parse_structure_file(text)
             P = spec.build()
             f = pfaffian(P)
-            if f.is_zero or f.is_constant:
+            if f.is_constant:  # the zero polynomial is constant too
                 raise PreconditionError(
                     "the Pfaffian is constant; there is no degeneracy curve to measure"
                 )
@@ -258,7 +258,7 @@ def _poly_from_text(text: str) -> tuple[Poly, Chart]:
     except ValueError as exc:  # more variables than a chart holds
         raise ParseError(str(exc)) from None
     f = _PolyParser(tokens, chart).parse()
-    if f.is_zero or f.is_constant:
+    if f.is_constant:  # the zero polynomial is constant too
         raise PreconditionError("the Tjurina number needs a nonconstant polynomial")
     return f, chart
 

@@ -153,12 +153,9 @@ class StructureAnalysis:
             Lagrangian), witnessed by ``zero_leaf_locus``;
         (d) otherwise NO_OBSTRUCTION_FOUND, which certifies nothing.
         """
-        n = self.P.chart.n
-        if n % 2:
-            raise PreconditionError("holonomy verdicts need an even-dimensional chart")
         if not self.reduced:
             return Verdict.NOT_LOG_SYMPLECTIC
-        if n == 2:
+        if self.P.chart.n == 2:
             return Verdict.SURFACE_HOLONOMIC
         if self.zero_leaf_locus[1] >= 1:
             return Verdict.OBSTRUCTED_BY_MODULAR_LEAVES

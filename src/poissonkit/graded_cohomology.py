@@ -528,10 +528,10 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
     m = homogeneity_weight(P)
     k_max = min(k_max, n)
     w_min = -sum(chart.weights)
-    # Each entry is a piece to enumerate, so a window this wide is refused before any is built.
-    if (k_max + 1) * (w_max - w_min + 1) > DEFAULT_BASIS_CAP:
+    # Each Euler diagonal lists its pieces for k = 0..n whatever k_max is, so this is refused first.
+    if (n + 1) * (w_max - w_min + 1) > DEFAULT_BASIS_CAP:
         raise BasisSizeExceededError(
-            f"the table's {k_max + 1} x {w_max - w_min + 1} entries exceed the basis cap {DEFAULT_BASIS_CAP}"
+            f"the table's {n + 1} x {w_max - w_min + 1} entries exceed the basis cap {DEFAULT_BASIS_CAP}"
         )
     window = range(w_min, w_max + 1)
 

@@ -384,8 +384,6 @@ def normal_form(p: Poly, G: GroebnerBasis, budget: int = DEFAULT_BUDGET) -> Poly
     """Unique remainder of p modulo G: no term divisible by a leading term; one step of ``budget`` per reduction."""
     if p.chart != G.chart:
         raise ChartMismatchError("polynomial lives on a different chart")
-    if not G.gens:
-        return p
     _, remainder = division(p, list(G.gens), budget)
     return remainder
 
@@ -463,6 +461,4 @@ def jacobian_ideal_basis(f: Poly, include_f: bool = True, budget: int = DEFAULT_
     """
     gens = [f] if include_f else []
     gens.extend(f.diff(i) for i in range(f.chart.n))
-    if all(g.is_zero for g in gens):
-        return GroebnerBasis(f.chart, ())
     return buchberger(gens, budget)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ChartMismatchError, JacobiFailure, PreconditionError
 from .multivec import MultiIndex, Polyvector, apply_vector_field, bv, contract, schouten
-from .polyalg import Chart, Poly, _add_product, _clean
+from .polyalg import Chart, Poly, _add_product, _clean, _exact
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,15 @@ def modular_field(P: PoissonStructure) -> Polyvector:
 def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:
     """pi = sum_{i<j} lam[i][j] (x_i d_i)^(x_j d_j) for a skew rational matrix.
 
-    Jacobi holds for every such matrix; ``new_poisson`` still checks it.
+    Each bracket is the one-term map ``{e_i + e_j: lam[i][j]}``.  Jacobi
+    holds for every such matrix; ``new_poisson`` still checks it.
     """
-    rows = [list(row) for row in lam]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    matrix = [[Fraction(entry) for entry in row] for row in lam]
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("lambda must be a square matrix")
-    matrix = [[Fraction(entry) for entry in row] for row in rows]
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != -matrix[j][i]:
-                raise PreconditionError("lambda must be skew-symmetric")
+    if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(i, n)):
+        raise PreconditionError("lambda must be skew-symmetric")
     if chart is None:
         chart = Chart(tuple(f"x{i+1}" for i in range(n)))
     elif chart.n != n:
@@ -141,8 +139,8 @@ def diagonal_quadratic_bivector(lam, chart: Chart | None = None) -> Polyvector:
     for i in range(n):
         for j in range(i + 1, n):
             if matrix[i][j]:
-                xixj = Poly.variable(chart, i) * Poly.variable(chart, j)
-                terms[(i, j)] = xixj * matrix[i][j]
+                exponent = tuple(int(k == i or k == j) for k in range(n))
+                terms[(i, j)] = Poly._of(chart, {exponent: _exact(matrix[i][j])})
     return Polyvector(chart, 2, terms)
 
 

@@ -48,6 +48,7 @@ from .errors import BudgetExceededError, ChartMismatchError, ParseError, Unknown
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 
+# The one identifier rule, for chart names, expression tokens and bracket lines.
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
@@ -76,7 +77,7 @@ class Chart:
         weights = tuple(self.weights) if self.weights else (1,) * len(names)
         if len(weights) != len(names):
             raise ValueError("weights must list one positive integer per variable")
-        if any(not isinstance(w, int) or w <= 0 for w in weights):
+        if any(type(w) is not int or w <= 0 for w in weights):  # a bool is no weight
             raise ValueError(f"weights must be positive integers: {weights}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
@@ -221,7 +222,7 @@ class Poly:
             n = chart.n
             for exponent, coeff in terms.items():
                 exponent = tuple(exponent)
-                if len(exponent) != n or any(not isinstance(e, int) or e < 0 for e in exponent):
+                if len(exponent) != n or any(type(e) is not int or e < 0 for e in exponent):  # a bool is no exponent
                     raise ValueError(f"bad exponent vector {exponent} for chart of dimension {n}")
                 coeff = _exact(coeff)
                 if coeff:
@@ -466,7 +467,7 @@ MAX_VARIABLES = 100
 MAX_TERMS = 2000
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
@@ -527,6 +528,10 @@ class _PolyParser:
     result in a ``Poly``.  An identifier in ``frames`` (the frame tokens of
     :func:`~poissonkit.multivec.parse_polyvector`) is no base outside
     parentheses: there it ends the term.
+
+    Only a product, a power or a sum of two or more terms can grow a
+    coefficient past a literal's digits, which ``int()`` bounds, so only
+    those are scanned (:meth:`printable`), once per term or sum.
     """
 
     def __init__(self, tokens: list, chart: Chart, frames=()):
@@ -573,7 +578,7 @@ class _PolyParser:
         tokens = self.tokens
         start = tokens[self.i][2]
         result: dict = {}
-        sign = 1
+        sign, summed = 1, False
         while True:
             kind, value, _ = tokens[self.i]
             if kind == "op" and value == "-":
@@ -582,30 +587,34 @@ class _PolyParser:
             _add_scaled(result, sign, self.term())
             kind, value, _ = tokens[self.i]
             if kind != "op" or (value != "+" and value != "-"):
-                return self.printable(_clean(result), start)
+                result = _clean(result)
+                return self.printable(result, start) if summed else result
             self.i += 1
             sign = -1 if value == "-" else 1
+            summed = True
 
     def term(self) -> dict:
         tokens = self.tokens
         start = tokens[self.i][2]
-        result = self.factor()
+        result, grown = self.factor()
         while True:
             kind, value, _ = tokens[self.i]
             if kind != "op" or value != "*":
-                return self.printable(result, start)
+                return self.printable(result, start) if grown else result
             self.i += 1
-            rhs = self.factor()
+            rhs, _ = self.factor()
             self.check_terms(len(result) * len(rhs), "a product")
             result = _mul_terms(result, rhs)
+            grown = True
 
-    def factor(self) -> dict:
+    def factor(self) -> tuple[dict, bool]:
+        """A base, or a power of one; the flag says whether a power was raised."""
         tokens = self.tokens
         start = tokens[self.i][2]
         base = self.base()
         kind, value, _ = tokens[self.i]
         if kind != "op" or value != "^":
-            return base
+            return base, False
         self.i += 1
         kind, value, pos = tokens[self.i]
         if kind != "int":
@@ -622,7 +631,7 @@ class _PolyParser:
             bits = max(abs(c.numerator), c.denominator).bit_length() - 1
             if 3 * k * bits > 10 * self.digits:
                 self.too_long(start)
-        return _pow_terms(base, k, self.one)
+        return _pow_terms(base, k, self.one), True
 
     def base(self) -> dict:
         kind, value, pos = self.tokens[self.i]

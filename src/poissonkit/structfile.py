@@ -34,11 +34,9 @@ from .poisson import (
     new_poisson,
 )
 from .multivec import Polyvector, contract, covolume
-from .polyalg import Chart, Poly, _rational, parse_poly
+from .polyalg import _IDENT_RE, Chart, Poly, _rational, parse_poly
 
-_BRACKET_RE = re.compile(
-    r"^\{\s*([A-Za-z][A-Za-z0-9_]*)\s*,\s*([A-Za-z][A-Za-z0-9_]*)\s*\}\s*=\s*(.+)$"
-)
+_BRACKET_RE = re.compile(rf"^\{{\s*({_IDENT_RE.pattern})\s*,\s*({_IDENT_RE.pattern})\s*\}}\s*=\s*(.+)$")
 _JACOBIAN_RE = re.compile(r"^jacobian3\s+F\s*=\s*(.+)$")
 _DIAGONAL_RE = re.compile(r"^diagonal\s+lambda\s*=\s*(.+)$")
 

@@ -241,6 +241,19 @@ class TestRarelyReachedExits:
         assert main(["cohomology", str(FIXTURES / "weighted_surface.poisson"), "--wmax", "100000"]) == 4
         assert capsys.readouterr().err == "budget exceeded: the table's 3 x 100006 entries exceed the basis cap 20000\n"
 
+    def test_kmax_does_not_shrink_the_table_size_bound(self, capsys, monkeypatch):
+        # Every Euler diagonal lists its pieces for k = 0..n whatever --kmax says, so
+        # --kmax 0 bounds the same n + 1 rows: 3 x 20000 entries pass the cap.
+        import poissonkit.graded_cohomology as module
+
+        def unreachable(*args):
+            raise AssertionError("a piece was listed")
+
+        monkeypatch.setattr(module, "graded_basis", unreachable)
+        argv = ["cohomology", str(FIXTURES / "surface_symplectic.poisson"), "--kmax", "0", "--wmax", "19997"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "budget exceeded: the table's 3 x 20000 entries exceed the basis cap 20000\n"
+
     def test_translation_past_the_term_bound(self, capsys):
         # TestExitCodeContract runs the same input in a subprocess, under a timeout.
         assert main(["tjurina", "w^20000 + z^2", "--point=1,0"]) == 4
@@ -476,6 +489,12 @@ class TestExitCodeContract:
             assert "more than 4300 digits" in err and "line 3, column 13" in err
         # Just under the limit still parses: 10^4299 has 4300 digits.
         assert run_json(capsys, "tjurina", "w + 10^4299")["result"]["tjurina"] == 0
+
+    def test_a_power_past_the_bit_estimate_is_refused_at_its_term(self, capsys):
+        # 3 has one bit past its first, so the estimate before the power lets
+        # 3^9100 through; it has 4342 digits, and its term, from column 5, is refused.
+        assert main(["tjurina", "w + 2*3^9100"]) == 2
+        assert capsys.readouterr().err == "parse error: a coefficient has more than 4300 digits (column 5)\n"
 
     def test_deep_nesting_is_2(self, capsys, tmp_path):
         nested = "(" * 3000 + "w" + ")" * 3000

@@ -139,6 +139,13 @@ class TestNormalForm:
         G = buchberger([P("w"), P("z^2")])
         assert normal_form(P("z^3"), G).is_zero
 
+    def test_the_zero_ideal_leaves_every_polynomial_as_it_is(self):
+        # jacobian_ideal_basis of a constant's partials is buchberger's empty basis.
+        G = jacobian_ideal_basis(Poly.constant(CHART2, 3), include_f=False)
+        assert G == GroebnerBasis(CHART2, ())
+        for text in ("0", "1/2", "w^2 - 3/4*z + 1"):
+            assert normal_form(P(text), G, budget=0) == P(text)
+
     def test_normal_form_spends_one_step_per_reduction(self):
         G = buchberger([P("w"), P("z")])
         assert normal_form(P("w^5 + z^5 + 1"), G, budget=2) == Poly.constant(CHART2, 1)

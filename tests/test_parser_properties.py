@@ -41,7 +41,9 @@ from poissonkit import (
     parse_structure_file,
 )
 from poissonkit.cli import main
-from poissonkit.polyalg import MAX_VARIABLES, _digit_limit
+from poissonkit import polyalg
+from poissonkit.polyalg import MAX_VARIABLES, _digit_limit, _tokenize
+from poissonkit.structfile import _BRACKET_RE
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -354,3 +356,52 @@ def test_a_pfaffian_coefficient_past_the_digit_limit_exits_4(first, offset):
         assert exit_code("check", path) == 0
         for command in ("report", "tjurina"):
             assert exit_code(command, path) == expected, (command, first, second)
+
+
+# Letters, digits and the underscore of the identifier rule, next to characters
+# that end a name or break it: blanks, separators, a non-ASCII letter and digit.
+NAME_ALPHABET = ["a", "Z", "q", "_", "0", "9", " ", "\t", ",", "{", "}", "=", "-", "\u00e9", "\u0663"]
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(NAME_ALPHABET), max_size=5).map("".join))
+@example("x_1")
+@example("_x")
+@example("9a")
+@example("")
+@example("a b")
+@example("a\u00e9")
+def test_one_identifier_rule_for_charts_tokens_and_bracket_lines(name):
+    try:
+        in_chart = Chart((name,)) is not None
+    except ValueError:
+        in_chart = False
+    try:
+        one_token = _tokenize(name) == [("ident", name, 0), ("end", "", len(name))]
+    except ParseError:
+        one_token = False
+    match = _BRACKET_RE.match(f"{{{name},b}} = 1")
+    in_bracket = match is not None and match.group(1) == name
+    assert in_chart == one_token == in_bracket, name
+    if in_chart:
+        spec = parse_structure_file(f"chart: {name} b\npoisson:\n{{{name},b}} = 1\n")
+        assert spec.pi.chart.names == (name, "b") and str(spec.pi.terms[(0, 1)]) == "1"
+
+
+def test_digits_are_scanned_only_where_a_coefficient_can_grow(monkeypatch):
+    # Once per term that multiplied or raised a power, and once per sum of two
+    # or more terms; a lone literal, identifier or group is never re-scanned.
+    scans = []
+    scan = polyalg._exceeds_digit_limit
+    monkeypatch.setattr(polyalg, "_exceeds_digit_limit", lambda values, digits: scans.append(1) or scan(values, digits))
+    for text, count in (
+        ("(-1*w + 2*z + -2)*(-2*w + 1*z + -2)*(-2*w + -2*z)*(-1*w + 2*z)", 13),
+        ("w*z", 1),
+        ("w^9 + z^9 + 3*w^4*z^3 + 2*w^0*z^1", 5),
+        ("w + z", 1),
+        ("-((w))", 0),
+        ("3/6", 0),
+    ):
+        scans.clear()
+        parse_poly(text, Chart(("w", "z")))
+        assert len(scans) == count, text

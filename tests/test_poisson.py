@@ -278,6 +278,25 @@ class TestBuilders:
         assert modular_field(P) == Polyvector(chart, 1, {(1,): -x[1], (2,): x[2]})
         assert pfaffian(P) == Poly.monomial(chart, (1, 1, 1, 1), -2)
 
+    def test_diagonal_matches_the_poly_arithmetic_construction(self, rng):
+        def by_arithmetic(lam, chart):
+            x = [Poly.variable(chart, i) for i in range(chart.n)]
+            pairs = itertools.combinations(range(chart.n), 2)
+            return Polyvector(chart, 2, {(i, j): x[i] * x[j] * lam[i][j] for i, j in pairs if lam[i][j]})
+
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            lam = [[Fraction(0)] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                lam[i][j] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+                lam[j][i] = -lam[i][j]
+            chart = Chart(tuple(f"x{i + 1}" for i in range(n)))
+            got, want = diagonal_quadratic_bivector(lam), by_arithmetic(lam, chart)
+            assert got == want and str(got) == str(want)
+            assert [type(c) for p in got.terms.values() for c in p.terms.values()] == [
+                type(c) for p in want.terms.values() for c in p.terms.values()
+            ]
+
     def test_diagonal_rejects_non_skew(self):
         with pytest.raises(PreconditionError):
             diagonal_quadratic_bivector([[0, 1], [1, 0]])

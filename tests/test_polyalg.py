@@ -51,6 +51,12 @@ class TestChart:
         with pytest.raises(ValueError):
             Chart(())
 
+    def test_bool_weights_are_rejected(self):
+        # True == 1, but a weight prints and serialises as an integer only if it is an int.
+        for weights in ((True, 2), (1, False)):
+            with pytest.raises(ValueError, match="weights must be positive integers"):
+                Chart(("x", "y"), weights)
+
 
 class TestParser:
     def test_literal_terms(self):
@@ -119,7 +125,7 @@ class TestParser:
 
 class TestConstruction:
     def test_exponent_type_is_checked_before_its_sign(self):
-        for bad in ({("a", 0): 1}, {(1.0, 0): 1}, {(-1, 0): 1}, {(1,): 1}):
+        for bad in ({("a", 0): 1}, {(1.0, 0): 1}, {(-1, 0): 1}, {(1,): 1}, {(True, 0): 3}, {(0, False): 1}):
             with pytest.raises(ValueError, match="bad exponent vector"):
                 Poly(CHART2, bad)
 
