@@ -68,14 +68,6 @@ def _read_input(path: Path) -> tuple[str, str]:
         raise ParseError(f"{path} is not UTF-8 text", line=line, column=column) from None
 
 
-def _is_file(path: Path) -> bool:
-    """Path.is_file, except that a name the OS cannot even look up is not a file."""
-    try:
-        return path.is_file()
-    except OSError:  # e.g. a literal expression longer than the file-name limit
-        return False
-
-
 def _load_spec(path: str) -> tuple[StructureSpec, str]:
     text, digest = _read_input(Path(path))
     return parse_structure_file(text), digest
@@ -199,9 +191,8 @@ def cmd_cohomology(args) -> tuple[str, dict]:
 
 def cmd_tjurina(args) -> tuple[str, dict]:
     source = args.file_or_poly
-    path = Path(source)
-    if _is_file(path):
-        text, digest = _read_input(path)
+    if os.path.isfile(source):  # False for a literal past the file-name limit or with a NUL too
+        text, digest = _read_input(Path(source))
         if re.search(r"^\s*chart:", text, re.MULTILINE):
             spec = parse_structure_file(text)
             P = spec.build()
@@ -372,12 +363,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_tjurina)
 
+    parser.commands = sub.choices  # each command's name -> its own parser
     return parser
 
 
-def main(argv=None) -> int:
+def _arguments(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing a known command's arguments with its own parser alone.
+
+    That parser reports their usage errors as it does under the full parser; arguments it leaves
+    over, and a missing or unknown command, go to the full parser, which reports them.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
+    args = _arguments(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         digest, result = args.func(args)

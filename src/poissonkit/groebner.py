@@ -20,9 +20,9 @@ The ideals are rational, but the arithmetic is integer, on monomials
 packed into ints (:class:`_Packing`, after Monagan and Pearce, CASC 2007).
 One loop, :func:`_reduce`, does every reduction: it works on packed
 integer term maps, fraction-free under one running integer multiplier, and
-takes each leading term as the largest key.  Buchberger keeps its basis
-primitive over Z, reduces its S-polynomials and inter-reduces on that basis
-through :func:`_reduce` directly, and unpacks and makes the basis monic only
+takes each leading term as the largest key, from a divisor table of
+``(packed lead, lead coefficient, packed terms)``.  Buchberger keeps its
+basis primitive over Z as such entries, and unpacks and makes it monic only
 at output; :func:`division` and :func:`normal_form` scale their input to
 integers and rebuild the rationals from the loop's steps.  Every reduction
 takes the same leading terms in the same order as a reduction over Q with a
@@ -120,14 +120,15 @@ class _Packing:
     F(e) % (2**w - 1), exact for the lcm of two packed monomials.
     """
 
-    __slots__ = ("n", "w", "limit", "guards", "low")
+    __slots__ = ("n", "w", "limit", "guards", "low", "shifts")
 
     def __init__(self, n: int, degree: int):
         self.limit = (degree + 1) << _HEADROOM
         b = (self.limit - 1).bit_length()
         self.n, self.w = n, b + 1
-        self.guards = sum(1 << (i * self.w + b) for i in range(n))
         self.low = (1 << n * self.w) - 1
+        self.guards = self.low // ((1 << self.w) - 1) << b  # the repunit sum(1 << i*w), moved up to bit b
+        self.shifts = range(0, n * self.w, self.w)
 
     def lcm(self, a: int, b: int) -> int:
         """F(lcm(a, b)): t keeps the guards of the fields where a_i >= b_i, and t - (t >> b) fills those fields."""
@@ -146,9 +147,8 @@ class _Packing:
         return (sum(e) << self.n * self.w) - s
 
     def unpack(self, k: int) -> Exponent:
-        w = self.w
-        s, low = -k & self.low, (1 << w) - 1
-        return tuple(s >> (i * w) & low for i in range(self.n))
+        s, mask = -k & self.low, (1 << self.w) - 1
+        return tuple([s >> shift & mask for shift in self.shifts])
 
     def terms(self, terms: dict) -> dict:
         return {self.pack(e): c for e, c in terms.items()}
@@ -165,47 +165,39 @@ def _sub_shift(work: dict, c: int, shift: int, terms: dict):
             del work[e]
 
 
-def _reduce(
-    work: dict,
-    m: int,
-    leads: list[int],
-    divisors: list[dict],
-    guards: int,
-    counter: _StepCounter,
-    steps: list | None = None,
-):
-    """Reduce the packed integer term map ``work`` (consumed) by the packed ``divisors``.
+def _reduce(work: dict, m: int, table: list[tuple], guards: int, counter: _StepCounter, steps: list | None = None):
+    """Reduce the packed integer term map ``work`` (consumed) by the divisor ``table``.
 
-    ``work`` / ``m`` is the rational polynomial, ``leads`` are the divisors'
-    packed leading monomials and ``guards`` is their packing's guard mask.
-    The loop is fraction-free: a step with work lead c and divisor lead A
-    scales the work and m by A / gcd(A, c), then subtracts c / gcd(A, c)
-    times the shifted divisor.  It spends one step of ``counter`` and, when
-    ``steps`` is a list, appends ``(i, q, c, m)``: the first divisor in
-    ``leads`` order whose lead divides, the packed quotient monomial, and c
-    and m as before the step.
+    ``work`` / ``m`` is the rational polynomial.  Each entry of ``table`` is
+    ``(lead, A, terms)``: a divisor's packed leading monomial, its leading
+    coefficient and its packed integer term map; ``guards`` is their
+    packing's guard mask.  The loop is fraction-free: a step with work lead
+    c and divisor lead coefficient A scales the work and m by A / gcd(A, c),
+    then subtracts c / gcd(A, c) times the shifted divisor.  It spends one
+    step of ``counter`` and, when ``steps`` is a list, appends
+    ``(i, q, c, m)``: the first entry in ``table`` whose lead divides, the
+    packed quotient monomial, and c and m as before the step.
 
     The work lead is ``max(work)``.  Returns ``(remainder, m)``: remainder /
     m is the rational remainder, its terms in descending grevlex order (a
     term moved at multiplier m_at is scaled by m / m_at at the end).
     """
-    int_leads = [d[e] for d, e in zip(divisors, leads)]
     moved = []
     while work:
         exp = max(work)
         c = work[exp]
-        for i, lead in enumerate(leads):
+        for i, (lead, a, terms) in enumerate(table):
             if not (lead - exp) & guards:
                 counter.spend()
                 if steps is not None:
                     steps.append((i, exp - lead, c, m))
-                common = math.gcd(c, int_leads[i])
-                scale = int_leads[i] // common
+                common = math.gcd(c, a)
+                scale = a // common
                 if scale != 1:
                     m *= scale
                     for e in work:
                         work[e] *= scale
-                _sub_shift(work, c // common, exp - lead, divisors[i])
+                _sub_shift(work, c // common, exp - lead, terms)
                 break
         else:
             moved.append((exp, work.pop(exp), m))
@@ -231,14 +223,13 @@ def division(p: Poly, divisors: list[Poly], budget: int = DEFAULT_BUDGET):
     chart = p.chart
     primitive = [_primitive_terms(d.terms) for d in divisors]
     packing = _Packing(chart.n, max((sum(e) for terms in (p.terms, *primitive) for e in terms), default=0))
-    m, work = _over_z({packing.pack(e): c for e, c in p.terms.items()})
-    packed = [packing.terms(terms) for terms in primitive]
-    leads = [max(terms) for terms in packed]
+    m, work = _over_z(packing.terms(p.terms))
+    table = [(lead := max(terms), terms[lead], terms) for terms in map(packing.terms, primitive)]
     counter = _StepCounter(budget)
     counter.enter("division", "divisions finished")
     steps: list = []
-    remainder, m = _reduce(work, m, leads, packed, packing.guards, counter, steps)
-    lead_coeffs = [d.terms[packing.unpack(e)] for d, e in zip(divisors, leads)]
+    remainder, m = _reduce(work, m, table, packing.guards, counter, steps)
+    lead_coeffs = [d.terms[packing.unpack(lead)] for d, (lead, _, _) in zip(divisors, table)]
     quotients: list[dict] = [{} for _ in divisors]
     for i, q, c, m_at in steps:
         quotients[i][packing.unpack(q)] = _div(c, lead_coeffs[i] * m_at)
@@ -264,15 +255,15 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     (B_k); and elements whose leading term the new one divides form no
     further pairs.
 
-    Elements are kept as primitive packed term maps over Z and S-polynomials
-    are formed with integer cofactors; :func:`_reduce` reduces them on that
-    basis, and a nonzero remainder joins it as the primitive part of its
-    positive multiple.  A new element with an lcm class too large for the
-    packing re-packs the run wider before any pair is pushed; the order,
-    and so the sequence, stays.  The run ends in one sweep over the live
-    elements by ascending lead: one whose lead a kept lead divides is
-    dropped, and each other is reduced by the kept ones, the only leads that
-    can divide its terms, then unpacked and made monic, keeping its lead.
+    Elements are primitive packed term maps over Z in divisor-table entries.
+    An S-polynomial is formed with integer cofactors in one pass, reduced by
+    the live elements' table, which only ``add`` rebuilds, and a nonzero
+    remainder joins the basis as the primitive part of its positive multiple.
+    A new element with an lcm class too large for the packing re-packs the
+    run wider before any pair is pushed; the order, and so the sequence,
+    stays.  The run ends in one sweep over the live elements by ascending
+    lead: one whose lead a kept lead divides is dropped, and each other is
+    reduced by the kept ones' table, unpacked by field shifts and made monic.
     """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
@@ -287,24 +278,24 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     counter = _StepCounter(budget)
     packing = _Packing(chart.n, max(sum(e) for g in nonzero for e in g.terms))
 
-    basis: list[dict] = []  # packed term maps, primitive over Z
-    keys: list[int] = []  # packed leading monomials
-    leads: list[int] = []  # their fields, -key & packing.low
+    basis: list[tuple] = []  # (packed leading monomial, its coefficient, packed term map), primitive over Z
+    leads: list[int] = []  # the leading monomials' fields, -key & packing.low
     live: list[int] = []  # elements that still form pairs, ascending
+    table: list[tuple] = []  # the divisor table of the live elements, basis[i] for i in live
     pairs: list = []  # heap of (K(lcm), (i, j))
 
     def repack(degree: int):
         nonlocal packing
         old, packing = packing, _Packing(chart.n, degree)
-        basis[:] = [{packing.pack(old.unpack(e)): c for e, c in g.items()} for g in basis]
-        keys[:] = [packing.pack(old.unpack(k)) for k in keys]
-        leads[:] = [-k & packing.low for k in keys]
+        basis[:] = [
+            (packing.pack(old.unpack(k)), a, {packing.pack(old.unpack(e)): c for e, c in g.items()}) for k, a, g in basis
+        ]
+        leads[:] = [-k & packing.low for k, _, _ in basis]
         pairs[:] = [(packing.pack(old.unpack(k)), ij) for k, ij in pairs]  # same order, still a heap
 
     def add(g: dict, key: int):
         h = len(basis)
-        basis.append(g)
-        keys.append(key)
+        basis.append((key, g[key], g))
         leads.append(-key & packing.low)
         while True:
             lead, fmax = leads[h], packing.lcm
@@ -348,35 +339,37 @@ def buchberger(gens: list[Poly], budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
                     heapq.heappush(pairs, (key, (members[0], h)))
         live[:] = [i for i in live if (leads[i] - lead) & guards]
         live.append(h)
+        table[:] = [basis[i] for i in live]
 
     for g in nonzero:
         terms = packing.terms(_primitive_terms(g.terms))
         add(terms, max(terms))
     while pairs:
         key, (i, j) = heapq.heappop(pairs)
-        a_i, a_j = basis[i][keys[i]], basis[j][keys[j]]
+        (k_i, a_i, g_i), (k_j, a_j, g_j) = basis[i], basis[j]
         common = math.gcd(a_i, a_j)
-        s: dict = {}
-        _sub_shift(s, -(a_j // common), key - keys[i], basis[i])
-        _sub_shift(s, a_i // common, key - keys[j], basis[j])
-        remainder, m = _reduce(s, 1, [keys[k] for k in live], [basis[k] for k in live], packing.guards, counter)
+        shift, c_i = key - k_i, a_j // common
+        s = {e + shift: c_i * c for e, c in g_i.items()}
+        _sub_shift(s, a_i // common, key - k_j, g_j)
+        remainder, m = _reduce(s, 1, table, packing.guards, counter)
         if remainder:
             add(_positive_primitive(remainder, m), next(iter(remainder)))
         counter.done += 1
 
     counter.enter("inter-reduction", "generators reduced")
-    kept: list[int] = []
+    guards, unpack = packing.guards, packing.unpack
+    kept: list[tuple] = []  # the divisor table of the generators kept so far
     monic: list[Poly] = []
-    for i in sorted(live, key=keys.__getitem__):
-        if any(not (keys[k] - keys[i]) & packing.guards for k in kept):
+    for key, _, g in sorted(table, key=lambda entry: entry[0]):
+        if any(not (k - key) & guards for k, _, _ in kept):
             continue
-        remainder, m = _reduce(basis[i], 1, [keys[k] for k in kept], [basis[k] for k in kept], packing.guards, counter)
-        basis[i] = g = _positive_primitive(remainder, m)
-        kept.append(i)
+        remainder, m = _reduce(g, 1, kept, guards, counter)
+        g = _positive_primitive(remainder, m)
+        a = g[key]
+        kept.append((key, a, g))
         counter.done += 1
-        a = g[keys[i]]
-        terms = {packing.unpack(e): c if a == 1 else _div(c, a) for e, c in g.items()}
-        monic.append(Poly._of(chart, terms, packing.unpack(keys[i])))
+        terms = {unpack(e): c if a == 1 else _div(c, a) for e, c in g.items()}
+        monic.append(Poly._of(chart, terms, unpack(key)))
     return GroebnerBasis(chart, tuple(monic))
 
 
@@ -397,10 +390,9 @@ def quotient_dimension(G: GroebnerBasis):
     """
     n = G.chart.n
     leads = G.leading_exponents()
-    for i in range(n):
-        if not any(all(e[j] == 0 for j in range(n) if j != i) for e in leads):
-            return INFINITE
-    return _staircase_size(leads, n)
+    # The variables with a pure power among the leads, in one pass; the unit's lead is a power of each.
+    powers = {i for e in leads if e.count(0) >= n - 1 for i in range(n) if e[i] or not any(e)}
+    return _staircase_size(leads, n) if len(powers) == n else INFINITE
 
 
 def _staircase_size(leads, n: int) -> int:

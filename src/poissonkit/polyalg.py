@@ -466,8 +466,8 @@ MAX_NESTING = 100
 MAX_VARIABLES = 100
 MAX_TERMS = 2000
 
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S))"
+_TOKEN_RE = re.compile(  # ASCII: \d is [0-9] and \s is [ \t\n\r\f\v], so any other character is bad
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S))", re.ASCII
 )
 
 
@@ -490,11 +490,12 @@ def _digit_limit() -> int:
 def _exceeds_digit_limit(values, digits: int) -> bool:
     """Whether a numerator or denominator of the rationals ``values`` passes ``digits`` digits."""
     # 8^digits < 10^digits, so most values are ruled out by their length.
-    return bool(digits) and any(
-        x.bit_length() > 3 * digits and x >= 10**digits
-        for c in values
-        for x in (abs(c.numerator), c.denominator)
-    )
+    bits = 3 * digits
+    for c in values if digits else ():
+        if c.numerator.bit_length() > bits or c.denominator.bit_length() > bits:
+            if abs(c.numerator) >= 10**digits or c.denominator >= 10**digits:
+                return True
+    return False
 
 
 def _rational(text: str) -> Fraction:

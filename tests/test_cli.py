@@ -15,6 +15,7 @@ import pytest
 
 import poissonkit
 from poissonkit import ParseError, UnknownIdentifierError, parse_structure_file
+from poissonkit import cli
 from poissonkit.cli import main
 from conftest import FIXTURES, structure_text
 
@@ -447,6 +448,20 @@ class TestExitCodeContract:
         literal = "w^2 + z^2" + " + 0*w" * 1000
         assert run_json(capsys, "tjurina", literal)["result"]["tjurina"] == 1
 
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            # Past the file-name limit, as CI's 101-variable literal is: no file has that name.
+            (" + ".join(f"x{i}^2" for i in range(101)), "a chart has at most 100 variables, got 101"),
+            # No file name holds a NUL.
+            ("w^2 + z^2\0", "unexpected character '\\x00' (column 10)"),
+        ],
+        ids=["long", "nul"],
+    )
+    def test_a_literal_that_names_no_file_is_parsed(self, capsys, literal, message):
+        assert main(["tjurina", literal]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_runaway_power_is_4(self, capsys):
         started = time.perf_counter()
         assert main(["tjurina", "(w+z+1)^400"]) == 4
@@ -786,3 +801,44 @@ class TestHumanOutput:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"poissonkit {command} (v")
         assert any(line.startswith(key_line) for line in lines[1:]), lines
+
+
+class TestArgumentDispatch:
+    """A known command's arguments are parsed by its own parser, with the full parser's results and messages."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "a.poisson"],
+            ["modular", "a.poisson", "--json"],
+            ["report", "a.poisson", "--budget", "7", "--json"],
+            ["cohomology", "a.poisson", "--kmax", "2", "--wmax", "-3"],
+            ["cohomology", "a.poisson", "--wmax=4", "--budget=0"],
+            ["tjurina", "w^3 + z^2", "--point", "-1,0"],
+            ["tjurina", "w^3 + z^2", "--point=-1,0", "--json", "--budget", "12"],
+            ["tjurina", "--json", "-w^2 + z^3"],
+        ],
+    )
+    def test_valid_arguments_parse_as_the_full_parser_does(self, argv):
+        assert cli._arguments(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["-h"],
+            ["tjurina", "-h"],
+            ["tjurina"],
+            ["report", "a.poisson", "--bogus"],
+            ["tjurina", "w^3 + z^2", "--budget", "-1"],
+        ],
+    )
+    def test_usage_errors_read_as_the_full_parsers(self, capsys, argv):
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as ours:
+            main(argv)
+        assert ours.value.code == full.value.code == (0 if "-h" in argv else 2)
+        assert capsys.readouterr() == expected and (expected.out or expected.err)

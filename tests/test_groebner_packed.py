@@ -103,6 +103,9 @@ def test_field_ops_match_tuple_arithmetic(rng, n, degree):
         assert packing.lcm(F(a), F(c)) == F(lcm), (a, c)
         assert (not (F(c) - F(a)) & packing.guards) == all(map(operator.le, a, c)), (a, c)
         assert (F(a) + F(c) == F(lcm)) == all(x == 0 or y == 0 for x, y in zip(a, c)), (a, c)
+    for a in vectors:
+        # Buchberger's output reads each field off its key by shift and mask, at fields of 0 and of 2**b - 1 too.
+        assert packing.unpack(packing.key(F(a))) == a, a
     monomials = monomials_below(rng, packing, 12 if n == 100 else 25)
     for a, c in itertools.product(monomials, repeat=2):
         lcm = tuple(map(max, a, c))
@@ -397,10 +400,10 @@ class TestFinishingSweep:
                 entering.append(len(items))
             return sorted(items, key=key)
 
-        def reduce_spy(work, m, leads, divisors, guards, counter, steps=None):
+        def reduce_spy(work, m, table, guards, counter, steps=None):
             if counter.phase == "inter-reduction":
-                reductions.append(len(leads))
-            return reduce(work, m, leads, divisors, guards, counter, steps)
+                reductions.append(len(table))
+            return reduce(work, m, table, guards, counter, steps)
 
         monkeypatch.setattr(groebner, "sorted", sorted_spy, raising=False)
         monkeypatch.setattr(groebner, "_reduce", reduce_spy)

@@ -405,3 +405,20 @@ def test_digits_are_scanned_only_where_a_coefficient_can_grow(monkeypatch):
         scans.clear()
         parse_poly(text, Chart(("w", "z")))
         assert len(scans) == count, text
+
+
+@pytest.mark.parametrize(
+    "literal,column",
+    [
+        ("w^\u0663 + z^2", 3),  # ARABIC-INDIC DIGIT THREE is no exponent
+        ("w^3\u3000+ z^2", 4),  # an IDEOGRAPHIC SPACE is no blank
+        ("w^3 + z^2\u00a0", 10),  # nor is a NO-BREAK SPACE
+    ],
+)
+def test_the_tokenizer_reads_ascii_digits_and_blanks_only(capsys, literal, column):
+    # The grammar's digits and blanks are ASCII, as its identifiers are: any
+    # other character is a parse error at its column, not a digit or a blank.
+    assert main(["tjurina", literal]) == 2
+    assert capsys.readouterr().err == f"parse error: unexpected character {literal[column - 1]!r} (column {column})\n"
+    ascii_literal = literal.replace("\u0663", "3").replace("\u3000", " ").replace("\u00a0", "")
+    assert main(["tjurina", ascii_literal]) == 0
