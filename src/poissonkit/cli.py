@@ -36,7 +36,7 @@ from .graded_cohomology import cohomology_table
 from .groebner import DEFAULT_BUDGET, INFINITE, jacobian_ideal_basis, quotient_dimension
 from .multivec import SIGN_CONVENTIONS, Polyvector, lie_derivative
 from .poisson import dmodule_generators, jacobiator, modular_field, pfaffian
-from .polyalg import Chart, Poly, _PolyParser, _digit_limit, _exceeds_digit_limit, _rational, _tokenize
+from .polyalg import _BLANKS, Chart, Poly, _PolyParser, _digit_limit, _exceeds_digit_limit, _rational, _tokenize
 from .structfile import StructureSpec, parse_structure_file
 
 
@@ -193,7 +193,7 @@ def cmd_tjurina(args) -> tuple[str, dict]:
     source = args.file_or_poly
     if os.path.isfile(source):  # False for a literal past the file-name limit or with a NUL too
         text, digest = _read_input(Path(source))
-        if re.search(r"^\s*chart:", text, re.MULTILINE):
+        if re.search(r"^\s*chart:", text, re.MULTILINE | re.ASCII):
             spec = parse_structure_file(text)
             P = spec.build()
             f = pfaffian(P)
@@ -203,7 +203,7 @@ def cmd_tjurina(args) -> tuple[str, dict]:
                 )
             chart = P.chart
         else:
-            f, chart = _poly_from_text(text.strip())
+            f, chart = _poly_from_text(text.strip(_BLANKS))
     else:
         digest = _digest(source.encode("utf-8"))
         f, chart = _poly_from_text(source)
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default=None, help='translate this point to the origin: "a,b,..."')
     # By default argparse reads "-1,0" as an unknown option, so "--point -1,0"
     # would fail; any token that starts like a negative number is a value here.
-    p._negative_number_matcher = re.compile(r"^-\.?\d")
+    p._negative_number_matcher = re.compile(r"^-\.?\d", re.ASCII)
     common(p)
     p.set_defaults(func=cmd_tjurina)
 

@@ -19,31 +19,48 @@ pi's derivatives by the odd frame symbols and by the chart variables,
 built once per structure: the image terms are code offsets with int
 coefficients, their wedge signs those of ``multivec._merge_sign``, merged
 by offset and tabulated once per multi-index, so an entry costs int
-additions and products.  The pieces of one table share one enumeration of
-each weighted degree's packed exponents, summed as it recurses; no exponent
-tuple is kept, and a piece's codes are derived where they are read.
+additions and products.  Each row, the coefficients of one target code,
+comes from the same offsets read in reverse, tabulated once per target
+multi-index (:meth:`_DerivativeTable.comoves`).  The pieces of one table
+share one enumeration of each weighted degree's packed exponents, summed
+as it recurses; no exponent tuple is kept, and a piece's codes are derived
+where they are read.
 No polyvector is built and no Schouten bracket is evaluated per basis
 element.  Only :func:`dpi_matrix` keys rows by target-basis position, and
 divides by s again to return d_pi itself.  :func:`rank_exact`, the rank
 of every piece with a nonempty source and target, runs one fraction-free
-sparse elimination (:func:`_echelon`), which pivots on each column's
-largest row, here the largest code, and keeps each reduced column primitive.
+sparse elimination (:func:`_echelon`), which pivots on each vector's
+largest key, here the largest code, and keeps each reduced vector primitive.
 
-A table first lists every piece it reads, in walk order, one
+A table first lists every piece it reads, upward along each diagonal, one
 :class:`GradedBasis` each, so a piece past the basis cap is refused before
 any elimination.  It then walks each diagonal C^0_{w0} -> C^1_{w0+m} -> ...
-once, upward in k, records only the rank out of each piece, and reads
-every entry off the bases and the ranks.  Each step ranks only the
-columns it can still use: those at the pivot codes of the step before are
-neither assembled nor eliminated.  The pivot codes of an echelon of
-the image of d_{k-1} are basis elements whose span meets that image
-only in 0 and fills C^k_w with it, and d_pi kills the image, so the other
-columns have the same rank.  This is the clearing, or "twist", of
-persistent homology (Chen and Kerber, EuroCG 2011; Bauer, J. Appl.
-Comput. Topol. 2021).  A piece whose source or target basis is empty has
-rank 0 and is neither assembled nor eliminated.  Each rank certificate
-``(rows, cols, rank)`` keeps the piece's full source dimension as
-``cols``, while the rank comes from the uncleared columns.
+once, from its light end, records only the rank out of each piece, and
+reads every entry off the bases and the ranks.  Pieces grow with k when
+m > 0 and as k falls when m < 0, so the direction is the sign of m:
+
+* m >= 0: upward in k, each piece assembled as source columns.  The
+  columns at the pivot codes of the step before are neither assembled nor
+  eliminated.  The pivot codes of an echelon of the image of d_{k-1} are
+  basis elements whose span meets that image only in 0 and fills C^k_w
+  with it, and d_pi kills the image, so the other columns have the same
+  rank.  This is the clearing, or "twist", of persistent homology (Chen
+  and Kerber, EuroCG 2011; Bauer, J. Appl. Comput. Topol. 2021).
+* m < 0: downward in k, each piece assembled as target rows, one per
+  target code, keyed by source code.  The pivot keys of d_k are then
+  source codes whose columns of d_k are independent: d_k is injective on
+  their span S.  The next step, d_{k-1} into C^k, is assembled without
+  the rows at S, which keeps its rank.  With p the projection of C^k that
+  deletes the coordinates at S, a v in ker d_k with p(v) = 0 lies in S,
+  where d_k is injective, so v = 0: p is injective on ker d_k, which
+  contains im d_{k-1}, and rank(p d_{k-1}) = rank d_{k-1}.  This is the
+  same clearing on the dual complex (de Silva, Morozov and
+  Vejdemo-Johansson, Inverse Problems 2011).
+
+A piece whose source or target basis is empty has rank 0 and is neither
+assembled nor eliminated.  Each rank certificate ``(rows, cols, rank)``
+keeps the piece's full target and source dimensions, while the rank comes
+from the vectors left after clearing.
 
 Weights: a monomial polyvector  x^e d_{i1}^...^d_{ik}  has weight
 ``wdeg(x^e) - (weights[i1] + ... + weights[ik])``.
@@ -97,7 +114,7 @@ def homogeneity_weight(P: PoissonStructure) -> int:
     return shifts.pop() if shifts else 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class GradedBasis:
     """Ordered monomial basis of the degree-k, weight-w graded piece.
 
@@ -202,8 +219,11 @@ def graded_basis(
     by_degree = {} if by_degree is None else by_degree
     n, groups, size = chart.n, [], 0
     if 0 <= k <= n and w + sum(sorted(chart.weights)[n - k :]) >= 0:
+        weights = chart.weights
         for index in itertools.combinations(range(n), k):
-            target = w + sum(chart.weights[i] for i in index)
+            target = w
+            for i in index:
+                target += weights[i]
             packed = by_degree.get(target)
             if packed is None:
                 packed = by_degree[target] = tuple(_monomials_of_weighted_degree(chart, target, DEFAULT_BASIS_CAP, radix))
@@ -236,6 +256,8 @@ class _DerivativeTable:
     ``by_theta[i]`` lists the terms ``(j, exponent, c)`` of dpi/dtheta_i
     = sum_j pi_ij d_j, and ``by_x[i]`` the terms ``((a, b), exponent, c)``
     of dpi/dx_i, each exponent packed as in :class:`GradedBasis` codes.
+    ``shift`` is pi's homogeneity weight m and ``weights`` the chart's,
+    which :meth:`comoves` checks every move against.
 
     ``radix`` is fixed from ``w_top``, the largest weight of a piece the
     caller touches: it is the smallest power of two at least the largest
@@ -246,11 +268,12 @@ class _DerivativeTable:
     ``n + i * log2(radix)`` on, read by a shift and a mask.
     """
 
-    __slots__ = ("scale", "radix", "by_theta", "by_x", "_moves")
+    __slots__ = ("scale", "radix", "shift", "weights", "by_theta", "by_x", "_moves", "_comoves")
 
     def __init__(self, P: PoissonStructure, w_top: int):
         chart = P.chart
         n = chart.n
+        self.shift, self.weights = homogeneity_weight(P), chart.weights
         self.scale, terms = _over_z(
             {(a, b, exponent): value for (a, b), coeff in P.pi.terms.items() for exponent, value in coeff.terms.items()}
         )
@@ -266,6 +289,7 @@ class _DerivativeTable:
                 if power:
                     self.by_x[i].append(((a, b), packed - (radix**i << n), power * c))
         self._moves: dict[MultiIndex, list[tuple[int, tuple[tuple[int, int], ...], int]]] = {}
+        self._comoves: dict[MultiIndex, list[tuple[int, tuple[tuple[int, int], ...], int]]] = {}
 
     def moves(self, index: MultiIndex) -> list[tuple[int, tuple[tuple[int, int], ...], int]]:
         """The moves of [pi, x^e d_index] as code offsets, computed once per index.
@@ -314,12 +338,63 @@ class _DerivativeTable:
         self._moves[index] = moves
         return moves
 
+    def comoves(self, index: MultiIndex) -> list[tuple[int, tuple[tuple[int, int], ...], int]]:
+        """The moves that land on multi-index ``index``, as in :meth:`moves`, computed once per index.
+
+        A move ``(delta, slope, constant)`` of a source multi-index I carries
+        the code s of x^e d_I to ``s + delta``, so a target code t of
+        ``index`` is reached from ``t - delta`` with the value the move
+        gives there; that source exists where ``t - delta`` is a code of the
+        source piece.  The indices whose moves can land here are ``index``
+        less one entry j (the terms d_j ^ db/dx_i) and ``index`` with a pair
+        (a, b) traded for a variable i that pi_ab depends on (the terms
+        db/dtheta_i ^ dpi/dx_i).  Every move of each such index is checked
+        to carry the piece (k, w) of its index into (k+1, w+m): one more
+        index, and a weight shift of m, read off its delta.
+        """
+        cached = self._comoves.get(index)
+        if cached is not None:
+            return cached
+        n, radix, weights = len(self.by_theta), self.radix, self.weights
+        low, target = (1 << n) - 1, sum(1 << i for i in index)
+        sources = {index[:pos] + index[pos + 1 :] for pos in range(len(index))}
+        for i, terms in enumerate(self.by_x):
+            for (a, b), _, _ in terms:
+                if a in index and b in index:
+                    rest = [j for j in index if j != a and j != b]
+                    if i not in rest:
+                        sources.add(tuple(sorted([*rest, i])))
+        comoves = []
+        for source in sorted(sources):
+            mask = sum(1 << i for i in source)
+            for move in self.moves(source):
+                reached = mask + move[0]
+                # Digit i of the exponent shift lies in [-1, deg pi], so radix - 1 reads as -1.
+                x, shift = reached >> n, 0
+                for i, weight in enumerate(weights):
+                    digit = x % radix
+                    if digit == radix - 1:
+                        digit = -1
+                    x = (x - digit) // radix
+                    shift += (digit - (reached >> i & 1) + (mask >> i & 1)) * weight
+                if x or bin(reached & low).count("1") != len(source) + 1 or shift != self.shift:
+                    raise AssertionError("a move leaves the expected graded piece; homogeneity is broken")
+                if reached & low == target:
+                    comoves.append(move)
+        self._comoves[index] = comoves
+        return comoves
+
 
 class _IntColumns(list):
-    """Sparse columns that hold only nonzero ints, as :func:`_dpi_columns` builds them.
+    """Sparse vectors that hold only nonzero ints, as :func:`_dpi_columns` and :func:`_dpi_rows` build them.
 
     :func:`rank_exact` ranks such a list as it is, without checking its values.
     """
+
+
+def _code_set(basis: GradedBasis) -> set[int]:
+    """The codes of ``basis`` as a set, in one comprehension over its groups."""
+    return {mask + p for index, packed in basis.groups for mask in [sum(1 << i for i in index)] for p in packed}
 
 
 def _dpi_columns(
@@ -344,9 +419,37 @@ def _dpi_columns(
                 if value:
                     column[code + delta] = value
             columns.append(column)
-    if not set(target.codes).issuperset(itertools.chain.from_iterable(columns)):
+    if not _code_set(target).issuperset(itertools.chain.from_iterable(columns)):
         raise AssertionError("image leaves the expected graded piece; homogeneity is broken")
     return columns
+
+
+def _dpi_rows(table: _DerivativeTable, source: GradedBasis, target: GradedBasis, cleared: frozenset) -> _IntColumns:
+    """Sparse int rows {source code: value} of ``table.scale`` * d_pi from ``source`` into ``target``.
+
+    Row t holds the coefficients of the target code t in the images of the
+    source codes: the transpose of :func:`_dpi_columns`, with the same
+    rank, read from :meth:`_DerivativeTable.comoves`.  The target codes in
+    ``cleared`` are left out: no row is built for them.
+    """
+    rows, digit, codes = _IntColumns(), table.radix - 1, _code_set(source)
+    for index, packed in target.groups:
+        moves = table.comoves(index)
+        mask = sum(1 << i for i in index)
+        for code in packed:
+            code += mask
+            if code in cleared:
+                continue
+            row: dict[int, int] = {}
+            for delta, slope, value in moves:
+                origin = code - delta
+                if origin in codes:
+                    for offset, c in slope:
+                        value += c * (origin >> offset & digit)
+                    if value:
+                        row[origin] = value
+            rows.append(row)
+    return rows
 
 
 def dpi_matrix(P: PoissonStructure, k: int, w: int) -> list[dict[int, int | Fraction]]:
@@ -385,6 +488,8 @@ def _echelon(columns) -> dict[int, tuple[int, dict[int, int]]]:
     multi-index last; target positions, which order the multi-index first,
     fill in more: the pieces of ``sklyanin4`` through weight 9 end with
     83,537 pivot entries of at most 25 bits, against 106,450 of 89 bits.
+    The rows of :func:`_dpi_rows` go through it the same way, keyed by
+    source code, so their pivots are the largest source monomials.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for column in columns:
@@ -425,9 +530,10 @@ def rank_exact(columns: list[dict[int, int | Fraction]]) -> Rank:
 
     The rank is that of one run of :func:`_echelon`, and its ``pivot_rows``
     are that run's pivot rows: the image of the columns meets the span of
-    the other rows' unit vectors only in 0.  Columns that
-    :func:`_dpi_columns` built go straight to the elimination, which
-    consumes them; their pivot rows are codes.  A plain list, such as
+    the other rows' unit vectors only in 0.  Vectors that
+    :func:`_dpi_columns` or :func:`_dpi_rows` built go straight to the
+    elimination, which consumes them; their pivot rows are codes, of the
+    target for columns and of the source for rows.  A plain list, such as
     :func:`dpi_matrix`'s with rows at positions, is left as it is: its
     columns are copied into ints, each scaled by the lcm of its
     denominators, which does not change the rank, and without its zeros
@@ -441,7 +547,7 @@ def rank_exact(columns: list[dict[int, int | Fraction]]) -> Rank:
     return rank
 
 
-@dataclass(frozen=True)
+@dataclass
 class TableEntry:
     k: int
     w: int
@@ -452,7 +558,7 @@ class TableEntry:
     rank_certificate: tuple[int, int, int]  # (rows, cols, rank) of the outgoing matrix
 
 
-@dataclass(frozen=True)
+@dataclass
 class EulerCheck:
     """Alternating sums along one diagonal w0, w0+m, ..., w0+nm."""
 
@@ -515,13 +621,27 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
     not displayed); they confirm the bookkeeping, not the ranks.
 
     Every piece the table reads is listed first, one :func:`graded_basis`
-    each, in walk order, so a table with a piece past the basis cap is
-    refused before any elimination.  Each diagonal w0 is then walked once,
-    upward in k over the span the table reads: 0..n for an Euler diagonal,
+    each, upward along each diagonal, so a table with a piece past the
+    basis cap is refused before any elimination.  Each diagonal w0 is then
+    walked once over the span the table reads: 0..n for an Euler diagonal,
     k-1..k for each displayed (k, w) with w - km = w0.  Each step records
-    only the rank out of its piece, and its pivot rows clear the next
-    step's columns.  Every entry and Euler sum is read off the bases and
-    the ranks.
+    only the rank out of its piece, and its pivots clear the next step.
+    The walk starts at the light end of the diagonal, where its pieces are
+    smallest, so the step that nothing clears is the cheapest:
+
+    * m >= 0: upward in k, on source columns (:func:`_dpi_columns`).  The
+      pivot rows of d_{k-1} are codes of C^k whose span meets im d_{k-1}
+      only in 0 and fills C^k with it; d_pi kills im d_{k-1}, so the
+      columns of d_k at those codes can be left out.
+    * m < 0: downward in k, on target rows (:func:`_dpi_rows`).  The pivot
+      keys of d_k are codes of C^k at which the columns of d_k are
+      independent, so d_k is injective on their span S, and the rows of
+      d_{k-1} at those codes can be left out: the projection p that
+      deletes them has kernel S, which meets ker d_k only in 0, so p is
+      injective on ker d_k, which contains im d_{k-1}, and
+      rank(p d_{k-1}) = rank d_{k-1}.
+
+    Every entry and Euler sum is read off the bases and the ranks.
     """
     chart = P.chart
     n = chart.n
@@ -545,22 +665,25 @@ def cohomology_table(P: PoissonStructure, k_max: int, w_max: int) -> CohomologyT
             span = spans.setdefault(w - k * m, [k, k])
             span[0], span[1] = min(span[0], k), max(span[1], k)
 
-    # Every piece the walk reads, listed in walk order before any is assembled.
+    # Every piece the walk reads, listed upward along each diagonal before any is assembled.
     bases = {
         (k, w0 + k * m): graded_basis(chart, k, w0 + k * m, table.radix, by_degree)
         for w0, (lo, hi) in spans.items()
         for k in range(max(lo - 1, 0), hi + 2)
     }
-    # ranks[(k, w)] is the rank of d_pi out of (k, w), a plain int: its pivot rows clear only the next step.
+    # ranks[(k, w)] is the rank of d_pi out of (k, w), a plain int: its pivots clear only the next step.
     ranks: dict[tuple[int, int], int] = {}
+    # From the light end of each diagonal: upward on columns for m >= 0, downward on rows for m < 0.
+    assemble = _dpi_columns if m >= 0 else _dpi_rows
     for w0, (lo, hi) in spans.items():
         cleared = frozenset()
-        for k in range(max(lo - 1, 0), hi + 1):
+        steps = range(max(lo - 1, 0), hi + 1)
+        for k in steps if m >= 0 else reversed(steps):
             w = w0 + k * m
             source, target = bases[(k, w)], bases[(k + 1, w + m)]
             # A piece with an empty source or target has rank 0 and is neither assembled nor ranked.
             if len(source) and len(target):
-                rank = rank_exact(_dpi_columns(table, source, target, cleared))
+                rank = rank_exact(assemble(table, source, target, cleared))
                 cleared = rank.pivot_rows
             else:
                 rank, cleared = 0, frozenset()

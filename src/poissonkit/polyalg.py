@@ -466,6 +466,8 @@ MAX_NESTING = 100
 MAX_VARIABLES = 100
 MAX_TERMS = 2000
 
+# The blanks that \s matches under re.ASCII, for str.strip.
+_BLANKS = " \t\n\r\f\v"
 _TOKEN_RE = re.compile(  # ASCII: \d is [0-9] and \s is [ \t\n\r\f\v], so any other character is bad
     rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S))", re.ASCII
 )
@@ -499,12 +501,14 @@ def _exceeds_digit_limit(values, digits: int) -> bool:
 
 
 def _rational(text: str) -> Fraction:
-    """``Fraction(text)`` for a literal such as ``-3/4`` or ``1.5e-3``; malformed text raises ValueError.
+    """``Fraction(text)`` for an ASCII literal such as ``-3/4`` or ``1.5e-3``; other text raises ValueError.
 
     A value with more digits than the interpreter's limit raises ParseError.
     A nonzero ``m e x`` with |x| - len(text) >= that limit is one; it is
     refused before ``Fraction`` would build 10**|x|.
     """
+    if not text.isascii():  # Fraction() reads every Unicode digit and space
+        raise ValueError(f"non-ASCII rational {text!r}")
     digits = _digit_limit()
     too_long = f"the rational {text.strip()!r} has more than {digits} digits"
     m = re.search(r"[eE][-+]?([\d_]+)\s*$", text)

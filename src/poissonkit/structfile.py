@@ -34,11 +34,13 @@ from .poisson import (
     new_poisson,
 )
 from .multivec import Polyvector, contract, covolume
-from .polyalg import _IDENT_RE, Chart, Poly, _rational, parse_poly
+from .polyalg import _BLANKS, _IDENT_RE, Chart, Poly, _rational, parse_poly
 
-_BRACKET_RE = re.compile(rf"^\{{\s*({_IDENT_RE.pattern})\s*,\s*({_IDENT_RE.pattern})\s*\}}\s*=\s*(.+)$")
-_JACOBIAN_RE = re.compile(r"^jacobian3\s+F\s*=\s*(.+)$")
-_DIAGONAL_RE = re.compile(r"^diagonal\s+lambda\s*=\s*(.+)$")
+# User text is ASCII, as in the expression tokenizer: \s is [ \t\n\r\f\v] and \d is [0-9].
+_BRACKET_RE = re.compile(rf"^\{{\s*({_IDENT_RE.pattern})\s*,\s*({_IDENT_RE.pattern})\s*\}}\s*=\s*(.+)$", re.ASCII)
+_JACOBIAN_RE = re.compile(r"^jacobian3\s+F\s*=\s*(.+)$", re.ASCII)
+_DIAGONAL_RE = re.compile(r"^diagonal\s+lambda\s*=\s*(.+)$", re.ASCII)
+_SEPARATOR_RE = re.compile(r"[\s,]+", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class StructureSpec:
 
 
 def _tokens(text: str) -> list[str]:
-    return [t for t in re.split(r"[\s,]+", text.strip()) if t]
+    return [t for t in _SEPARATOR_RE.split(text) if t]
 
 
 def parse_structure_file(text: str) -> StructureSpec:
@@ -68,10 +70,10 @@ def parse_structure_file(text: str) -> StructureSpec:
     builder: partial[Polyvector] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if not line:
             continue
-        indent = len(raw) - len(raw.lstrip())
+        indent = len(raw) - len(raw.lstrip(_BLANKS))
         if line.startswith("chart:"):
             if chart is not None:
                 raise ParseError("duplicate chart: line", line=lineno)
@@ -98,6 +100,8 @@ def parse_structure_file(text: str) -> StructureSpec:
             weights = []
             for t in tokens:
                 try:
+                    if not t.isascii():  # int() reads every Unicode digit
+                        raise ValueError
                     weights.append(int(t))
                 except ValueError:
                     raise ParseError(

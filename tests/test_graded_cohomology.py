@@ -392,51 +392,63 @@ class TestCohomologyTable:
 
     def test_every_piece_is_ranked_through_rank_exact(self, monkeypatch):
         # Each piece with a nonempty source and target is one rank_exact call
-        # on exactly the columns assembled for it, those left after clearing,
-        # and no elimination runs besides the one rank_exact runs.  A piece
-        # with an empty source or target is neither assembled nor ranked.
+        # on exactly the vectors assembled for it, those left after clearing,
+        # and no elimination runs besides the one rank_exact runs.  For
+        # m >= 0 a piece is assembled as source columns, and the pivots of
+        # the piece below clear some; for m < 0 as target rows, and the
+        # pivots of the piece above clear some.  A piece with an empty source
+        # or target is neither assembled nor ranked.
         import poissonkit.graded_cohomology as module
 
         events = []
         assembled = []
-        assemble, rank, echelon = module._dpi_columns, module.rank_exact, module._echelon
+        rank, echelon = module.rank_exact, module._echelon
 
-        def assembling(table, source, target, cleared):
-            assert cleared <= set(source.codes)
-            columns = assemble(table, source, target, cleared)
-            events.append(("piece", source.k, source.w, len(target), len(source), len(cleared), len(columns)))
-            assembled.append(columns)
-            return columns
+        def recording(side, assemble):
+            def assembling(table, source, target, cleared):
+                skipped = source if side == "columns" else target
+                assert cleared <= set(skipped.codes)
+                vectors = assemble(table, source, target, cleared)
+                events.append(("piece", side, source.k, source.w, len(target), len(source), len(cleared), len(vectors)))
+                assembled.append(vectors)
+                return vectors
 
-        def ranking(columns):
-            assert columns is assembled[-1]
-            result = rank(columns)
-            events.append(("rank", len(columns), result))
+            return assembling
+
+        def ranking(vectors):
+            assert vectors is assembled[-1]
+            result = rank(vectors)
+            events.append(("rank", len(vectors), result))
             return result
 
-        def eliminating(columns):
+        def eliminating(vectors):
             events.append(("echelon",))
-            return echelon(columns)
+            return echelon(vectors)
 
-        monkeypatch.setattr(module, "_dpi_columns", assembling)
+        monkeypatch.setattr(module, "_dpi_columns", recording("columns", module._dpi_columns))
+        monkeypatch.setattr(module, "_dpi_rows", recording("rows", module._dpi_rows))
         monkeypatch.setattr(module, "rank_exact", ranking)
         monkeypatch.setattr(module, "_echelon", eliminating)
-        total_cleared = 0
-        for P in (fixture_structure("hesse_cubic"), fixture_structure("sklyanin4"), symplectic2()):
+        total_cleared = {"columns": 0, "rows": 0}
+        structures = [fixture_structure(name) for name in ("hesse_cubic", "sklyanin4", "so3_linear", "symplectic4")]
+        for P in (*structures, symplectic2()):
             events.clear()
             n, m = P.chart.n, homogeneity_weight(P)
             table = cohomology_table(P, n, 3)
             assert len(events) % 3 == 0
             ranked = {}
             for start in range(0, len(events), 3):
-                (kind, k, w, rows, cols, cleared, kept), inner, outer = events[start : start + 3]
+                (kind, side, k, w, rows, cols, cleared, kept), inner, outer = events[start : start + 3]
                 assert (kind, inner[0], outer[:2]) == ("piece", "echelon", ("rank", kept))
-                assert rows and cols and kept == cols - cleared
-                # Only an already ranked incoming piece clears, by its rank.
-                assert cleared == 0 or cleared == ranked[(k - 1, w - m)][2]
+                assert side == ("columns" if m >= 0 else "rows")
+                assert rows and cols and kept == (cols if side == "columns" else rows) - cleared
+                # Only an already ranked neighbour clears, by its rank: the
+                # incoming piece for columns, the outgoing one for rows.
+                neighbour = (k - 1, w - m) if side == "columns" else (k + 1, w + m)
+                assert cleared == 0 or cleared == ranked[neighbour][2]
                 assert (k, w) not in ranked
                 ranked[(k, w)] = (rows, cols, outer[2])
-                total_cleared += cleared
+                total_cleared[side] += cleared
             for (k, w), entry in table.entries.items():
                 if (k, w) in ranked:
                     assert ranked[(k, w)] == entry.rank_certificate
@@ -446,7 +458,7 @@ class TestCohomologyTable:
                     assert not (rows and entry.dim_chain)
                 incoming = ranked.get((k - 1, w - m), (0, 0, 0))
                 assert entry.dim_image_incoming == incoming[2]
-        assert total_cleared > 0
+        assert total_cleared["columns"] > 0 and total_cleared["rows"] > 0
 
     def test_render_text_is_aligned(self):
         table = cohomology_table(symplectic2(), 2, 2)
@@ -847,6 +859,133 @@ class TestClearing:
         cohomology_table(fixture_structure("sklyanin4"), 4, 9)
         assert sum(entries) <= 95000
         assert max(bits) <= 48
+
+
+class TestNegativeShift:
+    """Tables with m < 0, walked downward in k and ranked by target rows.
+
+    Each entry is checked against full, uncleared pieces, assembled by
+    columns through :func:`dpi_matrix` and ranked by :func:`rank_exact`.
+    """
+
+    def assert_entries_match_full_pieces(self, P, w_max):
+        chart, n, m = P.chart, P.chart.n, homogeneity_weight(P)
+        assert m < 0
+        table = cohomology_table(P, n, w_max)
+        for (k, w), entry in table.entries.items():
+            dim = len(graded_basis(chart, k, w))
+            rank = rank_exact(dpi_matrix(P, k, w))
+            incoming = rank_exact(dpi_matrix(P, k - 1, w - m)) if k else 0
+            assert entry.rank_certificate == (len(graded_basis(chart, k + 1, w + m)), dim, rank), (k, w)
+            assert (entry.dim_chain, entry.dim_image_incoming, entry.dim_h) == (dim, incoming, dim - rank - incoming)
+        assert table.euler_consistent()
+        return table
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_seeded_constant_charts(self, rng, n):
+        chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+        for _ in range(2 if n < 5 else 1):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            coeffs = {pair: rng.randint(-3, 3) for pair in pairs}
+            coeffs[rng.choice(pairs)] = rng.choice((-1, 1))
+            pi = Polyvector(chart, 2, {pair: Poly.constant(chart, c) for pair, c in coeffs.items() if c})
+            table = self.assert_entries_match_full_pieces(new_poisson(pi), 3 if n < 5 else 1)
+            assert table.weight_shift == -2
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_seeded_linear_charts(self, rng, n):
+        # The semidirect sum of C^(n-1) and C: {x1, xj} = sum_l A_lj xl for
+        # j, l > 1 and every other bracket 0, a Lie algebra for any A.
+        chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+        for _ in range(2 if n < 5 else 1):
+            pi = {}
+            for j in range(1, n):
+                coeffs = {tuple(int(i == l) for i in range(n)): rng.randint(-2, 2) for l in range(1, n)}
+                l = rng.randrange(1, n)
+                coeffs[tuple(int(i == l) for i in range(n))] = rng.choice((-1, 1))
+                pi[(0, j)] = Poly(chart, {e: c for e, c in coeffs.items() if c})
+            table = self.assert_entries_match_full_pieces(new_poisson(Polyvector(chart, 2, pi)), 3 if n < 5 else 1)
+            assert table.weight_shift == -1
+
+    def test_seeded_weighted_surfaces(self, rng):
+        # On a 2-chart every bivector is Poisson; f dw^dz with wdeg f below
+        # the weight sum has m < 0.
+        for _ in range(12):
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            chart = Chart(("w", "z"), (a, b))
+            degree = rng.randrange(a + b)
+            exponents = [(i, (degree - a * i) // b) for i in range(degree // a + 1) if (degree - a * i) % b == 0]
+            if not exponents:
+                continue
+            f = Poly(chart, {e: rng.choice((-2, -1, 1, 2, 3)) for e in exponents})
+            table = self.assert_entries_match_full_pieces(new_poisson(Polyvector.term(chart, (0, 1), f)), 8)
+            assert table.weight_shift == degree - a - b
+
+    def test_symplectic_constant_charts_have_only_the_constants(self, rng):
+        # A nondegenerate constant structure has the de Rham cohomology of
+        # C^n (Lichnerowicz): H^0_0 = 1 and every other entry 0.
+        for n, w_max in ((2, 9), (4, 5), (6, 1)):
+            chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+            while True:
+                lam = random_skew_matrix(rng, n)
+                if rank_exact(columns_of(lam)) == n:
+                    break
+            pi = Polyvector(
+                chart, 2, {(i, j): Poly.constant(chart, lam[i][j]) for i in range(n) for j in range(i + 1, n) if lam[i][j]}
+            )
+            table = cohomology_table(new_poisson(pi), n, w_max)
+            for (k, w), entry in table.entries.items():
+                assert entry.dim_h == (1 if (k, w) == (0, 0) else 0), (n, k, w)
+            assert table.euler_consistent()
+
+    def test_so3_casimirs_through_weight_14(self):
+        # C[x, y, z]^so(3) = C[x^2 + y^2 + z^2]: H^0_w = 1 for even w >= 0, else 0.
+        table = cohomology_table(fixture_structure("so3_linear"), 3, 14)
+        for w in range(table.w_min, 15):
+            assert table.dim_h(0, w) == (1 if w >= 0 and w % 2 == 0 else 0), w
+        assert table.euler_consistent()
+
+    @pytest.mark.parametrize("name", ["symplectic4", "so3_linear"])
+    def test_compressing_by_another_set_changes_a_rank(self, monkeypatch, name):
+        # Rows at the pivot keys of the step above may be dropped; rows at as
+        # many keys of that step's rows that are no pivots may not.
+        import poissonkit.graded_cohomology as module
+
+        P = fixture_structure(name)
+        honest = cohomology_table(P, P.chart.n, 3)
+        rank = module.rank_exact
+
+        def misleading(rows):
+            result = rank(rows)
+            others = sorted({key for row in rows for key in row} - result.pivot_rows)
+            result.pivot_rows = frozenset(others[: len(result.pivot_rows)])
+            return result
+
+        monkeypatch.setattr(module, "rank_exact", misleading)
+        mutated = cohomology_table(P, P.chart.n, 3)
+        assert any(
+            mutated.entries[key].rank_certificate != entry.rank_certificate for key, entry in honest.entries.items()
+        )
+
+    @pytest.mark.parametrize("name", ["symplectic4", "so3_linear", "weighted_surface", "sklyanin4", "hesse_cubic"])
+    def test_a_corrupted_move_trips_the_guard_in_either_direction(self, monkeypatch, name):
+        # One delta per index moved by one power of the first variable:
+        # columns (m >= 0) see an image outside the target piece, rows
+        # (m < 0) a move that does not carry its piece (k, w) into (k+1, w+m).
+        P = fixture_structure(name)
+        moves = _DerivativeTable.moves
+
+        def corrupted(self, index):
+            found = moves(self, index)
+            if not found:
+                return found
+            (delta, slope, constant), *rest = found
+            return [(delta + (1 << len(self.by_theta)), slope, constant), *rest]
+
+        guard = "a move leaves" if homogeneity_weight(P) < 0 else "image leaves"
+        monkeypatch.setattr(_DerivativeTable, "moves", corrupted)
+        with pytest.raises(AssertionError, match=f"^{guard} the expected graded piece; homogeneity is broken$"):
+            cohomology_table(P, P.chart.n, 3)
 
 
 class TestDiagonalClosedForm:

@@ -422,3 +422,54 @@ def test_the_tokenizer_reads_ascii_digits_and_blanks_only(capsys, literal, colum
     assert capsys.readouterr().err == f"parse error: unexpected character {literal[column - 1]!r} (column {column})\n"
     ascii_literal = literal.replace("\u0663", "3").replace("\u3000", " ").replace("\u00a0", "")
     assert main(["tjurina", ascii_literal]) == 0
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # ARABIC-INDIC DIGIT ONE is no weight
+        ("chart: w z\nweights: ١ 1\npoisson:\n{w,z} = w*z\n", "weights: needs one positive integer per variable, got '١' (line 2)"),
+        # an IDEOGRAPHIC SPACE separates no names, opens no line and pads no bracket
+        ("chart: w　z\npoisson:\n{w,z} = w*z\n", "invalid variable identifier: 'w\\u3000z' (line 1)"),
+        ("　chart: w z\npoisson:\n{w,z} = w*z\n", "unexpected line before the poisson block: '\\u3000chart: w z' (line 1)"),
+        ("chart: w z\nweights:　1 1\npoisson:\n{w,z} = w*z\n", "weights: needs one positive integer per variable, got '\\u30001' (line 2)"),
+        ("chart: w z\npoisson:\n{w,　z} = w*z\n", "unrecognized poisson entry: '{w,\\u3000z} = w*z' (line 3)"),
+        # nor is ARABIC-INDIC DIGIT THREE an exponent digit of a lambda entry
+        ("chart: w z\npoisson:\ndiagonal lambda = 0 1e٣; -1e٣ 0\n", "bad rational entry in lambda row: '0 1e٣' (line 3)"),
+    ],
+)
+def test_structure_files_read_ascii_digits_and_blanks_only(tmp_path, capsys, text, message):
+    # A structure file's blanks and digits are ASCII, as the expression
+    # grammar's are: any other one is a parse error on its line.
+    path = tmp_path / "structure.poisson"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    ascii_text = text.replace("١", "1").replace("٣", "3").replace("　", " ")
+    path.write_text(ascii_text, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+
+
+def test_point_reads_ascii_digits_only(capsys):
+    assert main(["tjurina", "w^3 + z^2", "--point", "١,0"]) == 2
+    assert capsys.readouterr().err == "parse error: bad --point value '١,0'\n"
+    # Nor does a minus before a non-ASCII digit make a negative number: it is an option.
+    with pytest.raises(SystemExit) as exit:
+        main(["tjurina", "w^3 + z^2", "--point", "-١,0"])
+    assert exit.value.code == 2
+    assert "argument --point: expected one argument" in capsys.readouterr().err
+    assert main(["tjurina", "w^3 + z^2", "--point", "-1,0"]) == 0
+    with pytest.raises(ValueError):
+        polyalg._rational("1e٣")
+    assert polyalg._rational(" 1e3 ") == 1000
+
+
+def test_a_structure_file_is_told_apart_by_an_ascii_chart_line(tmp_path, capsys):
+    # tjurina reads a file as a structure file only where a line opens with
+    # ASCII blanks and "chart:"; otherwise it is a polynomial, here a bad one.
+    path = tmp_path / "structure.poisson"
+    path.write_text("　chart: w z\npoisson:\n{w,z} = w^2 - z^3\n", encoding="utf-8")
+    assert main(["tjurina", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: unexpected character '\\u3000' (column 1)\n"
+    path.write_text(" chart: w z\npoisson:\n{w,z} = w^2 - z^3\n", encoding="utf-8")
+    assert main(["tjurina", str(path)]) == 0
